@@ -25,13 +25,7 @@ from .documents import (
 from .errors import DegreeError, InconclusiveError, NotPositiveError
 from .certificates import verify
 from .nested import certify_nested
-from .raising import (
-    certify_raise,
-    enclosure_bound,
-    gamma_bounds,
-    min_enclosure,
-    _degree_floor,
-)
+from .raising import certify_raise, min_enclosure, min_enclosure_to_width
 
 DEFAULT_REFINEMENT_CAP = 64
 DEFAULT_DOUBLING_CAP = 20
@@ -78,11 +72,12 @@ def cmd_certify(args) -> int:
         else:
             q_start: Optional[tuple[int, int]] = None
             if args.q_start is not None:
-                pieces = args.q_start.split(",")
-                if len(pieces) != 2:
+                try:
+                    q1, q2 = args.q_start.split(",")
+                    q_start = (int(q1), int(q2))
+                except ValueError:
                     _diag(status="usage-error", detail="--q-start expects q1,q2")
                     return 1
-                q_start = (int(pieces[0]), int(pieces[1]))
             cert = certify_raise(p, q_start=q_start, max_doublings=doublings)
     except NotPositiveError as exc:
         _diag(status="not-positive", witness=exc.witness, value=exc.value)
@@ -131,14 +126,7 @@ def cmd_enclose_min(args) -> int:
         if width <= 0:
             _diag(status="usage-error", detail="--target-width must be positive")
             return 1
-        g1, g2 = gamma_bounds(p)
-        q1, q2 = _degree_floor(p.n1), _degree_floor(p.n2)
-        for _ in range(cap):
-            if enclosure_bound(g1, g2, q1, q2) <= width:
-                break
-            q1 *= 2
-            q2 *= 2
-        enc = min_enclosure(p, q1, q2)
+        enc = min_enclosure_to_width(p, width, cap)
         print(f"{enc.lo} {enc.hi} {enc.q1} {enc.q2}")
         return 0 if enc.bound <= width else 3
     if args.q1 is None or args.q2 is None:
@@ -228,11 +216,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "max_iter", None) is not None and args.max_iter < 0:
+            parser.error(f"argument --max-iter: {args.max_iter} is negative")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         _diag(status="parse-error", detail=str(exc).replace(" ", "_"))
         return 1
     except OSError as exc:

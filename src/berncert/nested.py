@@ -10,6 +10,9 @@ each of them at a shared degree q2 yields the strictly positive matrix C with
 q1 is driven by a certified positive lower bound on min p over the box and a
 certified upper bound on the Goursat coefficient polynomials of the rows; q2
 by the same quantities computed exactly for each coefficient polynomial.
+That choice of degrees is the whole method: C is the unique plain Bernstein
+matrix of p at (q1, q2), taken from the same exact kernel the raising method
+uses (``raising.plain_coeffs``).
 """
 
 from __future__ import annotations
@@ -21,13 +24,13 @@ from typing import Optional
 
 from .certificates import Method, PositivityCertificate
 from .errors import CertificationError, DegreeError, InconclusiveError
-from .polys import BPoly, RationalLike, UPoly, binom, rat
-from .raising import minimum_lower_bound
+from .polys import BPoly, RationalLike, UPoly, rat
+from .raising import minimum_lower_bound, plain_coeffs
 from .univariate import (
+    _plain_kernel,
     goursat_coefficients,
     powers_reznick_degree,
     range_enclosure_1d,
-    to_bernstein_plain,
 )
 
 
@@ -55,40 +58,14 @@ def coefficient_bernstein_polys(p: BPoly, q1: int) -> tuple[UPoly, ...]:
 
     Row i (0 <= i <= q1) is sum over j <= min(n1, i) of
     C(q1-j, q1-i) * a_j(x2), so that p(x1, x2) equals
-    sum_i A_i(x2) * x1**i * (1-x1)**(q1-i) identically.
+    sum_i A_i(x2) * x1**i * (1-x1)**(q1-i) identically: the x1 pass of the
+    kernel over the columns of p, divided by the common denominator.
     """
     n1 = p.n1
     if q1 < n1:
         raise DegreeError(f"degree {q1} is below the x1 degree {n1}")
-    rows = p.coefficient_rows()
-    out = []
-    for i in range(q1 + 1):
-        acc = UPoly([0])
-        for j in range(min(n1, i) + 1):
-            acc = acc + binom(q1 - j, q1 - i) * rows[j]
-        out.append(acc)
-    return tuple(out)
-
-
-def _goursat_of_rows(rows: tuple[UPoly, ...]) -> tuple[UPoly, ...]:
-    """Goursat coefficient polynomials B_k(a(x2)) of the row vector.
-
-    Same linear combination as the scalar Goursat coefficients, applied to
-    polynomials in x2 (n is the row count minus one).
-    """
-    n = len(rows) - 1
-    two_n = 2**n
-    out = []
-    for k in range(n + 1):
-        acc = UPoly([0])
-        for i in range(n - k, n + 1):
-            j = i - (n - k)
-            factor = two_n * math.comb(i, j)
-            if j % 2 == 1:
-                factor = -factor
-            acc = acc + factor * rows[i]
-        out.append(acc)
-    return tuple(out)
+    cols, den = _plain_kernel(list(zip(*p.coeffs)), q1)
+    return tuple(UPoly([Fraction(v, den) for v in row]) for row in zip(*cols))
 
 
 def nested_q1(
@@ -115,8 +92,11 @@ def nested_q1(
         if lam <= 0:
             raise ValueError("lambda_lower must be positive")
     if l_upper is None:
+        # Column j of p transformed gives the x2**j coefficients of the
+        # Goursat coefficient polynomials B_k(a(x2)).
+        cols = [goursat_coefficients(c, n=p.n1) for c in p.coefficient_cols()]
         bound = Fraction(0)
-        for bpoly in _goursat_of_rows(p.coefficient_rows()):
+        for bpoly in (UPoly(row) for row in zip(*cols)):
             enc = range_enclosure_1d(bpoly, max_width=lam, max_levels=max_levels)
             bound = max(bound, abs(enc.lo), abs(enc.hi))
     else:
@@ -190,10 +170,9 @@ def certify_nested(
 ) -> PositivityCertificate:
     """Certify p > 0 on the unit box by the nested univariate construction.
 
-    Runs the two degree computations, then converts every coefficient
-    polynomial to its plain Bernstein form at the shared degree q2; all
-    entries of the resulting matrix are strictly positive and the expansion
-    reproduces p exactly.
+    Runs the two degree computations, then takes the plain Bernstein
+    coefficients of p at (q1, q2) from the kernel; all entries of that matrix
+    are strictly positive, and its expansion reproduces p exactly.
     """
     q1, report = nested_q1(
         p,
@@ -203,14 +182,13 @@ def certify_nested(
         max_levels=max_levels,
     )
     q2, report = nested_q2(p, q1, report, max_levels=max_levels)
-    rows = []
-    for i, apoly in enumerate(coefficient_bernstein_polys(p, q1)):
-        form = to_bernstein_plain(apoly, q2)
-        bad = next((j for j, c in enumerate(form.coeffs) if c <= 0), None)
+    nums, den = plain_coeffs(p, q1, q2)
+    for i, row in enumerate(nums):
+        bad = next((j for j, v in enumerate(row) if v <= 0), None)
         if bad is not None:
             raise CertificationError(
                 f"row {i} produced a nonpositive coefficient at {bad}; "
                 "a supplied bound was not a valid certified bound"
             )
-        rows.append(form.coeffs)
-    return PositivityCertificate(q1, q2, tuple(rows), Method.NESTED, report)
+    rows = tuple(tuple(Fraction(v, den) for v in row) for row in nums)
+    return PositivityCertificate(q1, q2, rows, Method.NESTED, report)

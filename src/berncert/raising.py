@@ -1,28 +1,31 @@
 """Degree-raising certification and certified minimum enclosures on the box.
 
-A bivariate polynomial of degrees (n1, n2) rewritten at Bernstein degrees
-(q1, q2) has normalized coefficients
+Both certification methods end in the same matrix: the plain Bernstein
+coefficients of p at degrees (q1, q2), unique at fixed degrees and computed
+by ``plain_coeffs`` with the one exact kernel of ``univariate``.  The methods
+differ only in how they choose (q1, q2); this module holds the raising
+policy.  At degrees (q1, q2) the normalized coefficients
 
-    c[k][l] = sum_{i,j} a[i][j] * C(k,i) C(l,j) / (C(q1,i) C(q2,j)),
+    c[k][l] = sum_{i,j} a[i][j] * C(k,i) C(l,j) / (C(q1,i) C(q2,j))
 
-whose minimum never exceeds the minimum of p over the box, and undershoots it
-by at most gamma1*(q1-1)/q1**2 + gamma2*(q2-1)/q2**2 with the explicit gamma
-sums below.  Doubling the degrees until the minimum coefficient is positive
-therefore certifies strict positivity, and the two bounds together give a
-certified enclosure of the minimum that converges as the degrees grow.
+(the plain ones divided by C(q1,k) C(q2,l)) have a minimum that never exceeds
+the minimum of p over the box, and undershoots it by at most
+gamma1*(q1-1)/q1**2 + gamma2*(q2-1)/q2**2 with the explicit gamma sums below.
+Doubling both degrees from the floors until the minimum coefficient is
+positive therefore certifies strict positivity, and the two bounds together
+give a certified enclosure of the minimum that converges as the degrees grow.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .certificates import Method, PositivityCertificate
+from .certificates import Method, PositivityCertificate, expand_plain_2d
 from .errors import DegreeError, InconclusiveError, NotPositiveError
-from .polys import BPoly, UPoly, binom, rat
-from .univariate import BasisConvention
+from .polys import BPoly, RationalLike, binom, grid_values, rat
+from .univariate import BasisConvention, _plain_kernel
 
 
 @dataclass(frozen=True)
@@ -113,59 +116,48 @@ class RaiseReport:
     enclosure: MinEnclosure
     gamma1: Fraction
     gamma2: Fraction
-    normalized: BernsteinForm2D
 
 
-def bern_coeffs(p: BPoly, q1: int, q2: int) -> BernsteinForm2D:
-    """Normalized Bernstein coefficients of p at degrees (q1, q2).
+def plain_coeffs(p: BPoly, q1: int, q2: int) -> tuple[list[list[int]], int]:
+    """Plain Bernstein coefficients of p at degrees (q1, q2), as integers.
 
-    Requires q1 >= n1 and q2 >= n2; out-of-range binomials in the numerator
-    vanish by convention.
+    Returns (N, D) with plain[k][l] = N[k][l] / D: the one kernel runs over
+    the columns of p (the x1 pass, whose rows are the coefficient polynomials
+    A_k(x2) scaled by D) and then over the rows of that result (the x2 pass).
+    Requires q1 >= n1 and q2 >= n2.
     """
     n1, n2 = p.n1, p.n2
     if q1 < n1 or q2 < n2:
         raise DegreeError(
             f"degrees ({q1}, {q2}) are below polynomial degrees ({n1}, {n2})"
         )
-    ratio1 = [
-        [Fraction(binom(k, i), binom(q1, i)) for i in range(n1 + 1)]
-        for k in range(q1 + 1)
-    ]
-    ratio2 = [
-        [Fraction(binom(l, j), binom(q2, j)) for j in range(n2 + 1)]
-        for l in range(q2 + 1)
-    ]
-    rows = []
-    for k in range(q1 + 1):
-        rk = ratio1[k]
-        # Collapse the x1 direction once per k: t[j] = sum_i a[i][j] * rk[i].
-        t = [
-            sum((p.coeffs[i][j] * rk[i] for i in range(n1 + 1)), Fraction(0))
-            for j in range(n2 + 1)
-        ]
-        rows.append(
-            tuple(
-                sum((t[j] * ratio2[l][j] for j in range(n2 + 1)), Fraction(0))
-                for l in range(q2 + 1)
-            )
-        )
+    cols, den = _plain_kernel(list(zip(*p.coeffs)), q1)
+    rows, _ = _plain_kernel(list(zip(*cols)), q2)
+    return rows, den
+
+
+def _normalized_rows(nums: list[list[int]], den: int, q1: int, q2: int):
+    """Rows of plain numerators over D divided by C(q1,k) C(q2,l), lazily, so
+    a minimum can be taken without holding the whole matrix twice."""
+    b1 = [binom(q1, k) * den for k in range(q1 + 1)]
+    b2 = [binom(q2, l) for l in range(q2 + 1)]
+    for row, bk in zip(nums, b1):
+        yield tuple(Fraction(v, bk * bl) for v, bl in zip(row, b2))
+
+
+def bern_coeffs(p: BPoly, q1: int, q2: int) -> BernsteinForm2D:
+    """Normalized Bernstein coefficients of p at degrees (q1, q2).
+
+    The plain coefficients divided by C(q1,k) C(q2,l); requires q1 >= n1 and
+    q2 >= n2.
+    """
+    rows = _normalized_rows(*plain_coeffs(p, q1, q2), q1, q2)
     return BernsteinForm2D(q1, q2, tuple(rows), BasisConvention.NORMALIZED)
-
-
-def min_entry(b: BernsteinForm2D) -> tuple[Fraction, tuple[int, int]]:
-    """Smallest coefficient and its first row-major position."""
-    best = b.coeffs[0][0]
-    pos = (0, 0)
-    for k, row in enumerate(b.coeffs):
-        for l, c in enumerate(row):
-            if c < best:
-                best, pos = c, (k, l)
-    return best, pos
 
 
 def min_coeff(b: BernsteinForm2D) -> Fraction:
     """Smallest coefficient of the form."""
-    return min_entry(b)[0]
+    return min(map(min, b.coeffs))
 
 
 def gamma_bounds(p: BPoly) -> tuple[Fraction, Fraction]:
@@ -192,6 +184,21 @@ def _degree_floor(n: int) -> int:
     return max(n, 2)
 
 
+def _doubled_degrees(
+    p: BPoly, max_doublings: int, q_start: Optional[tuple[int, int]] = None
+) -> list[tuple[int, int]]:
+    """The degrees every raising loop walks, in order.
+
+    Starts at q_start (default the floors (max(n1, 2), max(n2, 2))) and
+    doubles both degrees together, max_doublings times.
+    """
+    f1, f2 = _degree_floor(p.n1), _degree_floor(p.n2)
+    q1, q2 = (f1, f2) if q_start is None else q_start
+    if q1 < f1 or q2 < f2:
+        raise DegreeError(f"q_start {q_start} is below the floors ({f1}, {f2})")
+    return [(q1 << d, q2 << d) for d in range(max_doublings + 1)]
+
+
 def min_enclosure(p: BPoly, q1: int, q2: int) -> MinEnclosure:
     """Certified enclosure of min p over the box at degrees (q1, q2).
 
@@ -203,9 +210,28 @@ def min_enclosure(p: BPoly, q1: int, q2: int) -> MinEnclosure:
             f"degrees ({q1}, {q2}) are below the floors "
             f"({_degree_floor(p.n1)}, {_degree_floor(p.n2)})"
         )
-    c_min = min_coeff(bern_coeffs(p, q1, q2))
+    c_min = min(map(min, _normalized_rows(*plain_coeffs(p, q1, q2), q1, q2)))
     g1, g2 = gamma_bounds(p)
     return MinEnclosure(q1, q2, c_min, enclosure_bound(g1, g2, q1, q2))
+
+
+def min_enclosure_to_width(
+    p: BPoly, width: RationalLike, max_doublings: int = 20
+) -> MinEnclosure:
+    """Enclosure at the first doubled degrees whose bound is at most width.
+
+    Only the bound decides the degrees, so the kernel runs once.  When the
+    cap is reached first, the enclosure at the last degrees is returned and
+    its bound exceeds width.
+    """
+    if max_doublings < 0:
+        raise ValueError("max_doublings must be nonnegative")
+    width = rat(width)
+    g1, g2 = gamma_bounds(p)
+    for q1, q2 in _doubled_degrees(p, max_doublings):
+        if enclosure_bound(g1, g2, q1, q2) <= width:
+            break
+    return min_enclosure(p, q1, q2)
 
 
 def delta(i: int, j: int, k: int, l: int, q1: int, q2: int) -> Fraction:
@@ -229,31 +255,19 @@ def delta(i: int, j: int, k: int, l: int, q1: int, q2: int) -> Fraction:
 def bernstein_approximation(p: BPoly, q1: int, q2: int) -> BPoly:
     """The Bernstein operator approximation of p at degrees (q1, q2).
 
-    Samples p on the grid (k/q1, l/q2) and expands the weighted normalized
-    basis sum into monomial form, all exactly.
+    The grid values p(k/q1, l/q2) times C(q1,k) C(q2,l) are its plain
+    Bernstein coefficients, expanded into monomial form exactly.
     """
     if q1 < 1 or q2 < 1:
         raise ValueError("degrees must be at least 1")
-    out = [[Fraction(0)] * (q2 + 1) for _ in range(q1 + 1)]
-    points1 = [Fraction(k, q1) for k in range(q1 + 1)]
-    points2 = [Fraction(l, q2) for l in range(q2 + 1)]
-    cols = p.coefficient_cols()
-    for k, x1 in enumerate(points1):
-        slice_coeffs = UPoly([col.eval(x1) for col in cols])
-        bk = binom(q1, k)
-        for l, x2 in enumerate(points2):
-            value = slice_coeffs.eval(x2) * (bk * binom(q2, l))
-            if value == 0:
-                continue
-            # value * x1**k (1-x1)**(q1-k) * x2**l (1-x2)**(q2-l)
-            for r in range(k, q1 + 1):
-                c1 = math.comb(q1 - k, r - k)
-                term1 = value * c1 if (r - k) % 2 == 0 else -value * c1
-                row = out[r]
-                for c in range(l, q2 + 1):
-                    c2 = math.comb(q2 - l, c - l)
-                    row[c] += term1 * c2 if (c - l) % 2 == 0 else -term1 * c2
-    return BPoly(out)
+    plain = [
+        [
+            p.eval(Fraction(k, q1), Fraction(l, q2)) * (binom(q1, k) * binom(q2, l))
+            for l in range(q2 + 1)
+        ]
+        for k in range(q1 + 1)
+    ]
+    return expand_plain_2d(plain, q1, q2)
 
 
 def _corner_check(p: BPoly) -> None:
@@ -269,20 +283,16 @@ def _corner_check(p: BPoly) -> None:
                 )
 
 
-def _grid_argmin(p: BPoly, q1: int, q2: int):
-    """Grid point (k/q1, l/q2) minimizing p, with the value attained there."""
-    best_point = None
-    best_value = None
-    points1 = [Fraction(k, q1) for k in range(q1 + 1)]
-    points2 = [Fraction(l, q2) for l in range(q2 + 1)]
-    cols = p.coefficient_cols()
-    for x1 in points1:
-        slice_coeffs = UPoly([col.eval(x1) for col in cols])
-        for x2 in points2:
-            value = slice_coeffs.eval(x2)
-            if best_value is None or value < best_value:
-                best_value, best_point = value, (x1, x2)
-    return best_point, best_value
+def _refute(p: BPoly, enc: MinEnclosure) -> None:
+    """Raise NotPositiveError at the grid point (k/q1, l/q2) minimizing p."""
+    points1 = [Fraction(k, enc.q1) for k in range(enc.q1 + 1)]
+    points2 = [Fraction(l, enc.q2) for l in range(enc.q2 + 1)]
+    witness, value = min(grid_values(p, points1, points2), key=lambda pv: pv[1])
+    raise NotPositiveError(
+        f"minimum over the box is at most {enc.hi}; p{witness} = {value}",
+        witness=witness,
+        value=value,
+    )
 
 
 def minimum_lower_bound(
@@ -296,26 +306,13 @@ def minimum_lower_bound(
     minimum nonpositive, and InconclusiveError at the doubling cap.
     """
     _corner_check(p)
-    q1 = _degree_floor(p.n1)
-    q2 = _degree_floor(p.n2)
-    g1, g2 = gamma_bounds(p)
     enc = None
-    for _ in range(max_doublings + 1):
-        c_min = min_coeff(bern_coeffs(p, q1, q2))
-        bound = enclosure_bound(g1, g2, q1, q2)
-        enc = MinEnclosure(q1, q2, c_min, bound)
-        if c_min > 0 and bound <= c_min:
-            return c_min, enc
+    for q1, q2 in _doubled_degrees(p, max_doublings):
+        enc = min_enclosure(p, q1, q2)
+        if enc.c_min > 0 and enc.bound <= enc.c_min:
+            return enc.c_min, enc
         if enc.hi <= 0:
-            witness, value = _grid_argmin(p, q1, q2)
-            raise NotPositiveError(
-                f"minimum over the box is at most {enc.hi}; "
-                f"p{witness} = {value}",
-                witness=witness,
-                value=value,
-            )
-        q1 *= 2
-        q2 *= 2
+            _refute(p, enc)
     raise InconclusiveError(
         f"no positive lower bound after {max_doublings} degree doublings",
         best=enc,
@@ -330,43 +327,25 @@ def certify_raise(
     """Certify p > 0 on the box by raising the Bernstein degrees.
 
     Starting from q_start (default (max(n1,2), max(n2,2))), doubles both
-    degrees until every normalized coefficient is positive, then converts to
-    the plain convention.  Raises NotPositiveError with a grid witness when an
-    enclosure shows the minimum is nonpositive, and InconclusiveError with the
-    best enclosure when the doubling cap is reached.
+    degrees until every normalized coefficient is positive; the plain
+    coefficients of that same kernel result form the certificate.  Raises
+    NotPositiveError with a grid witness when an enclosure shows the minimum
+    is nonpositive, and InconclusiveError with the best enclosure when the
+    doubling cap is reached.
     """
     _corner_check(p)
-    if q_start is None:
-        q1, q2 = _degree_floor(p.n1), _degree_floor(p.n2)
-    else:
-        q1, q2 = q_start
-        if q1 < _degree_floor(p.n1) or q2 < _degree_floor(p.n2):
-            raise DegreeError(
-                f"q_start {q_start} is below the floors "
-                f"({_degree_floor(p.n1)}, {_degree_floor(p.n2)})"
-            )
     g1, g2 = gamma_bounds(p)
     enc = None
-    for doublings in range(max_doublings + 1):
-        normalized = bern_coeffs(p, q1, q2)
-        c_min, _ = min_entry(normalized)
-        bound = enclosure_bound(g1, g2, q1, q2)
-        enc = MinEnclosure(q1, q2, c_min, bound)
+    for doublings, (q1, q2) in enumerate(_doubled_degrees(p, max_doublings, q_start)):
+        nums, den = plain_coeffs(p, q1, q2)
+        c_min = min(map(min, _normalized_rows(nums, den, q1, q2)))
+        enc = MinEnclosure(q1, q2, c_min, enclosure_bound(g1, g2, q1, q2))
         if c_min > 0:
-            plain = normalized.to_plain()
-            report = RaiseReport(doublings, enc, g1, g2, normalized)
-            return PositivityCertificate(
-                q1, q2, plain.coeffs, Method.RAISE, report
-            )
+            plain = tuple(tuple(Fraction(v, den) for v in row) for row in nums)
+            report = RaiseReport(doublings, enc, g1, g2)
+            return PositivityCertificate(q1, q2, plain, Method.RAISE, report)
         if enc.hi <= 0:
-            witness, value = _grid_argmin(p, q1, q2)
-            raise NotPositiveError(
-                f"minimum over the box is at most {enc.hi}; p{witness} = {value}",
-                witness=witness,
-                value=value,
-            )
-        q1 *= 2
-        q2 *= 2
+            _refute(p, enc)
     raise InconclusiveError(
         f"no positive Bernstein form after {max_doublings} degree doublings",
         best=enc,

@@ -6,7 +6,9 @@ C(m,i) * x**i * (1-x)**(m-i) (normalized convention), the Goursat transform
 p~(x) = (2x)**n * p((1-x)/x), degree elevation, an explicit degree bound at
 which a strictly positive polynomial acquires a nonnegative Bernstein
 representation, certified range enclosure by de Casteljau bisection, and a
-positivity certifier that combines all of the above.
+positivity certifier that combines all of the above.  ``_plain_kernel`` is the
+package's one monomial-to-Bernstein conversion; the bivariate methods apply it
+along x1 and then along x2.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import DegreeError, InconclusiveError, NotPositiveError
 from .polys import RationalLike, UPoly, binom, rat
@@ -87,6 +89,39 @@ class RangeEnclosure1D:
     max_point: Fraction
 
 
+def _plain_kernel(
+    vectors: Sequence[Sequence[Union[Fraction, int]]], q: int
+) -> tuple[list[list[int]], int]:
+    """Plain Bernstein numerators of monomial coefficient vectors at degree q.
+
+    Every monomial-to-Bernstein conversion in the package runs through here.
+    The common denominator D of all entries is cleared once; a vector a of
+    length n + 1 <= q + 1 then maps to the integers
+    out[k] = sum over i <= min(n, k) of C(q-i, k-i) * D * a[i], so that a
+    equals sum_k (out[k] / D) * x**k * (1-x)**(q-k).  Returns (outputs, D).
+    """
+    den = 1
+    for v in vectors:
+        for c in v:
+            den = math.lcm(den, c.denominator)
+    # shifted[i][t] = C(q-i, t), the weights of input i on outputs k = i + t.
+    shifted = []
+    for i in range(max(len(v) for v in vectors)):
+        row, m = [1], q - i
+        for t in range(m):
+            row.append(row[-1] * (m - t) // (t + 1))
+        shifted.append(row)
+    out = []
+    for v in vectors:
+        acc = [0] * (q + 1)
+        for i, c in enumerate(v):
+            a = c.numerator * (den // c.denominator)
+            if a:
+                acc[i:] = [s + a * w for s, w in zip(acc[i:], shifted[i])]
+        out.append(acc)
+    return out, den
+
+
 def to_bernstein_plain(p: UPoly, m: int) -> BernsteinForm1D:
     """Plain Bernstein coefficients of p at degree m >= degree(p).
 
@@ -96,14 +131,10 @@ def to_bernstein_plain(p: UPoly, m: int) -> BernsteinForm1D:
     n = p.degree
     if m < n:
         raise DegreeError(f"target degree {m} is below polynomial degree {n}")
-    a = p.coeffs
-    out = []
-    for i in range(m + 1):
-        s = Fraction(0)
-        for j in range(min(n, i) + 1):
-            s += binom(m - j, m - i) * a[j]
-        out.append(s)
-    return BernsteinForm1D(m, tuple(out), BasisConvention.PLAIN)
+    (nums,), den = _plain_kernel([p.coeffs], m)
+    return BernsteinForm1D(
+        m, tuple(Fraction(v, den) for v in nums), BasisConvention.PLAIN
+    )
 
 
 def plain_basis_table(m: int) -> list[list[int]]:

@@ -120,6 +120,23 @@ class TestCertify:
     def test_missing_file(self, tmp_path):
         assert main(["certify", str(tmp_path / "nope.txt"), "x", "--method", "raise"]) == 1
 
+    @pytest.mark.parametrize("q_start", ["a,b", "4,x", "4", "4,4,4"])
+    def test_malformed_q_start(self, poly_file, tmp_path, capsys, q_start):
+        out = str(tmp_path / "cert.txt")
+        code = main(
+            ["certify", poly_file(SPHERE), out, "--method", "raise", "--q-start", q_start]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("status=usage-error detail=")
+
+    @pytest.mark.parametrize("method", ["nested", "raise"])
+    def test_negative_max_iter_rejected(self, poly_file, tmp_path, capsys, method):
+        out = str(tmp_path / "cert.txt")
+        argv = ["certify", poly_file(SPHERE), out, "--method", method]
+        assert main(argv + ["--max-iter", "-3"]) == 1
+        assert capsys.readouterr().err.startswith("status=usage-error detail=")
+        assert main(argv + ["--max-iter", "0"]) == 0
+
 
 class TestVerifyCommand:
     def test_tampered_certificate(self, poly_file, tmp_path, capsys):
@@ -176,8 +193,34 @@ class TestEncloseMin:
     def test_univariate_rejected(self, poly_file):
         assert main(["enclose-min", poly_file(UNI), "--q1", "2", "--q2", "2"]) == 1
 
+    def test_negative_max_iter_rejected(self, poly_file, capsys):
+        argv = ["enclose-min", poly_file(WORKED), "--target-width", "1/100"]
+        assert main(argv + ["--max-iter", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("status=usage-error detail=")
+        assert main(argv + ["--max-iter", "0"]) == 3
+        assert capsys.readouterr().out.split()[2:] == ["2", "2"]
+
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "{bad}", "--at", "0,0"],
+            ["certify", "{bad}", "{out}", "--method", "raise"],
+            ["enclose-min", "{bad}", "--q1", "2", "--q2", "2"],
+            ["verify", "{bad}", "{sphere}"],
+            ["verify", "{sphere}", "{bad}"],
+        ],
+    )
+    def test_non_utf8_file_is_parse_error(self, poly_file, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe")
+        paths = {"bad": bad, "out": tmp_path / "cert.txt", "sphere": poly_file(SPHERE)}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        assert capsys.readouterr().err.startswith("status=parse-error detail=")
+
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
 
