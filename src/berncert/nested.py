@@ -12,7 +12,7 @@ certified upper bound on the Goursat coefficient polynomials of the rows; q2
 by the same quantities computed exactly for each coefficient polynomial.
 That choice of degrees is the whole method: C is the unique plain Bernstein
 matrix of p at (q1, q2), taken from the same exact kernel the raising method
-uses (``raising.plain_coeffs``).
+uses (``certificates.plain_coeffs``).
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .certificates import Method, PositivityCertificate
+from .certificates import Method, PositivityCertificate, plain_coeffs
 from .errors import CertificationError, DegreeError, InconclusiveError
 from .polys import BPoly, RationalLike, UPoly, rat
-from .raising import minimum_lower_bound, plain_coeffs
+from .raising import minimum_lower_bound
 from .univariate import (
     _plain_kernel,
     goursat_coefficients,

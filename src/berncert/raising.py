@@ -2,9 +2,9 @@
 
 Both certification methods end in the same matrix: the plain Bernstein
 coefficients of p at degrees (q1, q2), unique at fixed degrees and computed
-by ``plain_coeffs`` with the one exact kernel of ``univariate``.  The methods
-differ only in how they choose (q1, q2); this module holds the raising
-policy.  At degrees (q1, q2) the normalized coefficients
+by ``certificates.plain_coeffs`` with the one exact kernel of ``univariate``.
+The methods differ only in how they choose (q1, q2); this module holds the
+raising policy.  At degrees (q1, q2) the normalized coefficients
 
     c[k][l] = sum_{i,j} a[i][j] * C(k,i) C(l,j) / (C(q1,i) C(q2,j))
 
@@ -22,10 +22,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .certificates import Method, PositivityCertificate, expand_plain_2d
+from .certificates import (
+    Method,
+    PositivityCertificate,
+    expand_plain_2d,
+    plain_coeffs,
+)
 from .errors import DegreeError, InconclusiveError, NotPositiveError
 from .polys import BPoly, RationalLike, binom, grid_values, rat
-from .univariate import BasisConvention, _plain_kernel
+from .univariate import BasisConvention
 
 
 @dataclass(frozen=True)
@@ -52,38 +57,6 @@ class BernsteinForm2D:
                 raise ValueError(f"expected {self.q2 + 1} columns, got {len(row)}")
             rows.append(tuple(rat(c) for c in row))
         object.__setattr__(self, "coeffs", tuple(rows))
-
-    def to_plain(self) -> "BernsteinForm2D":
-        if self.convention is BasisConvention.PLAIN:
-            return self
-        return BernsteinForm2D(
-            self.q1,
-            self.q2,
-            tuple(
-                tuple(
-                    c * (binom(self.q1, k) * binom(self.q2, l))
-                    for l, c in enumerate(row)
-                )
-                for k, row in enumerate(self.coeffs)
-            ),
-            BasisConvention.PLAIN,
-        )
-
-    def to_normalized(self) -> "BernsteinForm2D":
-        if self.convention is BasisConvention.NORMALIZED:
-            return self
-        return BernsteinForm2D(
-            self.q1,
-            self.q2,
-            tuple(
-                tuple(
-                    c / (binom(self.q1, k) * binom(self.q2, l))
-                    for l, c in enumerate(row)
-                )
-                for k, row in enumerate(self.coeffs)
-            ),
-            BasisConvention.NORMALIZED,
-        )
 
 
 @dataclass(frozen=True)
@@ -116,24 +89,6 @@ class RaiseReport:
     enclosure: MinEnclosure
     gamma1: Fraction
     gamma2: Fraction
-
-
-def plain_coeffs(p: BPoly, q1: int, q2: int) -> tuple[list[list[int]], int]:
-    """Plain Bernstein coefficients of p at degrees (q1, q2), as integers.
-
-    Returns (N, D) with plain[k][l] = N[k][l] / D: the one kernel runs over
-    the columns of p (the x1 pass, whose rows are the coefficient polynomials
-    A_k(x2) scaled by D) and then over the rows of that result (the x2 pass).
-    Requires q1 >= n1 and q2 >= n2.
-    """
-    n1, n2 = p.n1, p.n2
-    if q1 < n1 or q2 < n2:
-        raise DegreeError(
-            f"degrees ({q1}, {q2}) are below polynomial degrees ({n1}, {n2})"
-        )
-    cols, den = _plain_kernel(list(zip(*p.coeffs)), q1)
-    rows, _ = _plain_kernel(list(zip(*cols)), q2)
-    return rows, den
 
 
 def _normalized_rows(nums: list[list[int]], den: int, q1: int, q2: int):

@@ -26,6 +26,8 @@ from berncert import (
     verify,
 )
 
+from berncert.raising import plain_coeffs
+
 from corpus import random_fraction, random_unit_fraction
 
 WORKED = BPoly([[Fraction(1, 8), 0, 1], [0, -2, 0], [1, 0, 0]])  # (x1-x2)^2 + 1/8
@@ -85,8 +87,12 @@ class TestBernCoeffs:
         assert [list(r) for r in b.coeffs] == _sympy_bernstein_coeffs(WORKED, 3, 2)
 
     def test_plain_normalized_roundtrip(self):
-        b = bern_coeffs(SPHERE, 3, 3)
-        assert b.to_plain().to_normalized() == b
+        nums, den = plain_coeffs(WORKED, 3, 4)
+        b = bern_coeffs(WORKED, 3, 4)
+        for k in range(4):
+            for l in range(5):
+                plain = b.coeffs[k][l] * (binom(3, k) * binom(4, l))
+                assert plain == Fraction(nums[k][l], den)
 
 
 class TestMinCoeff:
