@@ -9,6 +9,7 @@ the iteration caps.  Diagnostics go to standard error as one-line
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -49,6 +50,32 @@ class _Parser(argparse.ArgumentParser):
 def _read_polynomial(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         return parse_polynomial_document(handle.read())
+
+
+def _write_atomically(path: str, text: str) -> None:
+    """Write text to path so that a failed write leaves path as it was.
+
+    The text goes to a new file beside the target, created with mode 0666
+    masked by the umask like any new file, and is then renamed onto the
+    target; a symbolic link is followed, so the file it names is replaced.
+    A target that exists but is not a regular file (a pipe, a device) is
+    written in place, since a rename would replace the special file itself.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _parse_point(text: str) -> list[Fraction]:
@@ -93,8 +120,7 @@ def cmd_certify(args) -> int:
         _diag(status="usage-error", detail=str(exc).replace(" ", "_"))
         return 1
     text = serialize_certificate_document(CertificateDocument.from_certificate(cert))
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    _write_atomically(args.output, text)
     print(f"certified method={cert.method.value} q1={cert.q1} q2={cert.q2}")
     return 0
 

@@ -56,12 +56,16 @@ def parse_rational(token: str) -> Fraction:
     """Parse an integer or ``num/den`` token; rejects anything else."""
     if not _RATIONAL_RE.fullmatch(token):
         raise ParseError(f"malformed rational {token!r}")
-    if "/" in token:
+    try:  # int() raises ValueError only over the interpreter's digit limit
+        if "/" not in token:
+            return Fraction(int(token))
         num, den = token.split("/")
-        if int(den) == 0:
-            raise ParseError(f"zero denominator in {token!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+        num, den = int(num), int(den)
+    except ValueError as exc:
+        raise ParseError(f"rational token of {len(token)} characters is too long") from exc
+    if den == 0:
+        raise ParseError(f"zero denominator in {token!r}")
+    return Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:

@@ -14,10 +14,17 @@ gamma1*(q1-1)/q1**2 + gamma2*(q2-1)/q2**2 with the explicit gamma sums below.
 Doubling both degrees from the floors until the minimum coefficient is
 positive therefore certifies strict positivity, and the two bounds together
 give a certified enclosure of the minimum that converges as the degrees grow.
+
+Both searches of this module run on integers: the minimum coefficient
+compares the kernel's numerators by cross-multiplication with the weights
+C(q1,k) C(q2,l), and the refutation witness compares the values of p on the
+grid (k/q1, l/q2) as numerators over one common denominator.  Only their
+results become Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -29,7 +36,7 @@ from .certificates import (
     plain_coeffs,
 )
 from .errors import DegreeError, InconclusiveError, NotPositiveError
-from .polys import BPoly, RationalLike, binom, grid_values, rat
+from .polys import BPoly, RationalLike, binom, rat
 from .univariate import BasisConvention
 
 
@@ -91,13 +98,24 @@ class RaiseReport:
     gamma2: Fraction
 
 
-def _normalized_rows(nums: list[list[int]], den: int, q1: int, q2: int):
-    """Rows of plain numerators over D divided by C(q1,k) C(q2,l), lazily, so
-    a minimum can be taken without holding the whole matrix twice."""
-    b1 = [binom(q1, k) * den for k in range(q1 + 1)]
+def _min_normalized(nums: list[list[int]], den: int, q1: int, q2: int) -> Fraction:
+    """Smallest normalized coefficient nums[k][l] / (den * C(q1,k) C(q2,l)).
+
+    Entries are compared as v * w' < v' * w with positive weights w: within a
+    row by C(q2,l), then the row minima by C(q1,k) C(q2,l).  Only the minimum
+    becomes a Fraction.
+    """
     b2 = [binom(q2, l) for l in range(q2 + 1)]
-    for row, bk in zip(nums, b1):
-        yield tuple(Fraction(v, bk * bl) for v, bl in zip(row, b2))
+    best_v, best_w = nums[0][0], 1
+    for k, row in enumerate(nums):
+        row_v, row_w = row[0], 1
+        for v, w in zip(row, b2):
+            if v * row_w < row_v * w:
+                row_v, row_w = v, w
+        row_w *= binom(q1, k)
+        if row_v * best_w < best_v * row_w:
+            best_v, best_w = row_v, row_w
+    return Fraction(best_v, best_w * den)
 
 
 def bern_coeffs(p: BPoly, q1: int, q2: int) -> BernsteinForm2D:
@@ -106,8 +124,13 @@ def bern_coeffs(p: BPoly, q1: int, q2: int) -> BernsteinForm2D:
     The plain coefficients divided by C(q1,k) C(q2,l); requires q1 >= n1 and
     q2 >= n2.
     """
-    rows = _normalized_rows(*plain_coeffs(p, q1, q2), q1, q2)
-    return BernsteinForm2D(q1, q2, tuple(rows), BasisConvention.NORMALIZED)
+    nums, den = plain_coeffs(p, q1, q2)
+    b2 = [binom(q2, l) for l in range(q2 + 1)]
+    rows = tuple(
+        tuple(Fraction(v, binom(q1, k) * den * bl) for v, bl in zip(row, b2))
+        for k, row in enumerate(nums)
+    )
+    return BernsteinForm2D(q1, q2, rows, BasisConvention.NORMALIZED)
 
 
 def min_coeff(b: BernsteinForm2D) -> Fraction:
@@ -158,14 +181,16 @@ def min_enclosure(p: BPoly, q1: int, q2: int) -> MinEnclosure:
     """Certified enclosure of min p over the box at degrees (q1, q2).
 
     Requires q1 >= max(n1, 2) and q2 >= max(n2, 2) so the bound term
-    (q-1)/q**2 is meaningful in both variables.
+    (q-1)/q**2 is meaningful in both variables.  The minimum coefficient is
+    found by an integer scan of the kernel's numerators; only c_min and the
+    bound are Fractions.
     """
     if q1 < _degree_floor(p.n1) or q2 < _degree_floor(p.n2):
         raise DegreeError(
             f"degrees ({q1}, {q2}) are below the floors "
             f"({_degree_floor(p.n1)}, {_degree_floor(p.n2)})"
         )
-    c_min = min(map(min, _normalized_rows(*plain_coeffs(p, q1, q2), q1, q2)))
+    c_min = _min_normalized(*plain_coeffs(p, q1, q2), q1, q2)
     g1, g2 = gamma_bounds(p)
     return MinEnclosure(q1, q2, c_min, enclosure_bound(g1, g2, q1, q2))
 
@@ -239,10 +264,41 @@ def _corner_check(p: BPoly) -> None:
 
 
 def _refute(p: BPoly, enc: MinEnclosure) -> None:
-    """Raise NotPositiveError at the grid point (k/q1, l/q2) minimizing p."""
-    points1 = [Fraction(k, enc.q1) for k in range(enc.q1 + 1)]
-    points2 = [Fraction(l, enc.q2) for l in range(enc.q2 + 1)]
-    witness, value = min(grid_values(p, points1, points2), key=lambda pv: pv[1])
+    """Raise NotPositiveError at the grid point (k/q1, l/q2) minimizing p.
+
+    With D clearing p's denominators, D q1**n1 q2**n2 p(k/q1, l/q2) is the
+    integer sum of A[i][j] k**i l**j with A[i][j] = D a[i][j] q1**(n1-i)
+    q2**(n2-j), evaluated by Horner in k and then in l.  The first minimum in
+    row-major order is the witness; only it and its value become Fractions.
+    """
+    q1, q2, n1, n2 = enc.q1, enc.q2, p.n1, p.n2
+    den = math.lcm(*(a.denominator for row in p.coeffs for a in row))
+    # The A[i][j] by decreasing i within columns of decreasing j: Horner
+    # order in k, then in l.
+    cols = [
+        [
+            a.numerator * (den // a.denominator) * q1 ** (n1 - i) * q2 ** (n2 - j)
+            for i, a in reversed(list(enumerate(col)))
+        ]
+        for j, col in reversed(list(enumerate(zip(*p.coeffs))))
+    ]
+    best = None
+    for k in range(q1 + 1):
+        slice_coeffs = []
+        for col in cols:
+            acc = 0
+            for a in col:
+                acc = acc * k + a
+            slice_coeffs.append(acc)
+        for l in range(q2 + 1):
+            acc = 0
+            for c in slice_coeffs:
+                acc = acc * l + c
+            if best is None or acc < best[0]:
+                best = (acc, k, l)
+    num, k, l = best
+    witness = (Fraction(k, q1), Fraction(l, q2))
+    value = Fraction(num, den * q1**n1 * q2**n2)
     raise NotPositiveError(
         f"minimum over the box is at most {enc.hi}; p{witness} = {value}",
         witness=witness,
@@ -283,17 +339,19 @@ def certify_raise(
 
     Starting from q_start (default (max(n1,2), max(n2,2))), doubles both
     degrees until every normalized coefficient is positive; the plain
-    coefficients of that same kernel result form the certificate.  Raises
-    NotPositiveError with a grid witness when an enclosure shows the minimum
-    is nonpositive, and InconclusiveError with the best enclosure when the
-    doubling cap is reached.
+    coefficients of that same kernel result form the certificate.  At each
+    degree pair the minimum coefficient comes from an integer scan of the
+    kernel's numerators; only c_min and, on success, the certificate entries
+    are Fractions.  Raises NotPositiveError with a grid witness when an
+    enclosure shows the minimum is nonpositive, and InconclusiveError with
+    the best enclosure when the doubling cap is reached.
     """
     _corner_check(p)
     g1, g2 = gamma_bounds(p)
     enc = None
     for doublings, (q1, q2) in enumerate(_doubled_degrees(p, max_doublings, q_start)):
         nums, den = plain_coeffs(p, q1, q2)
-        c_min = min(map(min, _normalized_rows(nums, den, q1, q2)))
+        c_min = _min_normalized(nums, den, q1, q2)
         enc = MinEnclosure(q1, q2, c_min, enclosure_bound(g1, g2, q1, q2))
         if c_min > 0:
             plain = tuple(tuple(Fraction(v, den) for v in row) for row in nums)

@@ -1,11 +1,15 @@
 """Command line interface: subcommands, exit codes, diagnostics."""
 
+import os
+import stat
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+import berncert
 from berncert.cli import main
 from berncert.documents import (
     parse_certificate_document,
@@ -96,6 +100,92 @@ class TestCertify:
         err = capsys.readouterr().err
         assert "not-positive" in err
         assert "witness=0,0" in err
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            ("9/80 -1 1\n-1/2 0 0\n1 0 0",  # (x1-1/4)^2 + (x2-1/2)^2 - 1/5
+             "status=not-positive witness=0,1/2 value=-11/80"),
+            ("202/1575 -4/5 1\n-2/3 0 0\n1 0 0",  # (x1-1/3)^2 + (x2-2/5)^2 - 1/7
+             "status=not-positive witness=1/2,1/2 value=-331/3150"),
+            ("1/8\n-1\n1", "status=not-positive witness=1/2,0 value=-1/8"),
+            ("27113/51200 -41/32 1\n-23/32 0 0\n1 0 0",  # disc(23/64, 41/64), q = 256
+             "status=not-positive witness=23/64,41/64 value=-1/100"),
+        ],
+        ids=["tie", "denominators", "n2=0", "sweep"],
+    )
+    def test_not_positive_line_pinned(self, poly_file, tmp_path, capsys, rows, line):
+        out = tmp_path / "cert.txt"
+        text = "variables: 2\ncoeffs:\n" + rows + "\n"
+        assert main(["certify", poly_file(text), str(out), "--method", "raise"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line + "\n"
+        assert not out.exists()
+
+    def test_failed_write_keeps_existing_output(self, poly_file, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "cert.txt"
+        out.write_text("previous certificate\n")
+        poly = poly_file(SPHERE, "poly.in")
+        before = sorted(tmp_path.iterdir())
+
+        class HalfWrite:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                self.handle.flush()
+                raise OSError(28, "No space left on device")
+
+        real_open = open
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return HalfWrite(handle) if "w" in mode else handle
+
+        monkeypatch.setattr(berncert.cli, "open", failing_open, raising=False)
+        assert main(["certify", poly, str(out), "--method", "raise"]) == 1
+        assert capsys.readouterr().err.startswith("status=io-error detail=")
+        assert out.read_text() == "previous certificate\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_output_written_with_umask_mode(self, poly_file, tmp_path):
+        out = tmp_path / "cert.txt"
+        old = os.umask(0o027)
+        try:
+            assert main(["certify", poly_file(SPHERE), str(out), "--method", "raise"]) == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert main(["verify", poly_file(SPHERE), str(out)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cert.txt", "poly.txt"]
+
+    def test_output_through_symlink_and_pipe(self, poly_file, tmp_path):
+        real = tmp_path / "real.cert"
+        real.write_text("previous certificate\n")
+        link = tmp_path / "link.cert"
+        link.symlink_to(real)
+        assert main(["certify", poly_file(SPHERE), str(link), "--method", "raise"]) == 0
+        assert link.is_symlink()
+        assert real.read_text().startswith("method: raise\n")
+
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert main(["certify", poly_file(SPHERE), str(fifo), "--method", "raise"]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [real.read_text()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
 
     def test_univariate_input_rejected(self, poly_file, tmp_path):
         out = str(tmp_path / "cert.txt")
@@ -221,6 +311,36 @@ class TestUsage:
         assert main([arg.format(**paths) for arg in argv]) == 1
         assert capsys.readouterr().err.startswith("status=parse-error detail=")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "{big}", "{out}", "--method", "raise"],
+            ["eval", "{big}", "--at", "1,1"],
+            ["verify", "{big}", "{cert}"],
+            ["verify", "{sphere}", "{bigcert}"],
+        ],
+        ids=["certify", "eval", "verify-poly", "verify-cert"],
+    )
+    def test_overlong_integer_is_parse_error(self, poly_file, tmp_path, capsys, argv):
+        digits = "7" * 5000
+        big = poly_file(f"variables: 2\ncoeffs:\n{digits} 1\n1 0\n", "big.txt")
+        cert = tmp_path / "cert.txt"
+        assert main(["certify", poly_file(SPHERE), str(cert), "--method", "raise"]) == 0
+        bigcert = tmp_path / "big.cert"
+        bigcert.write_text(cert.read_text().replace("\nC:\n1 ", f"\nC:\n{digits} ", 1))
+        assert digits in bigcert.read_text()
+        paths = {
+            "big": big, "out": tmp_path / "out.txt", "cert": cert,
+            "sphere": poly_file(SPHERE), "bigcert": bigcert,
+        }
+        capsys.readouterr()
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("status=parse-error detail=")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out.txt").exists()
+
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
 
@@ -231,10 +351,14 @@ class TestUsage:
 def test_module_entry_point(tmp_path):
     poly = tmp_path / "p.txt"
     poly.write_text(SPHERE)
+    # The child imports the same berncert as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(berncert.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "berncert", "eval", str(poly), "--at", "1/2,1/2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3/2"

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from berncert import BPoly, UPoly, certify_nested, certify_raise
 from berncert.documents import (
@@ -40,6 +41,15 @@ class TestRationalTokens:
 
     @pytest.mark.parametrize("token", ["1.5", "a", "1/2/3", "--3", "", "1e3"])
     def test_malformed_rejected(self, token):
+        with pytest.raises(ParseError):
+            parse_rational(token)
+
+    @pytest.mark.parametrize(
+        "token",
+        ["7" * 5000, "1/" + "3" * 5000, "-" + "9" * 4301],
+        ids=["integer", "denominator", "negative"],
+    )
+    def test_overlong_integer_rejected(self, token):
         with pytest.raises(ParseError):
             parse_rational(token)
 
@@ -128,3 +138,38 @@ class TestCertificateDocument:
     def test_missing_section_rejected(self):
         with pytest.raises(ParseError):
             parse_certificate_document("method: raise\nq1: 0\nq2: 0\n")
+
+
+# Lines and tokens that steer generated text into the parsers' deeper branches.
+LINES = [
+    "variables: 2", "variables: 1", "variables: x", "coeffs:", "method: raise",
+    "method: nested", "q1: 1", "q2: 0", "q1: -1", "q2: 1_0", "convention: plain",
+    "tool_version: 0.1.0", "C:", "report:", "c_min: 1", "# comment", "",
+]
+TOKENS = ["0", "1", "-3", "1/2", "0/0", "1/0", "7" * 4301, "1/" + "3" * 4400, "\u0663"]
+
+rows = st.lists(
+    st.lists(st.sampled_from(TOKENS) | st.text(max_size=4), max_size=4).map(" ".join),
+    max_size=4,
+).map("\n".join)
+documents = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(LINES + TOKENS) | st.text(max_size=8), max_size=12).map(
+        "\n".join
+    ),
+    rows.map(lambda body: "variables: 2\ncoeffs:\n" + body),
+    rows.map(
+        lambda body: "method: raise\nq1: 1\nq2: 1\nconvention: plain\n"
+        "tool_version: 0.1.0\nC:\n" + body
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_parsers_raise_only_parse_error(text):
+    for parse in (parse_polynomial_document, parse_certificate_document):
+        try:
+            parse(text)
+        except ParseError:
+            pass

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from berncert import (
     BPoly,
@@ -26,6 +27,7 @@ from berncert import (
     verify,
 )
 
+from berncert.polys import grid_values
 from berncert.raising import plain_coeffs
 
 from corpus import random_fraction, random_unit_fraction
@@ -340,3 +342,104 @@ class TestVerify:
         result = verify(other, cert)
         assert not result
         assert "expansion mismatch" in result.reason
+
+
+def _disc(a, b, r2):
+    """(x1 - a)^2 + (x2 - b)^2 - r2."""
+    return BPoly([[a * a + b * b - r2, -2 * b, 1], [-2 * a, 0, 0], [1, 0, 0]])
+
+
+entries = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def signed_polys(draw):
+    """p with signed rational entries, zeros included, degrees 0..3 each."""
+    n1, n2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return BPoly([[draw(entries) for _ in range(n2 + 1)] for _ in range(n1 + 1)])
+
+
+class TestMinimumScan:
+    """The enclosure minimum equals the minimum of the normalized matrix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(signed_polys(), st.integers(0, 5), st.integers(0, 5))
+    @example(BPoly([[Fraction(1, 8)], [-1], [1]]), 0, 3)  # n2 = 0
+    @example(BPoly([[Fraction(-2, 3), 0, 5]]), 1, 0)  # n1 = 0
+    @example(BPoly([[0]]), 0, 0)
+    def test_min_enclosure_matches_bern_coeffs(self, p, e1, e2):
+        q1, q2 = max(p.n1, 2) + e1, max(p.n2, 2) + e2
+        enc = min_enclosure(p, q1, q2)
+        assert enc.c_min == min_coeff(bern_coeffs(p, q1, q2))
+        assert type(enc.c_min) is Fraction
+
+    @settings(max_examples=60, deadline=None)
+    @given(signed_polys())
+    def test_certify_raise_outcome_matches_bern_coeffs(self, p):
+        try:
+            cert = certify_raise(p, max_doublings=3)
+        except NotPositiveError:
+            return  # the refutation witness is pinned in TestRefutationWitness
+        except InconclusiveError as exc:
+            enc = exc.best
+        else:
+            enc = cert.report.enclosure
+            assert enc.c_min > 0
+        assert enc.c_min == min_coeff(bern_coeffs(p, enc.q1, enc.q2))
+
+
+def _last_grid(p):
+    """The first doubled degrees whose enclosure proves min p <= 0."""
+    q1, q2 = max(p.n1, 2), max(p.n2, 2)
+    while min_enclosure(p, q1, q2).hi > 0:
+        q1, q2 = 2 * q1, 2 * q2
+    return q1, q2
+
+
+REFUTED = {
+    # sweep refutations of perfbench/inputs.py, at (256, 256)
+    "disc(23/64,41/64)": _disc(Fraction(23, 64), Fraction(41, 64), Fraction(1, 100)),
+    "disc(25/64,39/64)": _disc(Fraction(25, 64), Fraction(39, 64), Fraction(1, 100)),
+    "disc(39/64,23/64)": _disc(Fraction(39, 64), Fraction(23, 64), Fraction(1, 100)),
+    "disc(41/64,25/64)": _disc(Fraction(41, 64), Fraction(25, 64), Fraction(1, 100)),
+    # grid minimum tied at (0, 1/2) and (1/2, 1/2): the first in row-major order
+    "tie": _disc(Fraction(1, 4), Fraction(1, 2), Fraction(1, 5)),
+    "denominators": _disc(Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)),
+    # n2 = 0: every column of the row x1 = 1/2 ties
+    "n2=0": BPoly([[Fraction(1, 8)], [-1], [1]]),
+}
+
+
+class TestRefutationWitness:
+    @pytest.mark.parametrize("name", list(REFUTED))
+    def test_witness_is_first_grid_minimum(self, name):
+        p = REFUTED[name]
+        with pytest.raises(NotPositiveError) as info:
+            certify_raise(p)
+        q1, q2 = _last_grid(p)
+        points1 = [Fraction(k, q1) for k in range(q1 + 1)]
+        points2 = [Fraction(l, q2) for l in range(q2 + 1)]
+        best = None
+        for point, value in grid_values(p, points1, points2):
+            if best is None or value < best[1]:
+                best = (point, value)
+        witness, value = best
+        assert info.value.witness == witness
+        assert info.value.value == value
+        hi = min_enclosure(p, q1, q2).hi
+        assert str(info.value) == (
+            f"minimum over the box is at most {hi}; p{witness} = {value}"
+        )
+
+    def test_tie_and_degree_zero_witnesses(self):
+        with pytest.raises(NotPositiveError) as info:
+            certify_raise(REFUTED["tie"])
+        assert info.value.witness == (0, Fraction(1, 2))
+        assert str(info.value) == (
+            "minimum over the box is at most -11/80; "
+            "p(Fraction(0, 1), Fraction(1, 2)) = -11/80"
+        )
+        with pytest.raises(NotPositiveError) as info:
+            minimum_lower_bound(REFUTED["n2=0"])
+        assert info.value.witness == (Fraction(1, 2), 0)
+        assert info.value.value == Fraction(-1, 8)
