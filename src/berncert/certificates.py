@@ -13,12 +13,12 @@ polynomial that does not trust the producer: it recomputes that matrix and
 compares it with C by integer cross-multiplication, in
 O(q1*q2*(n1+n2)) operations.  Below p's degrees no C can expand to p, since
 p is stored trimmed.  Only a rejection expands C into monomials
-(``expand_plain_2d``), to name the first mismatching monomial.
+(``expand_plain_2d``, the same kernel with alternating signs, along x2 and
+then along x1), to name the first mismatching monomial.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -26,7 +26,7 @@ from typing import Optional
 
 from .errors import DegreeError
 from .polys import BPoly, rat
-from .univariate import BasisConvention, _plain_kernel, plain_basis_table
+from .univariate import _plain_kernel
 
 
 class Method(Enum):
@@ -43,7 +43,6 @@ class PositivityCertificate:
     coefficients: tuple[tuple[Fraction, ...], ...]
     method: Method
     report: Optional[object] = None
-    convention: BasisConvention = BasisConvention.PLAIN
 
     def __post_init__(self):
         if len(self.coefficients) != self.q1 + 1:
@@ -80,42 +79,13 @@ def expand_plain_2d(
 ) -> BPoly:
     """Monomial form of sum_{i,j} C[i][j] x1**i (1-x1)**(q1-i) x2**j (1-x2)**(q2-j).
 
-    Denominators are cleared once so the double accumulation runs in integer
-    arithmetic; the common denominator is divided back out at the end.  The
-    result is exact.
+    The inverse of ``plain_coeffs``: the inverse kernel along x2 over the
+    rows of C, then along x1 over the columns of that result, on integers
+    over C's common denominator.  The result is exact.
     """
-    t1 = plain_basis_table(q1)
-    t2 = plain_basis_table(q2)
-    den = 1
-    for row in coefficients:
-        for c in row:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    cleared = [
-        [c.numerator * (den // c.denominator) for c in row] for row in coefficients
-    ]
-    # Collapse the x2 direction first: R[i][c] = sum_j C[i][j] * t2[j][c].
-    rows = []
-    for i in range(q1 + 1):
-        crow = cleared[i]
-        rows.append(
-            [
-                sum(crow[j] * t2[j][c] for j in range(c + 1) if t2[j][c])
-                for c in range(q2 + 1)
-            ]
-        )
-    out = [[0] * (q2 + 1) for _ in range(q1 + 1)]
-    for i in range(q1 + 1):
-        ti = t1[i]
-        ri = rows[i]
-        for r in range(i, q1 + 1):
-            t = ti[r]
-            if not t:
-                continue
-            target = out[r]
-            for c in range(q2 + 1):
-                if ri[c]:
-                    target[c] += ri[c] * t
-    return BPoly([[Fraction(v, den) for v in row] for row in out])
+    rows, den = _plain_kernel(coefficients, q2, sign=-1)
+    cols, _ = _plain_kernel(list(zip(*rows)), q1, sign=-1)
+    return BPoly([[Fraction(v, den) for v in row] for row in zip(*cols)])
 
 
 def plain_coeffs(p: BPoly, q1: int, q2: int) -> tuple[list[list[int]], int]:

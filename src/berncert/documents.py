@@ -45,7 +45,10 @@ from .nested import NestedDegreeReport
 from .polys import BPoly, UPoly
 from .raising import RaiseReport
 
-_RATIONAL_RE = re.compile(r"-?\d+(/\d+)?")
+# ASCII digits only: \d and int() also take other Unicode digits, int() also
+# underscores and a sign.
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_COUNT_RE = re.compile(r"[0-9]+")
 
 
 class ParseError(ValueError):
@@ -66,6 +69,16 @@ def parse_rational(token: str) -> Fraction:
     if den == 0:
         raise ParseError(f"zero denominator in {token!r}")
     return Fraction(num, den)
+
+
+def _parse_count(value: str, error: str) -> int:
+    """Parse a nonnegative ASCII decimal header value, else ParseError(error)."""
+    if not _COUNT_RE.fullmatch(value):
+        raise ParseError(error)
+    try:  # int() raises ValueError only over the interpreter's digit limit
+        return int(value)
+    except ValueError as exc:
+        raise ParseError(error) from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -128,10 +141,9 @@ def parse_polynomial_document(text: str) -> PolynomialDocument:
     lines = _content_lines(text)
     if not lines or not lines[0].startswith("variables:"):
         raise ParseError("expected a 'variables:' header line")
-    try:
-        variables = int(lines[0].split(":", 1)[1].strip())
-    except ValueError as exc:
-        raise ParseError("variables must be an integer") from exc
+    variables = _parse_count(
+        lines[0].split(":", 1)[1].strip(), "variables must be an integer"
+    )
     if len(lines) < 2 or lines[1] != "coeffs:":
         raise ParseError("expected a 'coeffs:' line")
     return PolynomialDocument(variables, _parse_matrix_rows(lines[2:]))
@@ -216,11 +228,8 @@ def parse_certificate_document(text: str) -> CertificateDocument:
     for required in ("method", "q1", "q2", "convention", "tool_version"):
         if required not in headers:
             raise ParseError(f"missing header {required!r}")
-    try:
-        q1 = int(headers["q1"])
-        q2 = int(headers["q2"])
-    except ValueError as exc:
-        raise ParseError("q1 and q2 must be integers") from exc
+    q1 = _parse_count(headers["q1"], "q1 and q2 must be integers")
+    q2 = _parse_count(headers["q2"], "q1 and q2 must be integers")
     idx += 1
     matrix_lines = []
     while idx < len(lines) and lines[idx] != "report:":

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .certificates import (
     Method,
@@ -37,23 +37,20 @@ from .certificates import (
 )
 from .errors import DegreeError, InconclusiveError, NotPositiveError
 from .polys import BPoly, RationalLike, binom, rat
-from .univariate import BasisConvention
 
 
 @dataclass(frozen=True)
 class BernsteinForm2D:
-    """Tensor-product Bernstein coefficients of a bivariate polynomial.
+    """Normalized tensor-product Bernstein coefficients of a bivariate polynomial.
 
-    Normalized convention pairs coeffs[k][l] with
-    C(q1,k) x1**k (1-x1)**(q1-k) * C(q2,l) x2**l (1-x2)**(q2-l); the plain
-    convention drops the binomial factors, so plain[k][l] equals
-    normalized[k][l] * C(q1,k) * C(q2,l).
+    coeffs[k][l] pairs with C(q1,k) x1**k (1-x1)**(q1-k) *
+    C(q2,l) x2**l (1-x2)**(q2-l); the plain coefficient at (k, l) is
+    coeffs[k][l] * C(q1,k) * C(q2,l).
     """
 
     q1: int
     q2: int
     coeffs: tuple[tuple[Fraction, ...], ...]
-    convention: BasisConvention
 
     def __post_init__(self):
         if len(self.coeffs) != self.q1 + 1:
@@ -130,7 +127,7 @@ def bern_coeffs(p: BPoly, q1: int, q2: int) -> BernsteinForm2D:
         tuple(Fraction(v, binom(q1, k) * den * bl) for v, bl in zip(row, b2))
         for k, row in enumerate(nums)
     )
-    return BernsteinForm2D(q1, q2, rows, BasisConvention.NORMALIZED)
+    return BernsteinForm2D(q1, q2, rows)
 
 
 def min_coeff(b: BernsteinForm2D) -> Fraction:
@@ -164,17 +161,19 @@ def _degree_floor(n: int) -> int:
 
 def _doubled_degrees(
     p: BPoly, max_doublings: int, q_start: Optional[tuple[int, int]] = None
-) -> list[tuple[int, int]]:
+) -> Iterator[tuple[int, int]]:
     """The degrees every raising loop walks, in order.
 
     Starts at q_start (default the floors (max(n1, 2), max(n2, 2))) and
-    doubles both degrees together, max_doublings times.
+    doubles both degrees together, max_doublings times.  q_start is checked
+    on the call; the pairs are generated as the loop asks for them, so a
+    loop that stops early never builds the degrees it does not reach.
     """
     f1, f2 = _degree_floor(p.n1), _degree_floor(p.n2)
     q1, q2 = (f1, f2) if q_start is None else q_start
     if q1 < f1 or q2 < f2:
         raise DegreeError(f"q_start {q_start} is below the floors ({f1}, {f2})")
-    return [(q1 << d, q2 << d) for d in range(max_doublings + 1)]
+    return ((q1 << d, q2 << d) for d in range(max_doublings + 1))
 
 
 def min_enclosure(p: BPoly, q1: int, q2: int) -> MinEnclosure:

@@ -7,8 +7,11 @@ p~(x) = (2x)**n * p((1-x)/x), degree elevation, an explicit degree bound at
 which a strictly positive polynomial acquires a nonnegative Bernstein
 representation, certified range enclosure by de Casteljau bisection, and a
 positivity certifier that combines all of the above.  ``_plain_kernel`` is the
-package's one monomial-to-Bernstein conversion; the bivariate methods apply it
-along x1 and then along x2.
+package's one basis conversion in both directions: monomial to plain
+Bernstein, and with alternating signs the inverse.  ``to_bernstein_plain``,
+``from_bernstein``, the Goursat transform (the inverse applied to p's
+reversed coefficients) and ``elevate`` are single calls of it, and the
+bivariate modules apply it along x1 and along x2.
 """
 
 from __future__ import annotations
@@ -90,26 +93,33 @@ class RangeEnclosure1D:
 
 
 def _plain_kernel(
-    vectors: Sequence[Sequence[Union[Fraction, int]]], q: int
+    vectors: Sequence[Sequence[Union[Fraction, int]]], q: int, sign: int = 1
 ) -> tuple[list[list[int]], int]:
-    """Plain Bernstein numerators of monomial coefficient vectors at degree q.
+    """The package's one Bernstein/monomial conversion at degree q, on integers.
 
-    Every monomial-to-Bernstein conversion in the package runs through here.
     The common denominator D of all entries is cleared once; a vector a of
     length n + 1 <= q + 1 then maps to the integers
-    out[k] = sum over i <= min(n, k) of C(q-i, k-i) * D * a[i], so that a
-    equals sum_k (out[k] / D) * x**k * (1-x)**(q-k).  Returns (outputs, D).
+
+        out[k] = sum over i <= min(n, k) of sign**(k-i) * C(q-i, k-i) * D * a[i].
+
+    With sign = 1 this takes monomial coefficients to plain Bernstein ones:
+    x**i = x**i * (x + (1-x))**(q-i), so a equals
+    sum_k (out[k] / D) * x**k * (1-x)**(q-k).  With sign = -1 it is the
+    inverse matrix, taking plain Bernstein coefficients to monomial ones:
+    x**i * (1-x)**(q-i) expands to sum_k (-1)**(k-i) C(q-i, k-i) x**k.
+    Both use the same binomial rows.  Returns (outputs, D).
     """
     den = 1
     for v in vectors:
         for c in v:
             den = math.lcm(den, c.denominator)
-    # shifted[i][t] = C(q-i, t), the weights of input i on outputs k = i + t.
+    # shifted[i][t] = sign**t * C(q-i, t), the weights of input i on outputs
+    # k = i + t.
     shifted = []
     for i in range(max(len(v) for v in vectors)):
         row, m = [1], q - i
         for t in range(m):
-            row.append(row[-1] * (m - t) // (t + 1))
+            row.append(sign * row[-1] * (m - t) // (t + 1))
         shifted.append(row)
     out = []
     for v in vectors:
@@ -137,74 +147,34 @@ def to_bernstein_plain(p: UPoly, m: int) -> BernsteinForm1D:
     )
 
 
-def plain_basis_table(m: int) -> list[list[int]]:
-    """Monomial expansions of the plain basis at degree m.
-
-    Entry [i][r] is the coefficient of x**r in x**i * (1-x)**(m-i), namely
-    (-1)**(r-i) * C(m-i, r-i) for r >= i and zero otherwise.  Each row uses
-    the binomial recurrence instead of independent C(m-i, k) evaluations.
-    """
-    table = []
-    for i in range(m + 1):
-        row = [0] * (m + 1)
-        n = m - i
-        c = 1
-        for k in range(n + 1):
-            row[i + k] = c if k % 2 == 0 else -c
-            c = c * (n - k) // (k + 1)
-        table.append(row)
-    return table
-
-
 def from_bernstein(b: BernsteinForm1D) -> UPoly:
     """Exact monomial form of a Bernstein representation (either convention).
 
-    Denominators are cleared once so the accumulation runs on integers.
+    One inverse kernel call on the plain coefficients.
     """
     plain = b.to_plain()
-    m = plain.degree
-    den = 1
-    for c in plain.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    cleared = [c.numerator * (den // c.denominator) for c in plain.coeffs]
-    out = [0] * (m + 1)
-    for i, ai in enumerate(cleared):
-        if ai == 0:
-            continue
-        n = m - i
-        c = 1
-        for k in range(n + 1):
-            if k % 2 == 0:
-                out[i + k] += ai * c
-            else:
-                out[i + k] -= ai * c
-            c = c * (n - k) // (k + 1)
-    return UPoly([Fraction(v, den) for v in out])
+    (nums,), den = _plain_kernel([plain.coeffs], plain.degree, sign=-1)
+    return UPoly([Fraction(v, den) for v in nums])
 
 
 def goursat_coefficients(p: UPoly, n: Optional[int] = None) -> tuple[Fraction, ...]:
     """Coefficients (B_0, ..., B_n) of the Goursat transform of p.
 
-    B_k collects, over pairs (i, j) with i - j = n - k and 0 <= j <= i <= n,
-    the terms 2**n * (-1)**j * C(i, j) * a_i.  ``n`` defaults to the stored
-    degree; a larger n treats p as padded with zero coefficients up to x**n,
-    which scales and shifts the transform accordingly.
+    (2x)**n * p((1-x)/x) = 2**n * sum_i a_i * x**(n-i) * (1-x)**i is the
+    plain Bernstein form at degree n with coefficient vector
+    2**n * (a_n, ..., a_0), the coefficients of p reversed; B is its monomial
+    form, one inverse kernel call.  ``n`` defaults to the stored degree; a
+    larger n treats p as padded with zero coefficients up to x**n (the
+    reversed vector gains n - deg p leading zeros), which scales and shifts
+    the transform accordingly.
     """
     if n is None:
         n = p.degree
     elif n < p.degree:
         raise DegreeError(f"declared degree {n} is below polynomial degree {p.degree}")
-    a = list(p.coeffs) + [Fraction(0)] * (n - p.degree)
-    two_n = 2**n
-    out = []
-    for k in range(n + 1):
-        s = Fraction(0)
-        for i in range(n - k, n + 1):
-            j = i - (n - k)
-            term = two_n * math.comb(i, j) * a[i]
-            s += term if j % 2 == 0 else -term
-        out.append(s)
-    return tuple(out)
+    reversed_coeffs = [0] * (n - p.degree) + list(reversed(p.coeffs))
+    (nums,), den = _plain_kernel([reversed_coeffs], n, sign=-1)
+    return tuple(Fraction(v << n, den) for v in nums)
 
 
 def goursat(p: UPoly) -> UPoly:
@@ -234,23 +204,18 @@ def powers_reznick_degree(
 
 
 def elevate(b: BernsteinForm1D, q_star: int) -> BernsteinForm1D:
-    """Rewrite a plain Bernstein form at the higher degree q_star.
+    """Rewrite a Bernstein form (either convention) as a plain one at q_star.
 
-    New coefficient k is the sum over l in [max(0, k+q-q_star), min(q, k)] of
-    C(q_star-q, k-l) * A_l; the represented polynomial is unchanged.
+    The plain basis at q_star >= q is a basis of the polynomials of degree at
+    most q_star, so the result is the plain form of b's polynomial there:
+    new coefficient k is the sum over l of C(q_star-q, k-l) * A_l for the
+    plain coefficients A of b, and the represented polynomial is unchanged.
     """
-    plain = b.to_plain()
-    q = plain.degree
-    if q_star < q:
-        raise DegreeError(f"cannot elevate degree {q} form to lower degree {q_star}")
-    d = q_star - q
-    out = []
-    for k in range(q_star + 1):
-        s = Fraction(0)
-        for l in range(max(0, k - d), min(q, k) + 1):
-            s += binom(d, k - l) * plain.coeffs[l]
-        out.append(s)
-    return BernsteinForm1D(q_star, tuple(out), BasisConvention.PLAIN)
+    if q_star < b.degree:
+        raise DegreeError(
+            f"cannot elevate degree {b.degree} form to lower degree {q_star}"
+        )
+    return to_bernstein_plain(from_bernstein(b), q_star)
 
 
 def _decasteljau_halves(control: tuple[Fraction, ...]):

@@ -341,6 +341,19 @@ class TestUsage:
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "out.txt").exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        ["variables: 2\ncoeffs:\n\u0663/\u0664 1\n", "variables: \u0662\ncoeffs:\n1\n"],
+        ids=["entry", "header"],
+    )
+    def test_non_ascii_digits_are_parse_error(self, poly_file, tmp_path, capsys, text):
+        out = tmp_path / "cert.txt"
+        assert main(["certify", poly_file(text), str(out), "--method", "raise"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("status=parse-error detail=")
+        assert not out.exists()
+
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
 

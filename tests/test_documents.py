@@ -39,7 +39,10 @@ class TestRationalTokens:
         with pytest.raises(ParseError):
             parse_rational("1/0")
 
-    @pytest.mark.parametrize("token", ["1.5", "a", "1/2/3", "--3", "", "1e3"])
+    @pytest.mark.parametrize(
+        "token",
+        ["1.5", "a", "1/2/3", "--3", "", "1e3", "\u0663", "\u0663/\u0664", "1_0", "+1", "\uff11"],
+    )
     def test_malformed_rejected(self, token):
         with pytest.raises(ParseError):
             parse_rational(token)
@@ -87,6 +90,21 @@ class TestPolynomialDocument:
         with pytest.raises(ParseError):
             parse_polynomial_document("coeffs:\n1\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "variables: \u0662\ncoeffs:\n\u0663/\u0664 1\n",
+            "variables: \u0662\ncoeffs:\n3/4 1\n",
+            "variables: 2\ncoeffs:\n\u0663/\u0664 1\n",
+            "variables: 0_2\ncoeffs:\n1\n",
+            "variables: +2\ncoeffs:\n1\n",
+        ],
+        ids=["arabic-indic", "arabic-indic-header", "arabic-indic-entry", "underscore", "plus"],
+    )
+    def test_non_ascii_or_non_decimal_numbers_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_polynomial_document(text)
+
     def test_wrong_arity_accessors(self):
         doc = parse_polynomial_document(WORKED_TEXT)
         with pytest.raises(ParseError):
@@ -132,6 +150,16 @@ class TestCertificateDocument:
             "method: raise\nq1: 0\nq2: 0\nconvention: normalized\n"
             "tool_version: 0.1.0\nC:\n1\n"
         )
+        with pytest.raises(ParseError):
+            parse_certificate_document(text)
+
+    @pytest.mark.parametrize(
+        "headers",
+        ["q1: 0_0\nq2: 0", "q1: 0\nq2: +0", "q1: \u0660\nq2: 0", "q1: 0\nq2: -0"],
+        ids=["underscore", "plus", "arabic-indic", "minus"],
+    )
+    def test_non_decimal_degree_headers_rejected(self, headers):
+        text = f"method: raise\n{headers}\nconvention: plain\ntool_version: 0.1.0\nC:\n1\n"
         with pytest.raises(ParseError):
             parse_certificate_document(text)
 

@@ -1,6 +1,7 @@
 """Degree-raising machinery: coefficients, enclosures, delta, certification."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,8 +28,9 @@ from berncert import (
     verify,
 )
 
+from berncert import raising
 from berncert.polys import grid_values
-from berncert.raising import plain_coeffs
+from berncert.raising import min_enclosure_to_width, plain_coeffs
 
 from corpus import random_fraction, random_unit_fraction
 
@@ -305,6 +307,34 @@ class TestCertifyRaise:
     def test_q_start_below_floor_rejected(self):
         with pytest.raises(DegreeError):
             certify_raise(WORKED, q_start=(1, 1))
+
+    def test_q_start_checked_before_kernel(self, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("the kernel ran before the q_start check")
+
+        monkeypatch.setattr(raising, "plain_coeffs", no_kernel)
+        with pytest.raises(DegreeError):
+            certify_raise(WORKED, q_start=(1, 1), max_doublings=20000)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: min_enclosure_to_width(SPHERE, 1, 20000),
+            lambda: certify_raise(SPHERE, max_doublings=20000),
+        ],
+        ids=["min_enclosure_to_width", "certify_raise"],
+    )
+    def test_large_cap_costs_nothing_up_front(self, run):
+        # Both answer at (2, 2); a high doubling cap must not build the
+        # degrees it never reaches.
+        tracemalloc.start()
+        try:
+            result = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (result.q1, result.q2) == (2, 2)
+        assert peak < 1 << 20
 
     def test_report_enclosure_consistency(self):
         cert = certify_raise(WORKED)

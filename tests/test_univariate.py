@@ -113,13 +113,20 @@ class TestGoursat:
         x = Fraction(2, 5)
         assert padded.eval(x) == (2 * x) ** 3 * p.eval((1 - x) / x)
 
-    @given(upolys_st, st.fractions(min_value=0, max_value=1, max_denominator=40))
+    @given(
+        upolys_st,
+        st.integers(0, 3),
+        st.fractions(min_value=0, max_value=1, max_denominator=40),
+    )
     @settings(deadline=None)
-    def test_pointwise_identity(self, p, x):
+    def test_pointwise_identity(self, p, padding, x):
         if x == 0:
             x = Fraction(1, 2)
-        n = p.degree
-        assert goursat(p).eval(x) == (2 * x) ** n * p.eval((1 - x) / x)
+        n = p.degree + padding
+        transform = UPoly(goursat_coefficients(p, n))
+        assert transform.eval(x) == (2 * x) ** n * p.eval((1 - x) / x)
+        if padding == 0:
+            assert goursat(p) == transform
 
 
 class TestPowersReznickDegree:
@@ -165,12 +172,23 @@ class TestElevate:
         with pytest.raises(DegreeError):
             elevate(form, 1)
 
-    @given(upolys_st, st.integers(0, 5))
+    def test_normalized_input(self):
+        # Normalized (0, 0, 1) at degree 2 is x**2: plain (0, 0, 1) at 2.
+        form = BernsteinForm1D(2, (0, 0, 1), BasisConvention.NORMALIZED)
+        lifted = elevate(form, 4)
+        assert lifted.convention is BasisConvention.PLAIN
+        assert lifted == to_bernstein_plain(UPoly([0, 0, 1]), 4)
+        assert lifted.coeffs == (0, 0, 1, 2, 1)
+
+    @given(upolys_st, st.integers(0, 5), st.sampled_from(BasisConvention))
     @settings(deadline=None)
-    def test_soundness(self, p, extra):
+    def test_soundness(self, p, extra, convention):
         form = to_bernstein_plain(p, p.degree)
+        if convention is BasisConvention.NORMALIZED:
+            form = form.to_normalized()
         lifted = elevate(form, p.degree + extra)
         assert from_bernstein(lifted) == p
+        assert lifted == to_bernstein_plain(p, p.degree + extra)
 
     @given(
         st.lists(

@@ -9,6 +9,7 @@ for byte, in the library result and on the CLI's ``status=invalid`` line.
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from berncert import (
@@ -157,3 +158,35 @@ def test_verify_agrees_with_expansion_oracle(case):
         expand_plain_2d(cert.coefficients, cert.q1, cert.q2) == p
     )
     assert bool(verify(p, cert)) == expected
+
+
+def _sympy_expand_plain_2d(rows, q1, q2):
+    """Independent monomial form of a plain Bernstein matrix via sympy."""
+    x1, x2 = sympy.symbols("x1 x2")
+    expr = sum(
+        (
+            sympy.Rational(c.numerator, c.denominator)
+            * x1**i * (1 - x1) ** (q1 - i) * x2**j * (1 - x2) ** (q2 - j)
+            for i, row in enumerate(rows)
+            for j, c in enumerate(row)
+        ),
+        sympy.Integer(0),
+    )
+    out = [[Fraction(0)] * (q2 + 1) for _ in range(q1 + 1)]
+    for (r, c), coeff in sympy.Poly(sympy.expand(expr), x1, x2).terms():
+        out[r][c] = Fraction(int(coeff.p), int(coeff.q))
+    return BPoly(out)
+
+
+@st.composite
+def plain_matrices(draw):
+    q1, q2 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows = [[draw(entries) for _ in range(q2 + 1)] for _ in range(q1 + 1)]
+    return rows, q1, q2
+
+
+@settings(max_examples=60, deadline=None)
+@given(plain_matrices())
+def test_expand_plain_2d_matches_sympy(case):
+    rows, q1, q2 = case
+    assert expand_plain_2d(rows, q1, q2) == _sympy_expand_plain_2d(rows, q1, q2)
