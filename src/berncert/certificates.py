@@ -8,9 +8,14 @@ matrix C with
 For q1 >= n1 and q2 >= n2 the products above form a basis of the
 polynomials of bidegree at most (q1, q2), so that matrix is unique: it is
 ``plain_coeffs(p, q1, q2)``, computed by the one exact kernel of
-``univariate``.  Verification is a pure function of the certificate and the
-polynomial that does not trust the producer: it recomputes that matrix and
-compares it with C by integer cross-multiplication, in
+``univariate`` as integer numerators N over one denominator D.  A
+certificate holds C as integer numerators over integer denominators: the
+certifiers store (N, D) as the kernel gave them, a parsed document its
+tokens as written, and ``coefficients`` is a derived Fraction view.
+Verification is a pure function of the certificate and the
+polynomial that does not trust the producer: it checks the sign of every
+numerator (denominators are positive), recomputes that matrix and compares
+it with the stored fractions by integer cross-multiplication, in
 O(q1*q2*(n1+n2)) operations.  Below p's degrees no C can expand to p, since
 p is stored trimmed.  Only a rejection expands C into monomials
 (``expand_plain_2d``, the same kernel with alternating signs, along x2 and
@@ -22,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Sequence
 
 from .errors import DegreeError
 from .polys import BPoly, rat
@@ -34,29 +40,97 @@ class Method(Enum):
     RAISE = "raise"
 
 
-@dataclass(frozen=True)
+Matrix = tuple[tuple[int, ...], ...]
+
+
+def same_values(an: Matrix, ad: Matrix, bn: Matrix, bd: Matrix) -> bool:
+    """Whether the matrices an/ad and bn/bd of integer numerators over
+    denominators have equal shapes and equal values (by cross-multiplication)."""
+    return len(an) == len(bn) and all(
+        len(rn) == len(sn) and all(n * e == m * d for n, d, m, e in zip(rn, rd, sn, sd))
+        for rn, rd, sn, sd in zip(an, ad, bn, bd)
+    )
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class PositivityCertificate:
-    """Degrees plus a strictly positive plain Bernstein coefficient matrix."""
+    """Degrees plus a strictly positive plain Bernstein coefficient matrix.
+
+    Entry C[i][j] is numerators[i][j] / denominators[i][j], integers with
+    positive denominators, not necessarily in lowest terms: the certifiers
+    store the kernel's numerators over its one denominator, and a parsed
+    document stores its tokens as written.  ``coefficients`` is the same
+    matrix as Fractions.  Equality compares values, not representations.
+    """
 
     q1: int
     q2: int
-    coefficients: tuple[tuple[Fraction, ...], ...]
+    numerators: Matrix
+    denominators: Matrix
     method: Method
     report: Optional[object] = None
 
-    def __post_init__(self):
-        if len(self.coefficients) != self.q1 + 1:
-            raise ValueError(
-                f"expected {self.q1 + 1} rows, got {len(self.coefficients)}"
-            )
-        rows = []
-        for row in self.coefficients:
-            if len(row) != self.q2 + 1:
-                raise ValueError(
-                    f"expected {self.q2 + 1} columns, got {len(row)}"
-                )
-            rows.append(tuple(rat(c) for c in row))
-        object.__setattr__(self, "coefficients", tuple(rows))
+    def __init__(self, q1: int, q2: int, coefficients, method: Method, report=None):
+        """Certificate from rows of rationals (Fraction, int or str)."""
+        rows = [list(map(rat, row)) for row in coefficients]
+        self._fill(
+            q1,
+            q2,
+            tuple(tuple(c.numerator for c in row) for row in rows),
+            tuple(tuple(c.denominator for c in row) for row in rows),
+            method,
+            report,
+        )
+
+    @classmethod
+    def from_integers(
+        cls, q1: int, q2: int, numerators, denominators, method: Method, report=None
+    ) -> "PositivityCertificate":
+        """Certificate from integer numerators over integer denominators.
+
+        ``denominators`` is a matrix of the numerators' shape, or one int
+        shared by every entry, as ``plain_coeffs`` gives it.
+        """
+        if isinstance(denominators, int):
+            denominators = ((denominators,) * (q2 + 1),) * (q1 + 1)
+        cert = object.__new__(cls)
+        cert._fill(
+            q1, q2, tuple(map(tuple, numerators)), tuple(map(tuple, denominators)), method, report
+        )
+        return cert
+
+    def _fill(self, q1, q2, numerators, denominators, method, report) -> None:
+        for matrix in (numerators, denominators):
+            if len(matrix) != q1 + 1:
+                raise ValueError(f"expected {q1 + 1} rows, got {len(matrix)}")
+            for row in matrix:
+                if len(row) != q2 + 1:
+                    raise ValueError(f"expected {q2 + 1} columns, got {len(row)}")
+        if min(map(min, denominators)) <= 0:
+            raise ValueError("denominators must be positive")
+        for name, value in zip(
+            ("q1", "q2", "numerators", "denominators", "method", "report"),
+            (q1, q2, numerators, denominators, method, report),
+        ):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def coefficients(self) -> tuple[tuple[Fraction, ...], ...]:
+        """C as Fractions, built on first use."""
+        return tuple(
+            tuple(map(Fraction, nrow, drow))
+            for nrow, drow in zip(self.numerators, self.denominators)
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, PositivityCertificate):
+            return NotImplemented
+        return (self.q1, self.q2, self.method, self.report) == (
+            other.q1, other.q2, other.method, other.report
+        ) and same_values(self.numerators, self.denominators, other.numerators, other.denominators)
+
+    def __hash__(self):
+        return hash((self.q1, self.q2, self.method))
 
 
 @dataclass(frozen=True)
@@ -116,9 +190,9 @@ def _is_plain_matrix(p: BPoly, cert: PositivityCertificate) -> bool:
         return False
     nums, den = plain_coeffs(p, cert.q1, cert.q2)
     return all(
-        c.numerator * den == v * c.denominator
-        for row, crow in zip(nums, cert.coefficients)
-        for v, c in zip(row, crow)
+        n * den == v * d
+        for row, nrow, drow in zip(nums, cert.numerators, cert.denominators)
+        for v, n, d in zip(row, nrow, drow)
     )
 
 
@@ -156,16 +230,17 @@ def verify(p: BPoly, cert: PositivityCertificate) -> VerificationResult:
     entry = next(
         (
             (i, j)
-            for i, row in enumerate(cert.coefficients)
-            for j, c in enumerate(row)
-            if c.numerator <= 0  # a Fraction's denominator is positive
+            for i, row in enumerate(cert.numerators)
+            for j, n in enumerate(row)
+            if n <= 0  # denominators are positive
         ),
         None,
     )
     if entry is not None:
         i, j = entry
         reasons.append(
-            f"nonpositive entry C[{i}][{j}] = {cert.coefficients[i][j]}"
+            f"nonpositive entry C[{i}][{j}] = "
+            f"{Fraction(cert.numerators[i][j], cert.denominators[i][j])}"
         )
     if not _is_plain_matrix(p, cert):
         reasons.append(_first_mismatch(p, cert))

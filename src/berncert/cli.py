@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from decimal import Decimal  # already loaded by fractions, so free at startup
 from fractions import Fraction
 from typing import Optional
 
@@ -32,12 +33,22 @@ DEFAULT_REFINEMENT_CAP = 64
 DEFAULT_DOUBLING_CAP = 20
 
 
+def _text(value) -> str:
+    """str(value), or for a Fraction whose parts are past the interpreter's
+    digit limit for str(), the same digits through ``decimal``."""
+    try:
+        return str(value)
+    except ValueError:
+        num, den = (format(Decimal(v), "f") for v in (value.numerator, value.denominator))
+        return num if den == "1" else f"{num}/{den}"
+
+
 def _diag(**fields) -> None:
     parts = []
     for key, value in fields.items():
         if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        parts.append(f"{key}={value}")
+            value = ",".join(_text(v) for v in value)
+        parts.append(f"{key}={_text(value)}")
     print(" ".join(parts), file=sys.stderr)
 
 
@@ -119,7 +130,12 @@ def cmd_certify(args) -> int:
     except DegreeError as exc:
         _diag(status="usage-error", detail=str(exc).replace(" ", "_"))
         return 1
-    text = serialize_certificate_document(CertificateDocument.from_certificate(cert))
+    try:
+        text = serialize_certificate_document(CertificateDocument.from_certificate(cert))
+    except ValueError:  # str() refuses integers past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        _diag(status="too-large", detail=f"a_certificate_number_has_over_{limit}_digits")
+        return 1
     _write_atomically(args.output, text)
     print(f"certified method={cert.method.value} q1={cert.q1} q2={cert.q2}")
     return 0
@@ -153,7 +169,7 @@ def cmd_enclose_min(args) -> int:
             _diag(status="usage-error", detail="--target-width must be positive")
             return 1
         enc = min_enclosure_to_width(p, width, cap)
-        print(f"{enc.lo} {enc.hi} {enc.q1} {enc.q2}")
+        print(f"{_text(enc.lo)} {_text(enc.hi)} {enc.q1} {enc.q2}")
         return 0 if enc.bound <= width else 3
     if args.q1 is None or args.q2 is None:
         _diag(status="usage-error", detail="provide --q1 and --q2, or --target-width")
@@ -163,7 +179,7 @@ def cmd_enclose_min(args) -> int:
     except DegreeError as exc:
         _diag(status="usage-error", detail=str(exc).replace(" ", "_"))
         return 1
-    print(f"{enc.lo} {enc.hi} {enc.q1} {enc.q2}")
+    print(f"{_text(enc.lo)} {_text(enc.hi)} {enc.q1} {enc.q2}")
     return 0
 
 
@@ -180,7 +196,7 @@ def cmd_eval(args) -> int:
         value = doc.to_upoly().eval(point[0])
     else:
         value = doc.to_bpoly().eval(point[0], point[1])
-    print(value)
+    print(_text(value))
     return 0
 
 

@@ -4,7 +4,16 @@ Both formats are UTF-8 text with ``key: value`` header lines followed by
 coefficient blocks; rationals are serialized as ``num/den`` strings in lowest
 terms (or plain integers), so parse -> serialize -> parse is the identity and
 certificates can be re-verified from the file alone.  Lines that are blank or
-start with ``#`` are ignored.
+start with ``#`` are ignored.  Tokens follow the ASCII grammar
+``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator; anything else, including
+an integer over the interpreter's 4300-digit conversion limit, is a
+``ParseError``.
+
+A certificate's matrix stays integers on the whole path: ``C:`` tokens are
+read into integer numerators and denominators as written (unreduced tokens
+are accepted), and a certificate's entry n/d is written as ``n//g/d//g``
+with g = gcd(n, d), the token ``str(Fraction(n, d))`` would give, without
+building the Fraction.  Polynomial documents hold Fractions.
 
 Polynomial document::
 
@@ -35,12 +44,13 @@ The ``report:`` section is optional free-form ``key: value`` metadata.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .certificates import Method, PositivityCertificate
+from .certificates import Matrix, Method, PositivityCertificate, same_values
 from .nested import NestedDegreeReport
 from .polys import BPoly, UPoly
 from .raising import RaiseReport
@@ -48,6 +58,10 @@ from .raising import RaiseReport
 # ASCII digits only: \d and int() also take other Unicode digits, int() also
 # underscores and a sign.
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# A matrix line of such tokens whose denominators are nonzero; \s is the
+# whitespace str.split() splits at.
+_NONZERO_TOKEN = r"-?[0-9]+(?:/0*[1-9][0-9]*)?"
+_ROW_RE = re.compile(rf"{_NONZERO_TOKEN}(?:\s+{_NONZERO_TOKEN})*")
 _COUNT_RE = re.compile(r"[0-9]+")
 
 
@@ -55,20 +69,24 @@ class ParseError(ValueError):
     """A document does not conform to the format."""
 
 
-def parse_rational(token: str) -> Fraction:
-    """Parse an integer or ``num/den`` token; rejects anything else."""
+def _parse_pair(token: str) -> tuple[int, int]:
+    """Parse an integer or ``num/den`` token into (num, den), den > 0, as
+    written; rejects anything else."""
     if not _RATIONAL_RE.fullmatch(token):
         raise ParseError(f"malformed rational {token!r}")
+    num, _, den = token.partition("/")
     try:  # int() raises ValueError only over the interpreter's digit limit
-        if "/" not in token:
-            return Fraction(int(token))
-        num, den = token.split("/")
-        num, den = int(num), int(den)
+        pair = int(num), int(den) if den else 1
     except ValueError as exc:
         raise ParseError(f"rational token of {len(token)} characters is too long") from exc
-    if den == 0:
+    if pair[1] == 0:
         raise ParseError(f"zero denominator in {token!r}")
-    return Fraction(num, den)
+    return pair
+
+
+def parse_rational(token: str) -> Fraction:
+    """Parse an integer or ``num/den`` token; rejects anything else."""
+    return Fraction(*_parse_pair(token))
 
 
 def _parse_count(value: str, error: str) -> int:
@@ -85,6 +103,12 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
+def _format_pair(num: int, den: int) -> str:
+    """The lowest-terms token of num/den, as ``format_rational`` writes it."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def _content_lines(text: str) -> list[str]:
     lines = []
     for raw in text.splitlines():
@@ -95,14 +119,33 @@ def _content_lines(text: str) -> list[str]:
     return lines
 
 
-def _parse_matrix_rows(lines: list[str]) -> tuple[tuple[Fraction, ...], ...]:
-    rows = [tuple(parse_rational(tok) for tok in line.split()) for line in lines]
+def _parse_row(line: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The numerators and the denominators of one matrix line.  A line that
+    fails the one-regex check, or holds an integer over the digit limit, is
+    parsed token by token, which raises the first bad token's ParseError."""
+    tokens = line.split()
+    if _ROW_RE.fullmatch(line):
+        parts = [t.partition("/") for t in tokens]
+        try:
+            return (
+                tuple([int(n) for n, _, _ in parts]),
+                tuple([int(d) if d else 1 for _, _, d in parts]),
+            )
+        except ValueError:  # int() over the interpreter's digit limit
+            pass
+    nums, dens = zip(*map(_parse_pair, tokens))
+    return nums, dens
+
+
+def _parse_matrix_rows(lines: list[str]) -> tuple[Matrix, Matrix]:
+    """The numerator and the denominator matrices of a coefficient block."""
+    rows = [_parse_row(line) for line in lines]
     if not rows:
         raise ParseError("empty coefficient block")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    width = len(rows[0][0])
+    if any(len(nums) != width for nums, _ in rows):
         raise ParseError("coefficient rows have inconsistent lengths")
-    return tuple(rows)
+    return tuple(nums for nums, _ in rows), tuple(dens for _, dens in rows)
 
 
 @dataclass(frozen=True)
@@ -146,7 +189,10 @@ def parse_polynomial_document(text: str) -> PolynomialDocument:
     )
     if len(lines) < 2 or lines[1] != "coeffs:":
         raise ParseError("expected a 'coeffs:' line")
-    return PolynomialDocument(variables, _parse_matrix_rows(lines[2:]))
+    nums, dens = _parse_matrix_rows(lines[2:])
+    return PolynomialDocument(
+        variables, tuple(tuple(map(Fraction, n, d)) for n, d in zip(nums, dens))
+    )
 
 
 def serialize_polynomial_document(doc: PolynomialDocument) -> str:
@@ -156,15 +202,21 @@ def serialize_polynomial_document(doc: PolynomialDocument) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CertificateDocument:
-    """Parsed certificate file; ``report`` is ordered key/value metadata."""
+    """Parsed certificate file; ``report`` is ordered key/value metadata.
+
+    ``numerators`` over ``denominators`` (positive) is the matrix C, as in
+    ``PositivityCertificate``: reduced only when written out.  Equality
+    compares entry values.
+    """
 
     method: str
     q1: int
     q2: int
     convention: str
-    c: tuple[tuple[Fraction, ...], ...]
+    numerators: Matrix
+    denominators: Matrix
     report: tuple[tuple[str, str], ...]
     tool_version: str
 
@@ -173,10 +225,24 @@ class CertificateDocument:
             raise ParseError(f"unknown method {self.method!r}")
         if self.convention != "plain":
             raise ParseError(f"unknown convention {self.convention!r}")
-        if len(self.c) != self.q1 + 1 or any(len(r) != self.q2 + 1 for r in self.c):
-            raise ParseError(
-                f"coefficient matrix must be {self.q1 + 1} x {self.q2 + 1}"
-            )
+        for matrix in (self.numerators, self.denominators):
+            if len(matrix) != self.q1 + 1 or any(len(r) != self.q2 + 1 for r in matrix):
+                raise ParseError(
+                    f"coefficient matrix must be {self.q1 + 1} x {self.q2 + 1}"
+                )
+
+    def _key(self) -> tuple:
+        return (self.method, self.q1, self.q2, self.convention, self.report, self.tool_version)
+
+    def __eq__(self, other):
+        if not isinstance(other, CertificateDocument):
+            return NotImplemented
+        return self._key() == other._key() and same_values(
+            self.numerators, self.denominators, other.numerators, other.denominators
+        )
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def from_certificate(cls, cert: PositivityCertificate) -> "CertificateDocument":
@@ -201,14 +267,15 @@ class CertificateDocument:
             q1=cert.q1,
             q2=cert.q2,
             convention="plain",
-            c=cert.coefficients,
+            numerators=cert.numerators,
+            denominators=cert.denominators,
             report=report,
             tool_version=__version__,
         )
 
     def to_certificate(self) -> PositivityCertificate:
-        return PositivityCertificate(
-            self.q1, self.q2, self.c, Method(self.method), report=None
+        return PositivityCertificate.from_integers(
+            self.q1, self.q2, self.numerators, self.denominators, Method(self.method)
         )
 
 
@@ -245,12 +312,14 @@ def parse_certificate_document(text: str) -> CertificateDocument:
             key, value = line.split(":", 1)
             report.append((key.strip(), value.strip()))
             idx += 1
+    numerators, denominators = _parse_matrix_rows(matrix_lines)
     return CertificateDocument(
         method=headers["method"],
         q1=q1,
         q2=q2,
         convention=headers["convention"],
-        c=_parse_matrix_rows(matrix_lines),
+        numerators=numerators,
+        denominators=denominators,
         report=tuple(report),
         tool_version=headers["tool_version"],
     )
@@ -265,8 +334,8 @@ def serialize_certificate_document(doc: CertificateDocument) -> str:
         f"tool_version: {doc.tool_version}",
         "C:",
     ]
-    for row in doc.c:
-        out.append(" ".join(format_rational(c) for c in row))
+    for nums, dens in zip(doc.numerators, doc.denominators):
+        out.append(" ".join(map(_format_pair, nums, dens)))
     if doc.report:
         out.append("report:")
         for key, value in doc.report:

@@ -12,7 +12,14 @@ certified upper bound on the Goursat coefficient polynomials of the rows; q2
 by the same quantities computed exactly for each coefficient polynomial.
 That choice of degrees is the whole method: C is the unique plain Bernstein
 matrix of p at (q1, q2), taken from the same exact kernel the raising method
-uses (``certificates.plain_coeffs``).
+uses (``certificates.plain_coeffs``) and kept as its integer numerators over
+its one denominator.
+
+The second stage works on the kernel's x1 pass as integers: the rows A_i(x2)
+are integer vectors over one denominator, their Goursat coefficients come
+from one batched inverse kernel call, and their range enclosures bisect
+integer control points (``univariate._range_enclosure``).  Only the per-row
+bounds of the report are Fractions.
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ from .errors import CertificationError, DegreeError, InconclusiveError
 from .polys import BPoly, RationalLike, UPoly, rat
 from .raising import minimum_lower_bound
 from .univariate import (
+    RangeEnclosure1D,
     _plain_kernel,
+    _range_enclosure,
     goursat_coefficients,
     powers_reznick_degree,
     range_enclosure_1d,
@@ -61,11 +70,17 @@ def coefficient_bernstein_polys(p: BPoly, q1: int) -> tuple[UPoly, ...]:
     sum_i A_i(x2) * x1**i * (1-x1)**(q1-i) identically: the x1 pass of the
     kernel over the columns of p, divided by the common denominator.
     """
-    n1 = p.n1
-    if q1 < n1:
-        raise DegreeError(f"degree {q1} is below the x1 degree {n1}")
+    rows, den = _coefficient_rows(p, q1)
+    return tuple(UPoly([Fraction(v, den) for v in row]) for row in rows)
+
+
+def _coefficient_rows(p: BPoly, q1: int) -> tuple[list[tuple[int, ...]], int]:
+    """The x1 pass of the kernel as integers: (rows, D) with A_i(x2) equal to
+    sum_j rows[i][j] x2**j / D."""
+    if q1 < p.n1:
+        raise DegreeError(f"degree {q1} is below the x1 degree {p.n1}")
     cols, den = _plain_kernel(list(zip(*p.coeffs)), q1)
-    return tuple(UPoly([Fraction(v, den) for v in row]) for row in zip(*cols))
+    return list(zip(*cols)), den
 
 
 def nested_q1(
@@ -105,6 +120,12 @@ def nested_q1(
     return q1, NestedDegreeReport(q1=q1, lambda_lower=lam, l_upper=bound)
 
 
+def _q2_stop(enc: RangeEnclosure1D) -> bool:
+    """Stop once the row is refuted or its lower bound is within a factor two
+    of an attained value."""
+    return enc.min_value <= 0 or (enc.lo > 0 and enc.min_value <= 2 * enc.lo)
+
+
 def nested_q2(
     p: BPoly,
     q1: int,
@@ -117,24 +138,24 @@ def nested_q2(
     degree-n2 vector, are computed exactly, and a positive lower bound on
     inf A_i over [0, 1] is certified by range enclosure (refined until the
     bound is within a factor two of an attained value).  The degree is
-    2 * (3 n2 + max_i ceil(2 n2**2 maxB_i / inf_i) + 1).
+    2 * (3 n2 + max_i ceil(2 n2**2 maxB_i / inf_i) + 1).  Both run on the
+    x1 pass's integer rows over their one denominator: the Goursat vectors
+    in one batched inverse kernel call, the enclosures by integer de
+    Casteljau; only the per-row bounds become Fractions.
     """
-    apolys = coefficient_bernstein_polys(p, q1)
+    rows, den = _coefficient_rows(p, q1)
     n2 = p.n2
+    # One inverse kernel call gives every row's Goursat coefficients, each
+    # one times den / 2**n2 (see goursat_coefficients).
+    goursat_rows, _ = _plain_kernel([row[::-1] for row in rows], n2, sign=-1)
     two_n2_sq = Fraction(2 * n2 * n2)
     infs = []
     maxbs = []
     worst = 0
-    for i, apoly in enumerate(apolys):
-        e = goursat_coefficients(apoly, n=n2)
-        maxb = max(abs(c) for c in e)
+    for i, (row, e) in enumerate(zip(rows, goursat_rows)):
+        maxb = Fraction(max(map(abs, e)) << n2, den)
         try:
-            enc = range_enclosure_1d(
-                apoly,
-                predicate=lambda enc_: enc_.min_value <= 0
-                or (enc_.lo > 0 and enc_.min_value <= 2 * enc_.lo),
-                max_levels=max_levels,
-            )
+            enc = _range_enclosure(row, den, _q2_stop, max_levels)
         except InconclusiveError as exc:
             raise InconclusiveError(
                 f"coefficient polynomial {i} could not be certified positive "
@@ -190,5 +211,4 @@ def certify_nested(
                 f"row {i} produced a nonpositive coefficient at {bad}; "
                 "a supplied bound was not a valid certified bound"
             )
-    rows = tuple(tuple(Fraction(v, den) for v in row) for row in nums)
-    return PositivityCertificate(q1, q2, rows, Method.NESTED, report)
+    return PositivityCertificate.from_integers(q1, q2, nums, den, Method.NESTED, report)

@@ -36,7 +36,7 @@ from .certificates import (
     plain_coeffs,
 )
 from .errors import DegreeError, InconclusiveError, NotPositiveError
-from .polys import BPoly, RationalLike, binom, rat
+from .polys import BPoly, RationalLike, binom, binomial_row, rat
 
 
 @dataclass(frozen=True)
@@ -102,14 +102,14 @@ def _min_normalized(nums: list[list[int]], den: int, q1: int, q2: int) -> Fracti
     row by C(q2,l), then the row minima by C(q1,k) C(q2,l).  Only the minimum
     becomes a Fraction.
     """
-    b2 = [binom(q2, l) for l in range(q2 + 1)]
+    b2 = binomial_row(q2)
     best_v, best_w = nums[0][0], 1
-    for k, row in enumerate(nums):
+    for row, b1 in zip(nums, binomial_row(q1)):
         row_v, row_w = row[0], 1
         for v, w in zip(row, b2):
             if v * row_w < row_v * w:
                 row_v, row_w = v, w
-        row_w *= binom(q1, k)
+        row_w *= b1
         if row_v * best_w < best_v * row_w:
             best_v, best_w = row_v, row_w
     return Fraction(best_v, best_w * den)
@@ -122,10 +122,10 @@ def bern_coeffs(p: BPoly, q1: int, q2: int) -> BernsteinForm2D:
     q2 >= n2.
     """
     nums, den = plain_coeffs(p, q1, q2)
-    b2 = [binom(q2, l) for l in range(q2 + 1)]
+    b2 = binomial_row(q2)
     rows = tuple(
-        tuple(Fraction(v, binom(q1, k) * den * bl) for v, bl in zip(row, b2))
-        for k, row in enumerate(nums)
+        tuple(Fraction(v, b1 * den * bl) for v, bl in zip(row, b2))
+        for row, b1 in zip(nums, binomial_row(q1))
     )
     return BernsteinForm2D(q1, q2, rows)
 
@@ -353,9 +353,8 @@ def certify_raise(
         c_min = _min_normalized(nums, den, q1, q2)
         enc = MinEnclosure(q1, q2, c_min, enclosure_bound(g1, g2, q1, q2))
         if c_min > 0:
-            plain = tuple(tuple(Fraction(v, den) for v in row) for row in nums)
             report = RaiseReport(doublings, enc, g1, g2)
-            return PositivityCertificate(q1, q2, plain, Method.RAISE, report)
+            return PositivityCertificate.from_integers(q1, q2, nums, den, Method.RAISE, report)
         if enc.hi <= 0:
             _refute(p, enc)
     raise InconclusiveError(

@@ -5,7 +5,8 @@ x**i * (1-x)**(m-i) (plain convention, no binomial factor) or
 C(m,i) * x**i * (1-x)**(m-i) (normalized convention), the Goursat transform
 p~(x) = (2x)**n * p((1-x)/x), degree elevation, an explicit degree bound at
 which a strictly positive polynomial acquires a nonnegative Bernstein
-representation, certified range enclosure by de Casteljau bisection, and a
+representation, certified range enclosure by de Casteljau bisection (on
+integer control points: only each level's bounds become Fractions), and a
 positivity certifier that combines all of the above.  ``_plain_kernel`` is the
 package's one basis conversion in both directions: monomial to plain
 Bernstein, and with alternating signs the inverse.  ``to_bernstein_plain``,
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import DegreeError, InconclusiveError, NotPositiveError
-from .polys import RationalLike, UPoly, binom, rat
+from .polys import RationalLike, UPoly, binom, binomial_row, rat
 
 
 class BasisConvention(Enum):
@@ -115,12 +116,7 @@ def _plain_kernel(
             den = math.lcm(den, c.denominator)
     # shifted[i][t] = sign**t * C(q-i, t), the weights of input i on outputs
     # k = i + t.
-    shifted = []
-    for i in range(max(len(v) for v in vectors)):
-        row, m = [1], q - i
-        for t in range(m):
-            row.append(sign * row[-1] * (m - t) // (t + 1))
-        shifted.append(row)
+    shifted = [binomial_row(q - i, sign) for i in range(max(len(v) for v in vectors))]
     out = []
     for v in vectors:
         acc = [0] * (q + 1)
@@ -218,22 +214,102 @@ def elevate(b: BernsteinForm1D, q_star: int) -> BernsteinForm1D:
     return to_bernstein_plain(from_bernstein(b), q_star)
 
 
-def _decasteljau_halves(control: tuple[Fraction, ...]):
-    """Split normalized Bernstein control points at the midpoint."""
-    left = [control[0]]
-    right = [control[-1]]
-    layer = list(control)
-    while len(layer) > 1:
-        layer = [(a + b) / 2 for a, b in zip(layer, layer[1:])]
-        left.append(layer[0])
-        right.append(layer[-1])
+def _decasteljau_halves(control: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Split integer control points of degree m at the midpoint.
+
+    Sums of neighbours replace midpoints, so layer r holds 2**r times the
+    true values; shifting it left by m - r bits puts both halves over a
+    common scale 2**m times the input's.
+    """
+    left, right = [control[0] << m], [control[-1] << m]
+    layer = control
+    for r in range(1, m + 1):
+        layer = [a + b for a, b in zip(layer, layer[1:])]
+        left.append(layer[0] << (m - r))
+        right.append(layer[-1] << (m - r))
     right.reverse()
-    return tuple(left), tuple(right)
+    return left, right
 
 
-def normalized_coefficients(p: UPoly) -> tuple[Fraction, ...]:
-    """Normalized Bernstein coefficients of p at its own degree."""
-    return to_bernstein_plain(p, p.degree).to_normalized().coeffs
+def _range_enclosure(
+    coeffs: Sequence[Union[Fraction, int]],
+    den: int,
+    predicate: Callable[[RangeEnclosure1D], bool],
+    max_levels: int,
+) -> RangeEnclosure1D:
+    """``range_enclosure_1d`` of sum_i coeffs[i] x**i / den, on integers.
+
+    Trailing zero coefficients are dropped, so the degree m is the
+    polynomial's own.  The normalized coefficients at degree m are
+    plain[i] / (C(m,i) D), with (plain, D) from the kernel; over
+    S = lcm_i C(m,i) D den they are integers, and every bisection level
+    multiplies the scale by 2**m.  All segments alive at one level share that
+    scale, so comparisons are integer ones; a segment that turns passive
+    stays passive (min_value only falls and max_value only rises), so it is
+    kept as its bounds alone.  Points are numerators over 2**levels.  Only
+    the fields of each level's RangeEnclosure1D become Fractions.
+    """
+    m = len(coeffs) - 1
+    while m > 0 and coeffs[m] == 0:
+        m -= 1
+    (plain,), kden = _plain_kernel([coeffs[: m + 1]], m)
+    binoms = binomial_row(m)
+    lcm = math.lcm(*binoms)
+    scale = lcm * kden * den
+    first = [v * (lcm // b) for v, b in zip(plain, binoms)]
+    # The first attained minimum and maximum among the endpoints x = 0, 1.
+    min_value, min_point = (first[0], 0) if first[0] <= first[-1] else (first[-1], 1)
+    max_value, max_point = (first[0], 0) if first[0] >= first[-1] else (first[-1], 1)
+    segments = [(0, first)]  # (j, control points) on [j, j+1] / 2**levels
+    passive_lo = passive_hi = None
+    levels = 0
+    while True:
+        lows = [min(cps) for _, cps in segments]
+        highs = [max(cps) for _, cps in segments]
+        lo = min(lows) if passive_lo is None else min(passive_lo, *lows)
+        hi = max(highs) if passive_hi is None else max(passive_hi, *highs)
+        denom, points = scale << (m * levels), 1 << levels
+        enc = RangeEnclosure1D(
+            Fraction(lo, denom),
+            Fraction(hi, denom),
+            levels,
+            Fraction(min_value, denom),
+            Fraction(min_point, points),
+            Fraction(max_value, denom),
+            Fraction(max_point, points),
+        )
+        if predicate(enc):
+            return enc
+        active = []
+        for seg, low, high in zip(segments, lows, highs):
+            if low < min_value or high > max_value:
+                active.append(seg)
+            else:
+                passive_lo = low if passive_lo is None else min(passive_lo, low)
+                passive_hi = high if passive_hi is None else max(passive_hi, high)
+        if not active:
+            return enc
+        if levels >= max_levels:
+            raise InconclusiveError(
+                f"range enclosure not tight enough after {max_levels} bisection levels",
+                best=enc,
+            )
+        # One level down: every kept integer moves to the new scale.
+        min_value, max_value = min_value << m, max_value << m
+        min_point, max_point = min_point << 1, max_point << 1
+        if passive_lo is not None:
+            passive_lo, passive_hi = passive_lo << m, passive_hi << m
+        segments = []
+        for j, cps in active:
+            left, right = _decasteljau_halves(cps, m)
+            segments.append((2 * j, left))
+            segments.append((2 * j + 1, right))
+            mid_value = left[-1]
+            if mid_value < min_value:
+                min_value, min_point = mid_value, 2 * j + 1
+            if mid_value > max_value:
+                max_value, max_point = mid_value, 2 * j + 1
+        levels += 1
 
 
 def range_enclosure_1d(
@@ -247,13 +323,15 @@ def range_enclosure_1d(
 
     The normalized Bernstein coefficients of p on a subinterval bound its
     values there, and the first and last coefficients are the exact endpoint
-    values; bisecting by exact de Casteljau subdivision tightens the bounds.
-    Refinement stops when ``predicate`` holds, or, given ``max_width``, when
-    both gaps min_value - lo and hi - max_value are at most max_width (the
-    outer bounds then match attained values to within max_width).  If the
-    enclosure becomes exact (lo and hi both attained) it is returned as is.
-    Raises InconclusiveError when max_levels bisection levels do not suffice,
-    with the best enclosure attached.
+    values; bisecting by exact midpoint de Casteljau subdivision tightens the
+    bounds.  The subdivision runs on integers (see ``_range_enclosure``);
+    each level's enclosure is exact rationals.  Refinement stops when
+    ``predicate`` holds, or, given ``max_width``, when both gaps
+    min_value - lo and hi - max_value are at most max_width (the outer bounds
+    then match attained values to within max_width).  If the enclosure
+    becomes exact (lo and hi both attained) it is returned as is.  Raises
+    InconclusiveError when max_levels bisection levels do not suffice, with
+    the best enclosure attached.
     """
     if predicate is None:
         if max_width is None:
@@ -265,47 +343,7 @@ def range_enclosure_1d(
         def predicate(enc: RangeEnclosure1D) -> bool:
             return enc.min_value - enc.lo <= width and enc.hi - enc.max_value <= width
 
-    control = normalized_coefficients(p)
-    zero, one = Fraction(0), Fraction(1)
-    segments = [(zero, one, control)]
-    samples = [(zero, control[0]), (one, control[-1])]
-    min_point, min_value = min(samples, key=lambda s: s[1])
-    max_point, max_value = max(samples, key=lambda s: s[1])
-    levels = 0
-    while True:
-        lo = min(min(cps) for _, _, cps in segments)
-        hi = max(max(cps) for _, _, cps in segments)
-        enc = RangeEnclosure1D(
-            lo, hi, levels, min_value, min_point, max_value, max_point
-        )
-        if predicate(enc):
-            return enc
-        active, passive = [], []
-        for seg in segments:
-            if min(seg[2]) < min_value or max(seg[2]) > max_value:
-                active.append(seg)
-            else:
-                passive.append(seg)
-        if not active:
-            return enc
-        if levels >= max_levels:
-            raise InconclusiveError(
-                f"range enclosure not tight enough after {max_levels} bisection levels",
-                best=enc,
-            )
-        refined = []
-        for a, b, cps in active:
-            mid = (a + b) / 2
-            left, right = _decasteljau_halves(cps)
-            refined.append((a, mid, left))
-            refined.append((mid, b, right))
-            mid_value = left[-1]
-            if mid_value < min_value:
-                min_value, min_point = mid_value, mid
-            if mid_value > max_value:
-                max_value, max_point = mid_value, mid
-        segments = passive + refined
-        levels += 1
+    return _range_enclosure(p.coeffs, 1, predicate, max_levels)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,58 @@
+"""The benchmark's traced mode on three inputs, against its CLI pass.
+
+``perfbench/traced.py`` splits each input's user path at the module
+boundaries and replays library policies to time single layers; a replay that
+misses the library's result raises ``ReplayMismatch``.  Running it here on a
+nested corpus certificate, a near-zero raise and a sweep refutation keeps
+``perfbench/run.py --trace 1`` working across library refactors, which the
+import check in ``test_bench_imports.py`` alone does not.
+"""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from berncert.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import inputs
+    import run
+    import traced
+
+    return inputs, run, traced
+
+
+def test_traced_inputs_replay_and_match_cli(bench, tmp_path):
+    inputs, run, traced = bench
+    chosen = [
+        next(i for i in inputs.make_inputs("corpus", 1) if i.name == "x1^2-x1+1+x2"),
+        next(i for i in inputs.make_inputs("near-zero", 1) if i.name == "(x1-x2)^2+1e-2"),
+        next(i for i in inputs.make_inputs("sweep", 1) if i.kind == inputs.REFUTE),
+    ]
+    cli_pass = run.CliPass(main, tmp_path, {})
+    tracer = traced.Tracer()
+    points = inputs.sample_points(random.Random(1))
+    library = {}
+    for index, inp in enumerate(chosen):
+        path = tmp_path / f"{index}.poly"
+        path.write_text(inputs.poly_document(inp.rows))
+        cli_pass.run_input(index, inp, path, points)
+        tracer.input = inp.name
+        # Raises ReplayMismatch when a replay misses the library's result.
+        for op, digest in traced.run_input(tracer, inp.kind, path, tmp_path, inp.q).items():
+            library[f"{inp.name}/{op}"] = digest
+    assert cli_pass.failures == []
+    assert sorted(library) == [
+        "(x1-x2)^2+1e-2/certify_raise",
+        "(x1-x2)^2+1e-2/enclose",
+        "x1^2-x1+1+x2/certify_nested",
+        "x1^2-x1+1+x2/certify_raise",
+    ]
+    assert {name: cli_pass.outputs[name] for name in library} == library
+    assert (tracer.counts["nested.q1"], tracer.counts["nested.q2"]) == (526, 20)

@@ -233,12 +233,12 @@ class TestVerifyCommand:
         out = tmp_path / "cert.txt"
         assert main(["certify", poly_file(SPHERE), str(out), "--method", "raise"]) == 0
         doc = parse_certificate_document(out.read_text())
-        rows = [list(r) for r in doc.c]
-        rows[0][0] = Fraction(0)
+        rows = [list(r) for r in doc.numerators]
+        rows[0][0] = 0  # the document holds integer numerators over denominators
         tampered = type(doc)(
             method=doc.method, q1=doc.q1, q2=doc.q2, convention=doc.convention,
-            c=tuple(tuple(r) for r in rows), report=doc.report,
-            tool_version=doc.tool_version,
+            numerators=tuple(tuple(r) for r in rows), denominators=doc.denominators,
+            report=doc.report, tool_version=doc.tool_version,
         )
         out.write_text(serialize_certificate_document(tampered))
         code = main(["verify", poly_file(SPHERE), str(out)])
@@ -340,6 +340,32 @@ class TestUsage:
         assert captured.err.startswith("status=parse-error detail=")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "out.txt").exists()
+
+    # 9...9 (1 + x1 + x2) with 4300 nines: the input is within the interpreter's
+    # 4300-digit limit for str() and int(), values computed from it are not.
+    NINES = "9" * 4300
+    HUGE = f"variables: 2\ncoeffs:\n{NINES} {NINES}\n{NINES} 0\n"
+
+    def test_eval_prints_value_over_digit_limit(self, poly_file, capsys):
+        assert main(["eval", poly_file(self.HUGE), "--at", "1,1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "2" + "9" * 4299 + "7\n"  # 3 * 9...9, 4301 digits
+        assert captured.err == ""
+
+    def test_eval_prints_fraction_over_digit_limit(self, poly_file, capsys):
+        assert main(["eval", poly_file(self.HUGE), "--at", "1/2,0"]) == 0
+        assert capsys.readouterr().out == "2" + "9" * 4299 + "7/2\n"
+
+    @pytest.mark.parametrize("method", ["raise", "nested"])
+    def test_certificate_over_digit_limit_is_too_large(self, poly_file, tmp_path, capsys, method):
+        out = tmp_path / "cert.txt"
+        poly = poly_file(self.HUGE)
+        assert main(["certify", poly, str(out), "--method", method]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("status=too-large detail=")
+        assert captured.err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["poly.txt"]
 
     @pytest.mark.parametrize(
         "text",

@@ -1,11 +1,20 @@
 """Document formats: parsing, serialization, lossless round trips."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from berncert import BPoly, UPoly, certify_nested, certify_raise
+from berncert import (
+    BPoly,
+    Method,
+    PositivityCertificate,
+    UPoly,
+    certify_nested,
+    certify_raise,
+    verify,
+)
 from berncert.documents import (
     CertificateDocument,
     ParseError,
@@ -201,3 +210,92 @@ def test_parsers_raise_only_parse_error(text):
             parse(text)
         except ParseError:
             pass
+
+
+# The integer document path: certificates hold integer numerators over
+# denominators, written in lowest terms and read back as written.
+
+WORKED = BPoly([[Fraction(1, 8), 0, 1], [0, -2, 0], [1, 0, 0]])  # (x1-x2)^2 + 1/8
+
+
+def _c_tokens(text: str) -> list[str]:
+    return text.split("\nC:\n", 1)[1].split("\nreport:\n", 1)[0].split()
+
+
+@st.composite
+def kernel_matrices(draw):
+    """(q1, q2, N, D) with D > 0 built from shared small primes, entries of
+    either sign and some multiples of D (integers once reduced)."""
+    q1, q2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    den = 1
+    for prime in draw(st.lists(st.sampled_from([2, 3, 5, 7]), max_size=6)):
+        den *= prime
+
+    def entry():
+        if draw(st.booleans()):
+            return draw(st.integers(-50, 50)) * den
+        return draw(st.integers(-(10**30), 10**30))
+
+    return q1, q2, [[entry() for _ in range(q2 + 1)] for _ in range(q1 + 1)], den
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_matrices())
+def test_serialized_integers_are_lowest_terms_tokens(case):
+    q1, q2, nums, den = case
+    cert = PositivityCertificate.from_integers(q1, q2, nums, den, Method.RAISE)
+    text = serialize_certificate_document(CertificateDocument.from_certificate(cert))
+    reduced = [[Fraction(v, den) for v in row] for row in nums]
+    assert _c_tokens(text) == [str(c) for row in reduced for c in row]
+    again = parse_certificate_document(text)
+    assert again.numerators == tuple(tuple(c.numerator for c in row) for row in reduced)
+    assert again.denominators == tuple(tuple(c.denominator for c in row) for row in reduced)
+    assert again == CertificateDocument.from_certificate(cert)
+
+
+@functools.cache
+def _certified(case: str):
+    p, certify = {
+        "raise": (WORKED, certify_raise),
+        "nested": (BPoly([[1, 1], [1, 0]]), certify_nested),  # 1 + x1 + x2 at (16, 16)
+    }[case]
+    cert = certify(p)
+    return p, cert, serialize_certificate_document(CertificateDocument.from_certificate(cert))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["raise", "nested"]), st.data())
+def test_verify_accepts_unreduced_and_mixed_denominators(case, data):
+    p, cert, text = _certified(case)
+    scaled = []
+    for token in _c_tokens(text):
+        num, _, den = token.partition("/")
+        k = data.draw(st.integers(1, 12))
+        scaled.append(f"{int(num) * k}/{int(den or 1) * k}")
+    width = cert.q2 + 1
+    rows = [" ".join(scaled[i:i + width]) for i in range(0, len(scaled), width)]
+    head, rest = text.split("\nC:\n", 1)
+    report = rest.partition("\nreport:\n")[2]
+    doc = parse_certificate_document(
+        f"{head}\nC:\n" + "\n".join(rows) + f"\nreport:\n{report}"
+    )
+    assert doc == CertificateDocument.from_certificate(cert)
+    assert verify(p, doc.to_certificate())
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["1/0", "0/0", "-3/00", "٣", "1/٤", "１", "7" * 5000, "1/" + "3" * 5000],
+    ids=["zero-den", "zero-zero", "zero-den-padded", "arabic-indic", "arabic-indic-den",
+         "full-width", "overlong", "overlong-den"],
+)
+@pytest.mark.parametrize("column", [0, 1])
+def test_bad_certificate_tokens_are_parse_error(token, column):
+    entries = ["1", "2/3"]
+    entries[column] = token
+    text = (
+        "method: raise\nq1: 0\nq2: 1\nconvention: plain\ntool_version: 0.1.0\nC:\n"
+        + " ".join(entries) + "\n"
+    )
+    with pytest.raises(ParseError):
+        parse_certificate_document(text)

@@ -12,6 +12,7 @@ from berncert import (
     BernsteinForm1D,
     InconclusiveError,
     NotPositiveError,
+    RangeEnclosure1D,
     UPoly,
     certify_positive_1d,
     elevate,
@@ -261,6 +262,85 @@ class TestRangeEnclosure:
     def test_requires_a_stopping_rule(self):
         with pytest.raises(ValueError):
             range_enclosure_1d(UPoly([1]))
+
+
+def _fraction_range_enclosure(p, predicate, max_levels):
+    """The Fraction de Casteljau bisection that range_enclosure_1d replaced,
+    kept as the oracle for the integer one: every segment carries its
+    interval and its normalized control points as Fractions."""
+
+    def halves(control):
+        left, right, layer = [control[0]], [control[-1]], list(control)
+        while len(layer) > 1:
+            layer = [(a + b) / 2 for a, b in zip(layer, layer[1:])]
+            left.append(layer[0])
+            right.append(layer[-1])
+        return tuple(left), tuple(reversed(right))
+
+    control = to_bernstein_plain(p, p.degree).to_normalized().coeffs
+    zero, one = Fraction(0), Fraction(1)
+    segments = [(zero, one, control)]
+    samples = [(zero, control[0]), (one, control[-1])]
+    min_point, min_value = min(samples, key=lambda s: s[1])
+    max_point, max_value = max(samples, key=lambda s: s[1])
+    levels = 0
+    while True:
+        lo = min(min(cps) for _, _, cps in segments)
+        hi = max(max(cps) for _, _, cps in segments)
+        enc = RangeEnclosure1D(lo, hi, levels, min_value, min_point, max_value, max_point)
+        if predicate(enc):
+            return enc
+        active = [s for s in segments if min(s[2]) < min_value or max(s[2]) > max_value]
+        passive = [s for s in segments if s not in active]
+        if not active:
+            return enc
+        if levels >= max_levels:
+            raise InconclusiveError("cap", best=enc)
+        refined = []
+        for a, b, cps in active:
+            mid = (a + b) / 2
+            left, right = halves(cps)
+            refined += [(a, mid, left), (mid, b, right)]
+            if left[-1] < min_value:
+                min_value, min_point = left[-1], mid
+            if left[-1] > max_value:
+                max_value, max_point = left[-1], mid
+        segments = passive + refined
+        levels += 1
+
+
+def _enclosure_or_best(enclose):
+    try:
+        return "ok", enclose()
+    except InconclusiveError as exc:
+        return "inconclusive", exc.best
+
+
+# The stopping rules of certify_positive_1d and of nested_q2.
+PREDICATES = {
+    "certify_positive_1d": lambda e: e.lo > 0 or e.min_value <= 0,
+    "nested_q2": lambda e: e.min_value <= 0 or (e.lo > 0 and e.min_value <= 2 * e.lo),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=40), min_size=1, max_size=9)
+    .map(UPoly),
+    st.sampled_from(["max_width", *PREDICATES]),
+    st.fractions(min_value=Fraction(1, 1000), max_value=2),
+    st.integers(0, 10),
+)
+def test_range_enclosure_matches_fraction_oracle(p, mode, width, max_levels):
+    if mode == "max_width":
+        kwargs = {"max_width": width}
+        predicate = lambda e: e.min_value - e.lo <= width and e.hi - e.max_value <= width
+    else:
+        kwargs = {"predicate": PREDICATES[mode]}
+        predicate = PREDICATES[mode]
+    got = _enclosure_or_best(lambda: range_enclosure_1d(p, max_levels=max_levels, **kwargs))
+    want = _enclosure_or_best(lambda: _fraction_range_enclosure(p, predicate, max_levels))
+    assert got == want
 
 
 class TestCertifyPositive1D:
