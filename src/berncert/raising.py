@@ -15,11 +15,16 @@ Doubling both degrees from the floors until the minimum coefficient is
 positive therefore certifies strict positivity, and the two bounds together
 give a certified enclosure of the minimum that converges as the degrees grow.
 
-Both searches of this module run on integers: the minimum coefficient
-compares the kernel's numerators by cross-multiplication with the weights
-C(q1,k) C(q2,l), and the refutation witness compares the values of p on the
-grid (k/q1, l/q2) as numerators over one common denominator.  Only their
-results become Fractions.
+Neither search of this module needs that matrix.  As a function of the grid
+index, c[k][l] is a polynomial of bidegree (n1, n2) whose coefficients in the
+binomial basis C(k,i) C(l,j) are a[i][j] i! j! / (q1^(i) q2^(j)), with falling
+factorials q^(i) = q (q-1) ... (q-i+1); the values of p on the grid
+(k/q1, l/q2) are another such polynomial, moved from the monomial basis by
+Stirling numbers.  Both are cleared to small integers and searched by
+``_grid_min``, which walks the grid by prefix sums (a difference table), so
+the minimum coefficient and the refutation witness cost O(q1*q2*(n1+n2))
+additions of integers of about (n1+n2) log q bits.  The plain kernel runs
+only for the certificate, at the degrees that certify.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from itertools import accumulate
+from typing import Iterator, Optional, Sequence
 
 from .certificates import (
     Method,
@@ -95,24 +101,54 @@ class RaiseReport:
     gamma2: Fraction
 
 
-def _min_normalized(nums: list[list[int]], den: int, q1: int, q2: int) -> Fraction:
-    """Smallest normalized coefficient nums[k][l] / (den * C(q1,k) C(q2,l)).
+def _integer_coeffs(p: BPoly) -> tuple[int, list[list[int]]]:
+    """(D, D*a) with D the lcm of the denominators of p's coefficients."""
+    den = math.lcm(*(a.denominator for row in p.coeffs for a in row))
+    return den, [[a.numerator * (den // a.denominator) for a in row] for row in p.coeffs]
 
-    Entries are compared as v * w' < v' * w with positive weights w: within a
-    row by C(q2,l), then the row minima by C(q1,k) C(q2,l).  Only the minimum
-    becomes a Fraction.
+
+def _grid_min(b: Sequence[Sequence[int]], q1: int, q2: int) -> tuple[int, int, int]:
+    """First row-major minimum (f(k, l), k, l) over [0..q1] x [0..q2] of
+
+        f(k, l) = sum_{i,j} b[i][j] C(k,i) C(l,j),
+
+    an integer polynomial given in the binomial basis.  In one variable, with
+    coefficients c[0..n], f_t(k) = sum_{i >= t} c[i] C(k, i-t) satisfies
+    f_t(k) = c[t] + sum_{m < k} f_{t+1}(m), so the values at 0..q are n
+    rounds of prefix sums starting from the constant c[n].  The columns'
+    values along k are built once; each row k then gives the coefficients
+    along l.
     """
-    b2 = binomial_row(q2)
-    best_v, best_w = nums[0][0], 1
-    for row, b1 in zip(nums, binomial_row(q1)):
-        row_v, row_w = row[0], 1
-        for v, w in zip(row, b2):
-            if v * row_w < row_v * w:
-                row_v, row_w = v, w
-        row_w *= b1
-        if row_v * best_w < best_v * row_w:
-            best_v, best_w = row_v, row_w
-    return Fraction(best_v, best_w * den)
+
+    def values(coeffs, q):
+        vals = [coeffs[-1]] * (q + 1)
+        for c in reversed(coeffs[:-1]):
+            vals.pop()
+            vals = list(accumulate(vals, initial=c))
+        return vals
+
+    best = None
+    for k, coeffs in enumerate(zip(*(values(col, q1) for col in zip(*b)))):
+        row = values(coeffs, q2)
+        m = min(row)
+        if best is None or m < best[0]:
+            best = (m, k, row.index(m))
+    return best
+
+
+def _c_min(p: BPoly, q1: int, q2: int) -> Fraction:
+    """The smallest normalized Bernstein coefficient of p at (q1, q2).
+
+    c[k][l] times D q1^(n1) q2^(n2) has the binomial-basis coefficients
+    D a[i][j] i! (q1-i)^(n1-i) j! (q2-j)^(n2-j), all integers.
+    """
+    n1, n2 = p.n1, p.n2
+    den, a = _integer_coeffs(p)
+    w1 = [math.factorial(i) * math.perm(q1 - i, n1 - i) for i in range(n1 + 1)]
+    w2 = [math.factorial(j) * math.perm(q2 - j, n2 - j) for j in range(n2 + 1)]
+    b = [[v * u1 * u2 for v, u2 in zip(row, w2)] for row, u1 in zip(a, w1)]
+    value, _, _ = _grid_min(b, q1, q2)
+    return Fraction(value, den * math.perm(q1, n1) * math.perm(q2, n2))
 
 
 def bern_coeffs(p: BPoly, q1: int, q2: int) -> BernsteinForm2D:
@@ -181,17 +217,16 @@ def min_enclosure(p: BPoly, q1: int, q2: int) -> MinEnclosure:
 
     Requires q1 >= max(n1, 2) and q2 >= max(n2, 2) so the bound term
     (q-1)/q**2 is meaningful in both variables.  The minimum coefficient is
-    found by an integer scan of the kernel's numerators; only c_min and the
-    bound are Fractions.
+    found by ``_grid_min`` on small integers, without the plain matrix; only
+    c_min and the bound are Fractions.
     """
     if q1 < _degree_floor(p.n1) or q2 < _degree_floor(p.n2):
         raise DegreeError(
             f"degrees ({q1}, {q2}) are below the floors "
             f"({_degree_floor(p.n1)}, {_degree_floor(p.n2)})"
         )
-    c_min = _min_normalized(*plain_coeffs(p, q1, q2), q1, q2)
     g1, g2 = gamma_bounds(p)
-    return MinEnclosure(q1, q2, c_min, enclosure_bound(g1, g2, q1, q2))
+    return MinEnclosure(q1, q2, _c_min(p, q1, q2), enclosure_bound(g1, g2, q1, q2))
 
 
 def min_enclosure_to_width(
@@ -262,40 +297,40 @@ def _corner_check(p: BPoly) -> None:
                 )
 
 
+def _surjections(n: int) -> list[list[int]]:
+    """t[i][m] = m! S(i, m) for i, m <= n (S the Stirling numbers of the
+    second kind), so that k**i = sum_m t[i][m] C(k, m)."""
+    t = [[1] + [0] * n]
+    for _ in range(n):
+        prev = t[-1]
+        t.append([0] + [m * (prev[m] + prev[m - 1]) for m in range(1, n + 1)])
+    return t
+
+
 def _refute(p: BPoly, enc: MinEnclosure) -> None:
     """Raise NotPositiveError at the grid point (k/q1, l/q2) minimizing p.
 
     With D clearing p's denominators, D q1**n1 q2**n2 p(k/q1, l/q2) is the
-    integer sum of A[i][j] k**i l**j with A[i][j] = D a[i][j] q1**(n1-i)
-    q2**(n2-j), evaluated by Horner in k and then in l.  The first minimum in
-    row-major order is the witness; only it and its value become Fractions.
+    integer polynomial sum of A[i][j] k**i l**j with A[i][j] = D a[i][j]
+    q1**(n1-i) q2**(n2-j).  Stirling numbers move it to the binomial basis,
+    and ``_grid_min`` finds its first minimum in row-major order, the
+    witness; only it and its value become Fractions.
     """
     q1, q2, n1, n2 = enc.q1, enc.q2, p.n1, p.n2
-    den = math.lcm(*(a.denominator for row in p.coeffs for a in row))
-    # The A[i][j] by decreasing i within columns of decreasing j: Horner
-    # order in k, then in l.
-    cols = [
+    den, a = _integer_coeffs(p)
+    # u[i][m] = q**(n-i) m! S(i, m), so q**(n-i) k**i = sum_m u[i][m] C(k, m).
+    u1, u2 = (
+        [[q ** (n - i) * s for s in row] for i, row in enumerate(_surjections(n))]
+        for q, n in ((q1, n1), (q2, n2))
+    )
+    b = [
         [
-            a.numerator * (den // a.denominator) * q1 ** (n1 - i) * q2 ** (n2 - j)
-            for i, a in reversed(list(enumerate(col)))
+            sum(u1[i][m] * v * u2[j][c] for i, row in enumerate(a) for j, v in enumerate(row))
+            for c in range(n2 + 1)
         ]
-        for j, col in reversed(list(enumerate(zip(*p.coeffs))))
+        for m in range(n1 + 1)
     ]
-    best = None
-    for k in range(q1 + 1):
-        slice_coeffs = []
-        for col in cols:
-            acc = 0
-            for a in col:
-                acc = acc * k + a
-            slice_coeffs.append(acc)
-        for l in range(q2 + 1):
-            acc = 0
-            for c in slice_coeffs:
-                acc = acc * l + c
-            if best is None or acc < best[0]:
-                best = (acc, k, l)
-    num, k, l = best
+    num, k, l = _grid_min(b, q1, q2)
     witness = (Fraction(k, q1), Fraction(l, q2))
     value = Fraction(num, den * q1**n1 * q2**n2)
     raise NotPositiveError(
@@ -337,11 +372,10 @@ def certify_raise(
     """Certify p > 0 on the box by raising the Bernstein degrees.
 
     Starting from q_start (default (max(n1,2), max(n2,2))), doubles both
-    degrees until every normalized coefficient is positive; the plain
-    coefficients of that same kernel result form the certificate.  At each
-    degree pair the minimum coefficient comes from an integer scan of the
-    kernel's numerators; only c_min and, on success, the certificate entries
-    are Fractions.  Raises NotPositiveError with a grid witness when an
+    degrees until every normalized coefficient is positive.  At each degree
+    pair the minimum coefficient comes from ``_grid_min`` on small integers;
+    the plain kernel runs once, at the degrees that certify, and its (N, D)
+    is the certificate.  Raises NotPositiveError with a grid witness when an
     enclosure shows the minimum is nonpositive, and InconclusiveError with
     the best enclosure when the doubling cap is reached.
     """
@@ -349,11 +383,10 @@ def certify_raise(
     g1, g2 = gamma_bounds(p)
     enc = None
     for doublings, (q1, q2) in enumerate(_doubled_degrees(p, max_doublings, q_start)):
-        nums, den = plain_coeffs(p, q1, q2)
-        c_min = _min_normalized(nums, den, q1, q2)
-        enc = MinEnclosure(q1, q2, c_min, enclosure_bound(g1, g2, q1, q2))
-        if c_min > 0:
+        enc = MinEnclosure(q1, q2, _c_min(p, q1, q2), enclosure_bound(g1, g2, q1, q2))
+        if enc.c_min > 0:
             report = RaiseReport(doublings, enc, g1, g2)
+            nums, den = plain_coeffs(p, q1, q2)
             return PositivityCertificate.from_integers(q1, q2, nums, den, Method.RAISE, report)
         if enc.hi <= 0:
             _refute(p, enc)

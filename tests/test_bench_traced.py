@@ -5,7 +5,9 @@ boundaries and replays library policies to time single layers; a replay that
 misses the library's result raises ``ReplayMismatch``.  Running it here on a
 nested corpus certificate, a near-zero raise and a sweep refutation keeps
 ``perfbench/run.py --trace 1`` working across library refactors, which the
-import check in ``test_bench_imports.py`` alone does not.
+import check in ``test_bench_imports.py`` alone does not.  One whole CLI pass
+of each workload at seed 1 keeps the path that ``--trace 0`` measures free of
+failed checks.
 """
 
 import random
@@ -56,3 +58,19 @@ def test_traced_inputs_replay_and_match_cli(bench, tmp_path):
     ]
     assert {name: cli_pass.outputs[name] for name in library} == library
     assert (tracer.counts["nested.q1"], tracer.counts["nested.q2"]) == (526, 20)
+
+
+@pytest.mark.parametrize("workload", ["corpus", "near-zero", "sweep"])
+def test_cli_pass_of_each_workload(bench, tmp_path, workload):
+    # One pass of every input of the workload, checked as perfbench/run.py
+    # checks it at --trace 0.
+    inputs, run, _ = bench
+    chosen = inputs.make_inputs(workload, 1)
+    paths = []
+    for index, inp in enumerate(chosen):
+        paths.append(tmp_path / f"{index}.poly")
+        paths[-1].write_text(inputs.poly_document(inp.rows), encoding="utf-8")
+    points = inputs.sample_points(random.Random("points:1"))
+    cli_pass = run.CliPass(main, tmp_path, {}).run(chosen, paths, points)
+    assert cli_pass.attempted > 0
+    assert cli_pass.failures == []

@@ -313,6 +313,7 @@ class TestCertifyRaise:
             raise AssertionError("the kernel ran before the q_start check")
 
         monkeypatch.setattr(raising, "plain_coeffs", no_kernel)
+        monkeypatch.setattr(raising, "_grid_min", no_kernel)
         with pytest.raises(DegreeError):
             certify_raise(WORKED, q_start=(1, 1), max_doublings=20000)
 
@@ -383,25 +384,51 @@ entries = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
 
 @st.composite
-def signed_polys(draw):
-    """p with signed rational entries, zeros included, degrees 0..3 each."""
-    n1, n2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+def signed_polys(draw, max_degree=3):
+    """p with signed rational entries, zeros included, degrees 0..max_degree each."""
+    n1, n2 = draw(st.integers(0, max_degree)), draw(st.integers(0, max_degree))
     return BPoly([[draw(entries) for _ in range(n2 + 1)] for _ in range(n1 + 1)])
 
 
+def _first_grid_minimum(p, q1, q2):
+    """(point, value) of the first row-major minimum of p on (k/q1, l/q2)."""
+    points1 = [Fraction(k, q1) for k in range(q1 + 1)]
+    points2 = [Fraction(l, q2) for l in range(q2 + 1)]
+    best = None
+    for point, value in grid_values(p, points1, points2):
+        if best is None or value < best[1]:
+            best = (point, value)
+    return best
+
+
+def _assert_grid_searches_exact(p, q1, q2):
+    """c_min is the minimum of the normalized matrix, and the refutation
+    witness and value are the first row-major minimum of p on the grid."""
+    enc = min_enclosure(p, q1, q2)
+    assert enc.c_min == min_coeff(bern_coeffs(p, q1, q2))
+    assert type(enc.c_min) is Fraction
+    # _refute reports the grid minimum whatever its sign.
+    with pytest.raises(NotPositiveError) as info:
+        raising._refute(p, enc)
+    assert (info.value.witness, info.value.value) == _first_grid_minimum(p, q1, q2)
+
+
 class TestMinimumScan:
-    """The enclosure minimum equals the minimum of the normalized matrix."""
+    """The grid searches agree with the normalized matrix and with p's values."""
 
     @settings(max_examples=200, deadline=None)
-    @given(signed_polys(), st.integers(0, 5), st.integers(0, 5))
+    @given(signed_polys(max_degree=6), st.integers(0, 12), st.integers(0, 12))
     @example(BPoly([[Fraction(1, 8)], [-1], [1]]), 0, 3)  # n2 = 0
     @example(BPoly([[Fraction(-2, 3), 0, 5]]), 1, 0)  # n1 = 0
     @example(BPoly([[0]]), 0, 0)
+    @example(BPoly([[Fraction(1, 8)], [-1], [1]]), 0, 12)  # n2 = 0: ties along l
+    @example(BPoly([[Fraction(-2, 3), 0, 5]]), 12, 0)  # n1 = 0: ties along k
+    @example(BPoly([[3]]), 12, 12)  # every point ties
+    @example(BPoly([[0, 1], [1, 0]]), 1, 3)  # degree 1 in both
+    @example(BPoly([[1, -1, 1], [-1, 0, 0], [1, 0, 0]]), 2, 2)  # symmetric: ties across rows
+    @example(BPoly([[1, -1] * 3 + [1]] * 7), 12, 12)  # degree 6 in both, at floor + 12
     def test_min_enclosure_matches_bern_coeffs(self, p, e1, e2):
-        q1, q2 = max(p.n1, 2) + e1, max(p.n2, 2) + e2
-        enc = min_enclosure(p, q1, q2)
-        assert enc.c_min == min_coeff(bern_coeffs(p, q1, q2))
-        assert type(enc.c_min) is Fraction
+        _assert_grid_searches_exact(p, max(p.n1, 2) + e1, max(p.n2, 2) + e2)
 
     @settings(max_examples=60, deadline=None)
     @given(signed_polys())
@@ -447,13 +474,7 @@ class TestRefutationWitness:
         with pytest.raises(NotPositiveError) as info:
             certify_raise(p)
         q1, q2 = _last_grid(p)
-        points1 = [Fraction(k, q1) for k in range(q1 + 1)]
-        points2 = [Fraction(l, q2) for l in range(q2 + 1)]
-        best = None
-        for point, value in grid_values(p, points1, points2):
-            if best is None or value < best[1]:
-                best = (point, value)
-        witness, value = best
+        witness, value = _first_grid_minimum(p, q1, q2)
         assert info.value.witness == witness
         assert info.value.value == value
         hi = min_enclosure(p, q1, q2).hi
@@ -473,3 +494,57 @@ class TestRefutationWitness:
             minimum_lower_bound(REFUTED["n2=0"])
         assert info.value.witness == (Fraction(1, 2), 0)
         assert info.value.value == Fraction(-1, 8)
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [(REFUTED[name], 256) for name in list(REFUTED)[:4]] + [(WORKED, 512)],
+        ids=list(REFUTED)[:4] + ["worked"],
+    )
+    def test_grid_searches_at_fixed_degrees(self, p, q):
+        _assert_grid_searches_exact(p, q, q)
+
+
+class TestKernelCalls:
+    """The plain kernel runs only to build a certificate."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+
+        def counting(p, q1, q2):
+            calls.append((q1, q2))
+            return plain_coeffs(p, q1, q2)
+
+        monkeypatch.setattr(raising, "plain_coeffs", counting)
+        return calls
+
+    def test_once_on_success(self, kernel_calls):
+        cert = certify_raise(WORKED)
+        assert cert.report.doublings >= 1
+        assert kernel_calls == [(cert.q1, cert.q2)]
+        assert verify(WORKED, cert)
+
+    def test_never_on_refutation(self, kernel_calls):
+        with pytest.raises(NotPositiveError):
+            certify_raise(REFUTED["disc(23/64,41/64)"])
+        assert kernel_calls == []
+
+    def test_never_when_inconclusive(self, kernel_calls):
+        with pytest.raises(InconclusiveError):
+            certify_raise(BPoly([[Fraction(1, 9)], [Fraction(-2, 3)], [1]]), max_doublings=3)
+        assert kernel_calls == []
+
+    def test_never_in_min_enclosure(self, kernel_calls):
+        min_enclosure(WORKED, 64, 32)
+        min_enclosure_to_width(WORKED, Fraction(1, 100))
+        assert kernel_calls == []
+
+    def test_min_enclosure_allocates_no_matrix(self):
+        # The plain matrix at (512, 512) held about 35 MB of integers.
+        tracemalloc.start()
+        try:
+            min_enclosure(WORKED, 512, 512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
