@@ -44,7 +44,6 @@ from .raising import (
     minimum_lower_bound,
 )
 from .univariate import (
-    BasisConvention,
     BernsteinForm1D,
     RangeEnclosure1D,
     UnivariateCertificate,
@@ -59,7 +58,6 @@ from .univariate import (
 )
 
 __all__ = [
-    "BasisConvention",
     "BernsteinForm1D",
     "BernsteinForm2D",
     "BPoly",

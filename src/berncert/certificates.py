@@ -189,11 +189,8 @@ def _is_plain_matrix(p: BPoly, cert: PositivityCertificate) -> bool:
     if cert.q1 < p.n1 or cert.q2 < p.n2:
         return False
     nums, den = plain_coeffs(p, cert.q1, cert.q2)
-    return all(
-        n * den == v * d
-        for row, nrow, drow in zip(nums, cert.numerators, cert.denominators)
-        for v, n, d in zip(row, nrow, drow)
-    )
+    dens = ((den,) * (cert.q2 + 1),) * (cert.q1 + 1)
+    return same_values(nums, dens, cert.numerators, cert.denominators)
 
 
 def _first_mismatch(p: BPoly, cert: PositivityCertificate) -> str:

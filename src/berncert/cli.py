@@ -170,7 +170,10 @@ def cmd_enclose_min(args) -> int:
             return 1
         enc = min_enclosure_to_width(p, width, cap)
         print(f"{_text(enc.lo)} {_text(enc.hi)} {enc.q1} {enc.q2}")
-        return 0 if enc.bound <= width else 3
+        if enc.bound <= width:
+            return 0
+        _diag(status="inconclusive", lo=enc.lo, hi=enc.hi)
+        return 3
     if args.q1 is None or args.q2 is None:
         _diag(status="usage-error", detail="provide --q1 and --q2, or --target-width")
         return 1

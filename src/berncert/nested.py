@@ -15,16 +15,15 @@ matrix of p at (q1, q2), taken from the same exact kernel the raising method
 uses (``certificates.plain_coeffs``) and kept as its integer numerators over
 its one denominator.
 
-The second stage works on the kernel's x1 pass as integers: the rows A_i(x2)
-are integer vectors over one denominator, their Goursat coefficients come
-from one batched inverse kernel call, and their range enclosures bisect
-integer control points (``univariate._range_enclosure``).  Only the per-row
-bounds of the report are Fractions.
+Both stages run on integers over one denominator, the first on p's columns,
+the second on the kernel's x1 pass (the rows A_i(x2)): each takes its Goursat
+coefficients from one ``univariate._goursat`` call and bisects integer control
+points (``univariate._range_enclosure``).  Only the report's bounds are
+Fractions, and all of them are computed here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -35,11 +34,11 @@ from .polys import BPoly, RationalLike, UPoly, rat
 from .raising import minimum_lower_bound
 from .univariate import (
     RangeEnclosure1D,
+    _goursat,
     _plain_kernel,
     _range_enclosure,
-    goursat_coefficients,
+    _within,
     powers_reznick_degree,
-    range_enclosure_1d,
 )
 
 
@@ -87,7 +86,6 @@ def nested_q1(
     p: BPoly,
     *,
     lambda_lower: Optional[RationalLike] = None,
-    l_upper: Optional[RationalLike] = None,
     max_doublings: int = 20,
     max_levels: int = 64,
 ) -> tuple[int, NestedDegreeReport]:
@@ -95,10 +93,13 @@ def nested_q1(
 
     Returns the even degree 2 * (3 n1 + ceil(2 n1**2 L / lam) + 1) where lam
     is a certified positive lower bound on min p over the box and L a
-    certified upper bound on sup over x2 in [0, 1] of max_i |B_i(a(x2))|.
-    Caller-supplied ``lambda_lower`` and ``l_upper`` are trusted bounds that
-    replace the computed ones (any valid positive lower bound or upper bound
-    keeps the degree sufficient).
+    certified upper bound on sup over x2 in [0, 1] of max_k |B_k(x2)|, the
+    Goursat coefficients of the slice p(., x2).  Column j of p transformed
+    gives the x2**j coefficients of every B_k, so one ``_goursat`` call gives
+    them all as integers; L is the largest max(-lo, hi) of their integer
+    range enclosures, refined to gaps of at most lam.  A given
+    ``lambda_lower`` is trusted in place of lam (any positive lower bound
+    keeps the degree sufficient); L is always computed.
     """
     if lambda_lower is None:
         lam, _ = minimum_lower_bound(p, max_doublings)
@@ -106,16 +107,9 @@ def nested_q1(
         lam = rat(lambda_lower)
         if lam <= 0:
             raise ValueError("lambda_lower must be positive")
-    if l_upper is None:
-        # Column j of p transformed gives the x2**j coefficients of the
-        # Goursat coefficient polynomials B_k(a(x2)).
-        cols = [goursat_coefficients(c, n=p.n1) for c in p.coefficient_cols()]
-        bound = Fraction(0)
-        for bpoly in (UPoly(row) for row in zip(*cols)):
-            enc = range_enclosure_1d(bpoly, max_width=lam, max_levels=max_levels)
-            bound = max(bound, abs(enc.lo), abs(enc.hi))
-    else:
-        bound = rat(l_upper)
+    cols, den = _goursat(list(zip(*p.coeffs)), p.n1)
+    encs = [_range_enclosure(row, den, _within(lam), max_levels) for row in zip(*cols)]
+    bound = max(max(-enc.lo, enc.hi) for enc in encs)
     q1 = 2 * powers_reznick_degree(p.n1, bound, lam)
     return q1, NestedDegreeReport(q1=q1, lambda_lower=lam, l_upper=bound)
 
@@ -137,23 +131,17 @@ def nested_q2(
     For each row i, the Goursat coefficient magnitudes of A_i(x2), taken as a
     degree-n2 vector, are computed exactly, and a positive lower bound on
     inf A_i over [0, 1] is certified by range enclosure (refined until the
-    bound is within a factor two of an attained value).  The degree is
-    2 * (3 n2 + max_i ceil(2 n2**2 maxB_i / inf_i) + 1).  Both run on the
+    bound is within a factor two of an attained value).  The degree is the
+    largest 2 * powers_reznick_degree(n2, maxB_i, inf_i).  Both run on the
     x1 pass's integer rows over their one denominator: the Goursat vectors
-    in one batched inverse kernel call, the enclosures by integer de
-    Casteljau; only the per-row bounds become Fractions.
+    in one ``_goursat`` call, the enclosures by integer de Casteljau; only
+    the per-row bounds become Fractions.
     """
     rows, den = _coefficient_rows(p, q1)
     n2 = p.n2
-    # One inverse kernel call gives every row's Goursat coefficients, each
-    # one times den / 2**n2 (see goursat_coefficients).
-    goursat_rows, _ = _plain_kernel([row[::-1] for row in rows], n2, sign=-1)
-    two_n2_sq = Fraction(2 * n2 * n2)
-    infs = []
-    maxbs = []
-    worst = 0
+    goursat_rows, _ = _goursat(rows, n2)  # integer rows: their D is 1
+    infs, maxbs = [], []
     for i, (row, e) in enumerate(zip(rows, goursat_rows)):
-        maxb = Fraction(max(map(abs, e)) << n2, den)
         try:
             enc = _range_enclosure(row, den, _q2_stop, max_levels)
         except InconclusiveError as exc:
@@ -169,39 +157,27 @@ def nested_q2(
                 best=enc,
             )
         infs.append(enc.lo)
-        maxbs.append(maxb)
-        worst = max(worst, math.ceil(two_n2_sq * maxb / enc.lo))
-    q2 = 2 * (3 * n2 + worst + 1)
-    full = replace(
-        report,
-        q2=q2,
-        per_i_inf_lower=tuple(infs),
-        per_i_maxb_upper=tuple(maxbs),
-    )
-    return q2, full
+        maxbs.append(Fraction(max(map(abs, e)), den))
+    # The degree grows with maxB_i / inf_i, so the worst row sets it.
+    maxb, inf = max(zip(maxbs, infs), key=lambda row: row[0] / row[1])
+    q2 = 2 * powers_reznick_degree(n2, maxb, inf)
+    return q2, replace(report, q2=q2, per_i_inf_lower=tuple(infs), per_i_maxb_upper=tuple(maxbs))
 
 
 def certify_nested(
     p: BPoly,
     *,
-    lambda_lower: Optional[RationalLike] = None,
-    l_upper: Optional[RationalLike] = None,
     max_doublings: int = 20,
     max_levels: int = 64,
 ) -> PositivityCertificate:
     """Certify p > 0 on the unit box by the nested univariate construction.
 
-    Runs the two degree computations, then takes the plain Bernstein
-    coefficients of p at (q1, q2) from the kernel; all entries of that matrix
-    are strictly positive, and its expansion reproduces p exactly.
+    Runs the two degree computations, both on integers and with every bound
+    computed, then takes the plain Bernstein coefficients of p at (q1, q2)
+    from the kernel; all entries of that matrix are strictly positive, and
+    its expansion reproduces p exactly.
     """
-    q1, report = nested_q1(
-        p,
-        lambda_lower=lambda_lower,
-        l_upper=l_upper,
-        max_doublings=max_doublings,
-        max_levels=max_levels,
-    )
+    q1, report = nested_q1(p, max_doublings=max_doublings, max_levels=max_levels)
     q2, report = nested_q2(p, q1, report, max_levels=max_levels)
     nums, den = plain_coeffs(p, q1, q2)
     for i, row in enumerate(nums):
@@ -209,6 +185,6 @@ def certify_nested(
         if bad is not None:
             raise CertificationError(
                 f"row {i} produced a nonpositive coefficient at {bad}; "
-                "a supplied bound was not a valid certified bound"
+                "the certified bounds did not give a sufficient degree"
             )
     return PositivityCertificate.from_integers(q1, q2, nums, den, Method.NESTED, report)

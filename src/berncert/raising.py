@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .certificates import (
     Method,
@@ -340,6 +340,29 @@ def _refute(p: BPoly, enc: MinEnclosure) -> None:
     )
 
 
+def _raise(
+    p: BPoly,
+    accept: Callable[[MinEnclosure], bool],
+    what: str,
+    max_doublings: int,
+    q_start: Optional[tuple[int, int]] = None,
+) -> tuple[int, MinEnclosure]:
+    """The loop of both raising policies: (doublings, enclosure) at the first
+    doubled degrees whose enclosure ``accept`` takes, c_min coming from
+    ``_grid_min``.  Refutes p once hi <= 0; at the cap, raises
+    InconclusiveError("no <what> after ...") with the last enclosure."""
+    _corner_check(p)
+    g1, g2 = gamma_bounds(p)
+    enc = None
+    for doublings, (q1, q2) in enumerate(_doubled_degrees(p, max_doublings, q_start)):
+        enc = MinEnclosure(q1, q2, _c_min(p, q1, q2), enclosure_bound(g1, g2, q1, q2))
+        if accept(enc):
+            return doublings, enc
+        if enc.hi <= 0:
+            _refute(p, enc)
+    raise InconclusiveError(f"no {what} after {max_doublings} degree doublings", best=enc)
+
+
 def minimum_lower_bound(
     p: BPoly, max_doublings: int = 20
 ) -> tuple[Fraction, MinEnclosure]:
@@ -350,18 +373,10 @@ def minimum_lower_bound(
     true minimum).  Raises NotPositiveError when an enclosure proves the
     minimum nonpositive, and InconclusiveError at the doubling cap.
     """
-    _corner_check(p)
-    enc = None
-    for q1, q2 in _doubled_degrees(p, max_doublings):
-        enc = min_enclosure(p, q1, q2)
-        if enc.c_min > 0 and enc.bound <= enc.c_min:
-            return enc.c_min, enc
-        if enc.hi <= 0:
-            _refute(p, enc)
-    raise InconclusiveError(
-        f"no positive lower bound after {max_doublings} degree doublings",
-        best=enc,
+    _, enc = _raise(
+        p, lambda e: 0 < e.c_min and e.bound <= e.c_min, "positive lower bound", max_doublings
     )
+    return enc.c_min, enc
 
 
 def certify_raise(
@@ -372,25 +387,15 @@ def certify_raise(
     """Certify p > 0 on the box by raising the Bernstein degrees.
 
     Starting from q_start (default (max(n1,2), max(n2,2))), doubles both
-    degrees until every normalized coefficient is positive.  At each degree
-    pair the minimum coefficient comes from ``_grid_min`` on small integers;
-    the plain kernel runs once, at the degrees that certify, and its (N, D)
-    is the certificate.  Raises NotPositiveError with a grid witness when an
+    degrees until every normalized coefficient is positive.  The plain
+    kernel runs once, at the degrees that certify, and its (N, D) is the
+    certificate.  Raises NotPositiveError with a grid witness when an
     enclosure shows the minimum is nonpositive, and InconclusiveError with
     the best enclosure when the doubling cap is reached.
     """
-    _corner_check(p)
-    g1, g2 = gamma_bounds(p)
-    enc = None
-    for doublings, (q1, q2) in enumerate(_doubled_degrees(p, max_doublings, q_start)):
-        enc = MinEnclosure(q1, q2, _c_min(p, q1, q2), enclosure_bound(g1, g2, q1, q2))
-        if enc.c_min > 0:
-            report = RaiseReport(doublings, enc, g1, g2)
-            nums, den = plain_coeffs(p, q1, q2)
-            return PositivityCertificate.from_integers(q1, q2, nums, den, Method.RAISE, report)
-        if enc.hi <= 0:
-            _refute(p, enc)
-    raise InconclusiveError(
-        f"no positive Bernstein form after {max_doublings} degree doublings",
-        best=enc,
+    doublings, enc = _raise(
+        p, lambda e: e.c_min > 0, "positive Bernstein form", max_doublings, q_start
     )
+    nums, den = plain_coeffs(p, enc.q1, enc.q2)
+    report = RaiseReport(doublings, enc, *gamma_bounds(p))
+    return PositivityCertificate.from_integers(enc.q1, enc.q2, nums, den, Method.RAISE, report)

@@ -1,8 +1,7 @@
 """Univariate Bernstein machinery on the unit interval.
 
-Provides conversion between the monomial basis and the Bernstein basis
-x**i * (1-x)**(m-i) (plain convention, no binomial factor) or
-C(m,i) * x**i * (1-x)**(m-i) (normalized convention), the Goursat transform
+Provides conversion between the monomial basis and the plain Bernstein basis
+x**i * (1-x)**(m-i) (no binomial factor), the Goursat transform
 p~(x) = (2x)**n * p((1-x)/x), degree elevation, an explicit degree bound at
 which a strictly positive polynomial acquires a nonnegative Bernstein
 representation, certified range enclosure by de Casteljau bisection (on
@@ -10,39 +9,30 @@ integer control points: only each level's bounds become Fractions), and a
 positivity certifier that combines all of the above.  ``_plain_kernel`` is the
 package's one basis conversion in both directions: monomial to plain
 Bernstein, and with alternating signs the inverse.  ``to_bernstein_plain``,
-``from_bernstein``, the Goursat transform (the inverse applied to p's
-reversed coefficients) and ``elevate`` are single calls of it, and the
-bivariate modules apply it along x1 and along x2.
+``from_bernstein``, the Goursat transform (``_goursat``: the inverse applied
+to reversed coefficient vectors) and ``elevate`` are single calls of it, and
+the bivariate modules apply it along x1 and along x2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import DegreeError, InconclusiveError, NotPositiveError
-from .polys import RationalLike, UPoly, binom, binomial_row, rat
-
-
-class BasisConvention(Enum):
-    PLAIN = "plain"
-    NORMALIZED = "normalized"
+from .polys import RationalLike, UPoly, binomial_row, rat
 
 
 @dataclass(frozen=True)
 class BernsteinForm1D:
-    """Bernstein coefficients of a univariate polynomial at a fixed degree.
-
-    Plain convention:       p(x) = sum_i coeffs[i] * x**i * (1-x)**(degree-i)
-    Normalized convention:  p(x) = sum_i coeffs[i] * C(degree,i) * x**i * (1-x)**(degree-i)
+    """Plain Bernstein coefficients of a univariate polynomial at a fixed degree:
+    p(x) = sum_i coeffs[i] * x**i * (1-x)**(degree-i).
     """
 
     degree: int
     coeffs: tuple[Fraction, ...]
-    convention: BasisConvention
 
     def __post_init__(self):
         if self.degree < 0:
@@ -52,26 +42,6 @@ class BernsteinForm1D:
                 f"expected {self.degree + 1} coefficients, got {len(self.coeffs)}"
             )
         object.__setattr__(self, "coeffs", tuple(rat(c) for c in self.coeffs))
-
-    def to_plain(self) -> "BernsteinForm1D":
-        if self.convention is BasisConvention.PLAIN:
-            return self
-        m = self.degree
-        return BernsteinForm1D(
-            m,
-            tuple(c * binom(m, i) for i, c in enumerate(self.coeffs)),
-            BasisConvention.PLAIN,
-        )
-
-    def to_normalized(self) -> "BernsteinForm1D":
-        if self.convention is BasisConvention.NORMALIZED:
-            return self
-        m = self.degree
-        return BernsteinForm1D(
-            m,
-            tuple(c / binom(m, i) for i, c in enumerate(self.coeffs)),
-            BasisConvention.NORMALIZED,
-        )
 
 
 @dataclass(frozen=True)
@@ -138,39 +108,48 @@ def to_bernstein_plain(p: UPoly, m: int) -> BernsteinForm1D:
     if m < n:
         raise DegreeError(f"target degree {m} is below polynomial degree {n}")
     (nums,), den = _plain_kernel([p.coeffs], m)
-    return BernsteinForm1D(
-        m, tuple(Fraction(v, den) for v in nums), BasisConvention.PLAIN
-    )
+    return BernsteinForm1D(m, tuple(Fraction(v, den) for v in nums))
 
 
 def from_bernstein(b: BernsteinForm1D) -> UPoly:
-    """Exact monomial form of a Bernstein representation (either convention).
+    """Exact monomial form of a plain Bernstein representation.
 
-    One inverse kernel call on the plain coefficients.
+    One inverse kernel call.
     """
-    plain = b.to_plain()
-    (nums,), den = _plain_kernel([plain.coeffs], plain.degree, sign=-1)
+    (nums,), den = _plain_kernel([b.coeffs], b.degree, sign=-1)
     return UPoly([Fraction(v, den) for v in nums])
+
+
+def _goursat(
+    vectors: Sequence[Sequence[Union[Fraction, int]]], n: int
+) -> tuple[list[list[int]], int]:
+    """Goursat coefficients at degree n of each vector of at most n + 1
+    coefficients, as integers: (rows, D), transform r being
+    sum_k rows[r][k] x**k / D.
+
+    (2x)**n * p((1-x)/x) = 2**n * sum_i a_i * x**(n-i) * (1-x)**i is the
+    plain Bernstein form at degree n with coefficient vector
+    2**n * (a_n, ..., a_0), p's coefficients zero-padded to n + 1 entries
+    and reversed: one inverse kernel call over all the vectors, and a shift.
+    """
+    reversed_padded = [[0] * (n + 1 - len(v)) + list(reversed(v)) for v in vectors]
+    rows, den = _plain_kernel(reversed_padded, n, sign=-1)
+    return [[v << n for v in row] for row in rows], den
 
 
 def goursat_coefficients(p: UPoly, n: Optional[int] = None) -> tuple[Fraction, ...]:
     """Coefficients (B_0, ..., B_n) of the Goursat transform of p.
 
-    (2x)**n * p((1-x)/x) = 2**n * sum_i a_i * x**(n-i) * (1-x)**i is the
-    plain Bernstein form at degree n with coefficient vector
-    2**n * (a_n, ..., a_0), the coefficients of p reversed; B is its monomial
-    form, one inverse kernel call.  ``n`` defaults to the stored degree; a
-    larger n treats p as padded with zero coefficients up to x**n (the
-    reversed vector gains n - deg p leading zeros), which scales and shifts
-    the transform accordingly.
+    ``n`` defaults to the stored degree; a larger n treats p as padded with
+    zero coefficients up to x**n, which scales and shifts the transform
+    accordingly.  One ``_goursat`` call.
     """
     if n is None:
         n = p.degree
     elif n < p.degree:
         raise DegreeError(f"declared degree {n} is below polynomial degree {p.degree}")
-    reversed_coeffs = [0] * (n - p.degree) + list(reversed(p.coeffs))
-    (nums,), den = _plain_kernel([reversed_coeffs], n, sign=-1)
-    return tuple(Fraction(v << n, den) for v in nums)
+    (nums,), den = _goursat([p.coeffs], n)
+    return tuple(Fraction(v, den) for v in nums)
 
 
 def goursat(p: UPoly) -> UPoly:
@@ -200,7 +179,7 @@ def powers_reznick_degree(
 
 
 def elevate(b: BernsteinForm1D, q_star: int) -> BernsteinForm1D:
-    """Rewrite a Bernstein form (either convention) as a plain one at q_star.
+    """The plain Bernstein form of b's polynomial at degree q_star >= b.degree.
 
     The plain basis at q_star >= q is a basis of the polynomials of degree at
     most q_star, so the result is the plain form of b's polynomial there:
@@ -312,6 +291,11 @@ def _range_enclosure(
         levels += 1
 
 
+def _within(width: Fraction) -> Callable[[RangeEnclosure1D], bool]:
+    """Stop once both gaps min_value - lo and hi - max_value are at most width."""
+    return lambda e: e.min_value - e.lo <= width and e.hi - e.max_value <= width
+
+
 def range_enclosure_1d(
     p: UPoly,
     max_width: Optional[RationalLike] = None,
@@ -339,10 +323,7 @@ def range_enclosure_1d(
         width = rat(max_width)
         if width <= 0:
             raise ValueError("max_width must be positive")
-
-        def predicate(enc: RangeEnclosure1D) -> bool:
-            return enc.min_value - enc.lo <= width and enc.hi - enc.max_value <= width
-
+        predicate = _within(width)
     return _range_enclosure(p.coeffs, 1, predicate, max_levels)
 
 

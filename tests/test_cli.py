@@ -275,7 +275,9 @@ class TestEncloseMin:
         code = main(["enclose-min", poly_file(WORKED),
                      "--target-width", "1/100000", "--max-iter", "2"])
         assert code == 3
-        assert len(capsys.readouterr().out.split()) == 4
+        captured = capsys.readouterr()
+        lo, hi, _, _ = captured.out.split()
+        assert captured.err == f"status=inconclusive lo={lo} hi={hi}\n"
 
     def test_degree_below_floor(self, poly_file):
         assert main(["enclose-min", poly_file(WORKED), "--q1", "1", "--q2", "2"]) == 1

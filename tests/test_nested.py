@@ -5,21 +5,28 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from berncert import (
     BPoly,
     DegreeError,
+    InconclusiveError,
     Method,
     NotPositiveError,
+    PositivityCertificate,
     UPoly,
     certify_nested,
     coefficient_bernstein_polys,
     expand_plain_2d,
     goursat_coefficients,
+    minimum_lower_bound,
     nested_q1,
     nested_q2,
+    powers_reznick_degree,
+    range_enclosure_1d,
     verify,
 )
+from berncert.certificates import plain_coeffs
 
 from corpus import BIVARIATE_CORPUS, random_unit_fraction
 
@@ -107,6 +114,79 @@ class TestNestedQ1:
             nested_q1(BPoly([[0], [1]]))  # p = x1 vanishes on a face
 
 
+def _fraction_q1(p, lam, max_levels):
+    """The Fraction first stage that nested_q1 replaced, kept as its oracle:
+    one Goursat transform per column of p, then a range enclosure of each
+    coefficient polynomial B_k(x2) as a UPoly.  Returns (q1, L)."""
+    cols = [goursat_coefficients(c, n=p.n1) for c in p.coefficient_cols()]
+    bound = Fraction(0)
+    for row in zip(*cols):
+        enc = range_enclosure_1d(UPoly(row), max_width=lam, max_levels=max_levels)
+        bound = max(bound, abs(enc.lo), abs(enc.hi))
+    return 2 * powers_reznick_degree(p.n1, bound, lam), bound
+
+
+def _q1_outcome(run):
+    try:
+        q1, l_upper = run()
+    except InconclusiveError as exc:
+        return "inconclusive", exc.best
+    return "ok", (q1, l_upper)
+
+
+def _assert_q1_matches_oracle(p, lam, max_levels=64):
+    def integer_stage():
+        q1, report = nested_q1(p, lambda_lower=lam, max_levels=max_levels)
+        assert report.lambda_lower == lam
+        return q1, report.l_upper
+
+    got = _q1_outcome(integer_stage)
+    assert got == _q1_outcome(lambda: _fraction_q1(p, lam, max_levels))
+
+
+entries = st.one_of(st.just(0), st.fractions(min_value=-5, max_value=5, max_denominator=12))
+lambdas = st.fractions(min_value=0, max_value=Fraction(1, 4), max_denominator=10**4).filter(
+    lambda x: x > 0
+)
+
+
+@st.composite
+def sparse_polys(draw):
+    """p of degrees 0..4 in each variable, often with a row or a column
+    entirely zero (a trailing one is trimmed, lowering the degree)."""
+    n1, n2 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    zero_rows = draw(st.sets(st.integers(0, n1), max_size=1))
+    zero_cols = draw(st.sets(st.integers(0, n2), max_size=1))
+    return BPoly(
+        [
+            [0 if i in zero_rows or j in zero_cols else draw(entries) for j in range(n2 + 1)]
+            for i in range(n1 + 1)
+        ]
+    )
+
+
+class TestNestedQ1Oracle:
+    """The integer first stage equals the Fraction one it replaced."""
+
+    @pytest.mark.parametrize("name, p", BIVARIATE_CORPUS, ids=[n for n, _ in BIVARIATE_CORPUS])
+    def test_corpus(self, name, p):
+        lam, _ = minimum_lower_bound(p)
+        _assert_q1_matches_oracle(p, lam)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_polys(), st.booleans(), lambdas, st.integers(0, 4))
+    def test_random(self, p, certified_lambda, lam, max_levels):
+        if certified_lambda:
+            # Lifting p by the sum of its coefficient magnitudes plus one
+            # makes it positive on the box, so it usually has a lambda.
+            p = p + BPoly([[sum(abs(a) for row in p.coeffs for a in row) + 1]])
+            try:
+                lam, _ = minimum_lower_bound(p, max_doublings=4)
+            except InconclusiveError:
+                pass  # keep the drawn lambda
+        _assert_q1_matches_oracle(p, lam, max_levels)
+
+
 class TestNestedQ2:
     def test_constant(self):
         q1, report = nested_q1(ONE)
@@ -174,9 +254,14 @@ class TestCertifyNested:
             assert cert.q1 % 2 == 0 and cert.q2 % 2 == 0, name
 
     def test_monotone_safety(self):
+        # A smaller valid lambda gives a larger q1, and the degrees still
+        # certify.
         baseline = certify_nested(PLANE)
-        worse = certify_nested(PLANE, lambda_lower=Fraction(1, 2), l_upper=4)
-        assert worse.q1 > baseline.q1
+        q1, report = nested_q1(PLANE, lambda_lower=Fraction(1, 2))
+        assert q1 > baseline.q1
+        q2, report = nested_q2(PLANE, q1, report)
+        nums, den = plain_coeffs(PLANE, q1, q2)
+        worse = PositivityCertificate.from_integers(q1, q2, nums, den, Method.NESTED, report)
         assert verify(PLANE, worse)
 
     def test_report_carried(self):

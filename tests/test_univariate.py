@@ -8,12 +8,12 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from berncert import (
-    BasisConvention,
     BernsteinForm1D,
     InconclusiveError,
     NotPositiveError,
     RangeEnclosure1D,
     UPoly,
+    binom,
     certify_positive_1d,
     elevate,
     from_bernstein,
@@ -23,6 +23,7 @@ from berncert import (
     range_enclosure_1d,
     to_bernstein_plain,
 )
+from berncert.univariate import _goursat
 
 from corpus import random_unit_fraction, random_upoly
 
@@ -77,23 +78,8 @@ class TestToBernstein:
 
 class TestFromBernstein:
     def test_plain_examples(self):
-        assert from_bernstein(
-            BernsteinForm1D(2, (1, 2, 1), BasisConvention.PLAIN)
-        ) == UPoly([1])
-        assert from_bernstein(
-            BernsteinForm1D(2, (0, 1, 1), BasisConvention.PLAIN)
-        ) == UPoly([0, 1])
-
-    def test_normalized_example(self):
-        assert from_bernstein(
-            BernsteinForm1D(2, (0, 0, 1), BasisConvention.NORMALIZED)
-        ) == UPoly([0, 0, 1])
-
-    def test_convention_conversion(self):
-        form = BernsteinForm1D(3, (3, 9, 9, 3), BasisConvention.PLAIN)
-        normalized = form.to_normalized()
-        assert normalized.coeffs == (3, 3, 3, 3)
-        assert normalized.to_plain() == form
+        assert from_bernstein(BernsteinForm1D(2, (1, 2, 1))) == UPoly([1])
+        assert from_bernstein(BernsteinForm1D(2, (0, 1, 1))) == UPoly([0, 1])
 
 
 class TestGoursat:
@@ -129,6 +115,15 @@ class TestGoursat:
         if padding == 0:
             assert goursat(p) == transform
 
+    @given(st.lists(fractions_st, min_size=1, max_size=9), st.integers(0, 3))
+    @settings(deadline=None)
+    def test_batched_integer_helper(self, v, padding):
+        # Trailing zeros in v stay in the vector _goursat pads, while UPoly
+        # trims them: both must give the same transform at degree n.
+        n = len(v) - 1 + padding
+        (row,), den = _goursat([v], n)
+        assert tuple(Fraction(c, den) for c in row) == goursat_coefficients(UPoly(v), n)
+
 
 class TestPowersReznickDegree:
     def test_constant(self):
@@ -153,40 +148,30 @@ class TestPowersReznickDegree:
 
 class TestElevate:
     def test_constant_reelevated(self):
-        form = BernsteinForm1D(1, (1, 1), BasisConvention.PLAIN)
+        form = BernsteinForm1D(1, (1, 1))
         assert elevate(form, 2).coeffs == (1, 2, 1)
 
     def test_x_elevated(self):
-        form = BernsteinForm1D(2, (0, 1, 1), BasisConvention.PLAIN)
+        form = BernsteinForm1D(2, (0, 1, 1))
         lifted = elevate(form, 3)
         assert lifted.coeffs == (0, 1, 2, 1)
         assert from_bernstein(lifted) == UPoly([0, 1])
 
     def test_identity_case(self):
-        form = BernsteinForm1D(2, (3, 5, 7), BasisConvention.PLAIN)
+        form = BernsteinForm1D(2, (3, 5, 7))
         assert elevate(form, 2) == form
 
     def test_lowering_rejected(self):
         from berncert import DegreeError
 
-        form = BernsteinForm1D(2, (3, 5, 7), BasisConvention.PLAIN)
+        form = BernsteinForm1D(2, (3, 5, 7))
         with pytest.raises(DegreeError):
             elevate(form, 1)
 
-    def test_normalized_input(self):
-        # Normalized (0, 0, 1) at degree 2 is x**2: plain (0, 0, 1) at 2.
-        form = BernsteinForm1D(2, (0, 0, 1), BasisConvention.NORMALIZED)
-        lifted = elevate(form, 4)
-        assert lifted.convention is BasisConvention.PLAIN
-        assert lifted == to_bernstein_plain(UPoly([0, 0, 1]), 4)
-        assert lifted.coeffs == (0, 0, 1, 2, 1)
-
-    @given(upolys_st, st.integers(0, 5), st.sampled_from(BasisConvention))
+    @given(upolys_st, st.integers(0, 5))
     @settings(deadline=None)
-    def test_soundness(self, p, extra, convention):
+    def test_soundness(self, p, extra):
         form = to_bernstein_plain(p, p.degree)
-        if convention is BasisConvention.NORMALIZED:
-            form = form.to_normalized()
         lifted = elevate(form, p.degree + extra)
         assert from_bernstein(lifted) == p
         assert lifted == to_bernstein_plain(p, p.degree + extra)
@@ -206,7 +191,7 @@ class TestElevate:
         coeffs[0] += Fraction(1, 3)
         coeffs[-1] += Fraction(1, 7)
         q = len(coeffs) - 1
-        form = BernsteinForm1D(q, tuple(coeffs), BasisConvention.PLAIN)
+        form = BernsteinForm1D(q, tuple(coeffs))
         q_star = 2 * q + extra
         lifted = elevate(form, q_star)
         floor = min(coeffs[0], coeffs[-1])
@@ -277,7 +262,8 @@ def _fraction_range_enclosure(p, predicate, max_levels):
             right.append(layer[-1])
         return tuple(left), tuple(reversed(right))
 
-    control = to_bernstein_plain(p, p.degree).to_normalized().coeffs
+    m = p.degree
+    control = [c / binom(m, i) for i, c in enumerate(to_bernstein_plain(p, m).coeffs)]
     zero, one = Fraction(0), Fraction(1)
     segments = [(zero, one, control)]
     samples = [(zero, control[0]), (one, control[-1])]
