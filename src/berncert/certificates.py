@@ -14,12 +14,16 @@ certifiers store (N, D) as the kernel gave them, a parsed document its
 tokens as written, and ``coefficients`` is a derived Fraction view.
 Verification is a pure function of the certificate and the
 polynomial that does not trust the producer: it checks the sign of every
-numerator (denominators are positive), recomputes that matrix and compares
-it with the stored fractions by integer cross-multiplication, in
-O(q1*q2*(n1+n2)) operations.  Below p's degrees no C can expand to p, since
-p is stored trimmed.  Only a rejection expands C into monomials
-(``expand_plain_2d``, the same kernel with alternating signs, along x2 and
-then along x1), to name the first mismatching monomial.
+numerator (denominators are positive), recomputes that matrix for p cut to
+degrees (q1, q2) and compares it with the stored fractions by integer
+cross-multiplication, in O(q1*q2*(n1+n2)) operations.  The same comparison
+explains a rejection.  Along each axis the plain map is lower triangular
+with unit diagonal, so the first entry where the two matrices differ is the
+first monomial where C's expansion differs from p, and their difference is
+the difference of the coefficients.  A nonzero coefficient of p past
+(q1, q2) is a mismatch as well: no C at those degrees reaches it.  C is
+never expanded; ``expand_plain_2d`` is the inverse map, for callers that
+want the monomial form.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import DegreeError
 from .polys import BPoly, rat
@@ -180,39 +184,47 @@ def plain_coeffs(p: BPoly, q1: int, q2: int) -> tuple[list[list[int]], int]:
     return rows, den
 
 
-def _is_plain_matrix(p: BPoly, cert: PositivityCertificate) -> bool:
-    """Whether C is the plain Bernstein matrix of p at (q1, q2).
+def _mismatch(p: BPoly, cert: PositivityCertificate) -> Optional[str]:
+    """Names the first monomial, row-major, where C's expansion differs from
+    p, or returns None when C is p's plain matrix at (q1, q2).
 
-    Equivalent to expand_plain_2d(C, q1, q2) == p: at degrees below p's
-    there is no such matrix, and at or above them it is unique.
+    Along each axis the plain map and its inverse are lower triangular with
+    unit diagonal.  So with p cut to degrees (q1, q2), the first row-major
+    nonzero entry of C - plain_coeffs(cut p) sits at the first monomial
+    where the expansion of C differs from the cut p, and equals that
+    difference.  The expansion has no monomial past (q1, q2), where any
+    nonzero coefficient of p is a mismatch too; the earlier of the two wins.
     """
-    if cert.q1 < p.n1 or cert.q2 < p.n2:
-        return False
-    nums, den = plain_coeffs(p, cert.q1, cert.q2)
-    dens = ((den,) * (cert.q2 + 1),) * (cert.q1 + 1)
-    return same_values(nums, dens, cert.numerators, cert.denominators)
-
-
-def _first_mismatch(p: BPoly, cert: PositivityCertificate) -> str:
-    """Names the first monomial, row-major, where C's expansion differs from p."""
-    expansion = expand_plain_2d(cert.coefficients, cert.q1, cert.q2)
-    n1 = max(expansion.n1, p.n1)
-    n2 = max(expansion.n2, p.n2)
-
-    def coeff(poly: BPoly, r: int, c: int) -> Fraction:
-        if r <= poly.n1 and c <= poly.n2:
-            return poly.coeffs[r][c]
-        return Fraction(0)
-
-    for r in range(n1 + 1):
-        for c in range(n2 + 1):
-            got, want = coeff(expansion, r, c), coeff(p, r, c)
-            if got != want:
-                return (
-                    f"expansion mismatch at monomial x1^{r} x2^{c}: "
-                    f"expansion gives {got}, polynomial has {want}"
-                )
-    raise AssertionError("C is not the plain matrix of p, yet expands to p")
+    q1, q2 = cert.q1, cert.q2
+    cut = BPoly([row[: q2 + 1] for row in p.coeffs[: q1 + 1]])
+    nums, den = plain_coeffs(cut, q1, q2)
+    inside = next(  # indexed, not unpacked: no tuple per entry
+        (
+            (i, j, Fraction(crow[j] * den - prow[j] * drow[j], drow[j] * den))
+            for i, (crow, drow, prow) in enumerate(zip(cert.numerators, cert.denominators, nums))
+            for j in range(q2 + 1)
+            if crow[j] * den != prow[j] * drow[j]
+        ),
+        None,
+    )
+    outside = next(
+        (
+            (i, j, -c)
+            for i, row in enumerate(p.coeffs)
+            for j, c in enumerate(row)
+            if c and (i > q1 or j > q2)
+        ),
+        None,
+    )
+    found = [m for m in (inside, outside) if m]
+    if not found:
+        return None
+    i, j, diff = min(found, key=lambda m: m[:2])
+    want = p.coeffs[i][j] if i <= p.n1 and j <= p.n2 else Fraction(0)
+    return (
+        f"expansion mismatch at monomial x1^{i} x2^{j}: "
+        f"expansion gives {want + diff}, polynomial has {want}"
+    )
 
 
 def verify(p: BPoly, cert: PositivityCertificate) -> VerificationResult:
@@ -220,8 +232,7 @@ def verify(p: BPoly, cert: PositivityCertificate) -> VerificationResult:
 
     Both checks always run; the result collects every failure reason found
     (first nonpositive entry in row-major order, first mismatching monomial
-    of the expansion of C against p).  The expansion is computed only to
-    name that monomial, after the kernel comparison has failed.
+    of the expansion of C against p), both read off without expanding C.
     """
     reasons = []
     entry = next(
@@ -239,6 +250,7 @@ def verify(p: BPoly, cert: PositivityCertificate) -> VerificationResult:
             f"nonpositive entry C[{i}][{j}] = "
             f"{Fraction(cert.numerators[i][j], cert.denominators[i][j])}"
         )
-    if not _is_plain_matrix(p, cert):
-        reasons.append(_first_mismatch(p, cert))
+    mismatch = _mismatch(p, cert)
+    if mismatch is not None:
+        reasons.append(mismatch)
     return VerificationResult(not reasons, tuple(reasons))

@@ -27,7 +27,7 @@ from .documents import (
 from .errors import DegreeError, InconclusiveError, NotPositiveError
 from .certificates import verify
 from .nested import certify_nested
-from .raising import certify_raise, min_enclosure, min_enclosure_to_width
+from .raising import MinEnclosure, certify_raise, min_enclosure, min_enclosure_to_width
 
 DEFAULT_REFINEMENT_CAP = 64
 DEFAULT_DOUBLING_CAP = 20
@@ -121,9 +121,8 @@ def cmd_certify(args) -> int:
         _diag(status="not-positive", witness=exc.witness, value=exc.value)
         return 2
     except InconclusiveError as exc:
-        best = exc.best
-        if best is not None and hasattr(best, "lo"):
-            _diag(status="inconclusive", lo=best.lo, hi=best.hi)
+        if isinstance(exc.best, MinEnclosure):  # nested attaches 1-D row enclosures
+            _diag(status="inconclusive", lo=exc.best.lo, hi=exc.best.hi)
         else:
             _diag(status="inconclusive")
         return 3

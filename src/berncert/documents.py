@@ -9,11 +9,14 @@ start with ``#`` are ignored.  Tokens follow the ASCII grammar
 an integer over the interpreter's 4300-digit conversion limit, is a
 ``ParseError``.
 
-A certificate's matrix stays integers on the whole path: ``C:`` tokens are
-read into integer numerators and denominators as written (unreduced tokens
-are accepted), and a certificate's entry n/d is written as ``n//g/d//g``
-with g = gcd(n, d), the token ``str(Fraction(n, d))`` would give, without
-building the Fraction.  Polynomial documents hold Fractions.
+A ``CertificateDocument`` holds the ``PositivityCertificate`` itself, built
+from the ``C:`` tokens as written (integer numerators and denominators;
+unreduced tokens are accepted), plus the two things only the file has: the
+ordered ``report`` text and ``tool_version``.  The ``convention: plain``
+header has one legal value, so it is written, required and checked, not
+stored.  Entry n/d is written as ``n//g/d//g`` with g = gcd(n, d), the token
+``str(Fraction(n, d))`` would give, without building the Fraction.
+Polynomial documents hold Fractions.
 
 Polynomial document::
 
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .certificates import Matrix, Method, PositivityCertificate, same_values
+from .certificates import Matrix, Method, PositivityCertificate
 from .nested import NestedDegreeReport
 from .polys import BPoly, UPoly
 from .raising import RaiseReport
@@ -99,12 +102,8 @@ def _parse_count(value: str, error: str) -> int:
         raise ParseError(error) from exc
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def _format_pair(num: int, den: int) -> str:
-    """The lowest-terms token of num/den, as ``format_rational`` writes it."""
+    """The lowest-terms token of num/den, as str(Fraction(num, den)) writes it."""
     g = math.gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
@@ -198,143 +197,95 @@ def parse_polynomial_document(text: str) -> PolynomialDocument:
 def serialize_polynomial_document(doc: PolynomialDocument) -> str:
     out = [f"variables: {doc.variables}", "coeffs:"]
     for row in doc.coeffs:
-        out.append(" ".join(format_rational(c) for c in row))
+        out.append(" ".join(map(str, row)))
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CertificateDocument:
-    """Parsed certificate file; ``report`` is ordered key/value metadata.
+    """A certificate file: the certificate, plus what only the file holds,
+    the ordered ``report`` key/value text and the ``tool_version``.
 
-    ``numerators`` over ``denominators`` (positive) is the matrix C, as in
-    ``PositivityCertificate``: reduced only when written out.  Equality
-    compares entry values.
+    The certificate carries no report object, so two documents are equal
+    when their certificates have equal values and their texts agree.
     """
 
-    method: str
-    q1: int
-    q2: int
-    convention: str
-    numerators: Matrix
-    denominators: Matrix
+    certificate: PositivityCertificate
     report: tuple[tuple[str, str], ...]
     tool_version: str
 
-    def __post_init__(self):
-        if self.method not in ("nested", "raise"):
-            raise ParseError(f"unknown method {self.method!r}")
-        if self.convention != "plain":
-            raise ParseError(f"unknown convention {self.convention!r}")
-        for matrix in (self.numerators, self.denominators):
-            if len(matrix) != self.q1 + 1 or any(len(r) != self.q2 + 1 for r in matrix):
-                raise ParseError(
-                    f"coefficient matrix must be {self.q1 + 1} x {self.q2 + 1}"
-                )
-
-    def _key(self) -> tuple:
-        return (self.method, self.q1, self.q2, self.convention, self.report, self.tool_version)
-
-    def __eq__(self, other):
-        if not isinstance(other, CertificateDocument):
-            return NotImplemented
-        return self._key() == other._key() and same_values(
-            self.numerators, self.denominators, other.numerators, other.denominators
-        )
-
-    def __hash__(self):
-        return hash(self._key())
-
     @classmethod
     def from_certificate(cls, cert: PositivityCertificate) -> "CertificateDocument":
-        report: tuple[tuple[str, str], ...] = ()
-        if isinstance(cert.report, RaiseReport):
-            r = cert.report
-            report = (
-                ("doublings", str(r.doublings)),
-                ("c_min", format_rational(r.enclosure.c_min)),
-                ("bound", format_rational(r.enclosure.bound)),
-                ("gamma1", format_rational(r.gamma1)),
-                ("gamma2", format_rational(r.gamma2)),
+        r = cert.report
+        pairs: tuple = ()
+        if isinstance(r, RaiseReport):
+            pairs = (
+                ("doublings", r.doublings),
+                ("c_min", r.enclosure.c_min),
+                ("bound", r.enclosure.bound),
+                ("gamma1", r.gamma1),
+                ("gamma2", r.gamma2),
             )
-        elif isinstance(cert.report, NestedDegreeReport):
-            r = cert.report
-            report = (
-                ("lambda_lower", format_rational(r.lambda_lower)),
-                ("l_upper", format_rational(r.l_upper)),
-            )
-        return cls(
-            method=cert.method.value,
-            q1=cert.q1,
-            q2=cert.q2,
-            convention="plain",
-            numerators=cert.numerators,
-            denominators=cert.denominators,
-            report=report,
-            tool_version=__version__,
+        elif isinstance(r, NestedDegreeReport):
+            pairs = (("lambda_lower", r.lambda_lower), ("l_upper", r.l_upper))
+        bare = PositivityCertificate.from_integers(
+            cert.q1, cert.q2, cert.numerators, cert.denominators, cert.method
         )
+        return cls(bare, tuple((key, str(value)) for key, value in pairs), __version__)
 
     def to_certificate(self) -> PositivityCertificate:
-        return PositivityCertificate.from_integers(
-            self.q1, self.q2, self.numerators, self.denominators, Method(self.method)
-        )
+        return self.certificate
+
+
+def _key_values(lines: list[str], kind: str = "") -> list[tuple[str, str]]:
+    """The stripped (key, value) of each ``key: value`` line."""
+    pairs = []
+    for line in lines:
+        if ":" not in line:
+            raise ParseError(f"expected 'key: value' {kind}line, got {line!r}")
+        key, value = line.split(":", 1)
+        pairs.append((key.strip(), value.strip()))
+    return pairs
 
 
 def parse_certificate_document(text: str) -> CertificateDocument:
     lines = _content_lines(text)
-    headers: dict[str, str] = {}
-    idx = 0
-    while idx < len(lines) and lines[idx] != "C:":
-        line = lines[idx]
-        if ":" not in line:
-            raise ParseError(f"expected 'key: value' line, got {line!r}")
-        key, value = line.split(":", 1)
-        headers[key.strip()] = value.strip()
-        idx += 1
-    if idx == len(lines):
+    c_at = lines.index("C:") if "C:" in lines else len(lines)
+    headers = dict(_key_values(lines[:c_at]))
+    if c_at == len(lines):
         raise ParseError("expected a 'C:' section")
     for required in ("method", "q1", "q2", "convention", "tool_version"):
         if required not in headers:
             raise ParseError(f"missing header {required!r}")
     q1 = _parse_count(headers["q1"], "q1 and q2 must be integers")
     q2 = _parse_count(headers["q2"], "q1 and q2 must be integers")
-    idx += 1
-    matrix_lines = []
-    while idx < len(lines) and lines[idx] != "report:":
-        matrix_lines.append(lines[idx])
-        idx += 1
-    report = []
-    if idx < len(lines):
-        idx += 1
-        while idx < len(lines):
-            line = lines[idx]
-            if ":" not in line:
-                raise ParseError(f"expected 'key: value' report line, got {line!r}")
-            key, value = line.split(":", 1)
-            report.append((key.strip(), value.strip()))
-            idx += 1
-    numerators, denominators = _parse_matrix_rows(matrix_lines)
-    return CertificateDocument(
-        method=headers["method"],
-        q1=q1,
-        q2=q2,
-        convention=headers["convention"],
-        numerators=numerators,
-        denominators=denominators,
-        report=tuple(report),
-        tool_version=headers["tool_version"],
-    )
+    body = lines[c_at + 1:]
+    r_at = body.index("report:") if "report:" in body else len(body)
+    report = tuple(_key_values(body[r_at + 1:], "report "))
+    numerators, denominators = _parse_matrix_rows(body[:r_at])
+    try:
+        method = Method(headers["method"])
+    except ValueError:
+        raise ParseError(f"unknown method {headers['method']!r}") from None
+    if headers["convention"] != "plain":
+        raise ParseError(f"unknown convention {headers['convention']!r}")
+    if len(numerators) != q1 + 1 or len(numerators[0]) != q2 + 1:
+        raise ParseError(f"coefficient matrix must be {q1 + 1} x {q2 + 1}")
+    cert = PositivityCertificate.from_integers(q1, q2, numerators, denominators, method)
+    return CertificateDocument(cert, report, headers["tool_version"])
 
 
 def serialize_certificate_document(doc: CertificateDocument) -> str:
+    cert = doc.certificate
     out = [
-        f"method: {doc.method}",
-        f"q1: {doc.q1}",
-        f"q2: {doc.q2}",
-        f"convention: {doc.convention}",
+        f"method: {cert.method.value}",
+        f"q1: {cert.q1}",
+        f"q2: {cert.q2}",
+        "convention: plain",
         f"tool_version: {doc.tool_version}",
         "C:",
     ]
-    for nums, dens in zip(doc.numerators, doc.denominators):
+    for nums, dens in zip(cert.numerators, cert.denominators):
         out.append(" ".join(map(_format_pair, nums, dens)))
     if doc.report:
         out.append("report:")

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, diagnostics."""
 
+import dataclasses
 import os
 import stat
 import subprocess
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import berncert
+from berncert import PositivityCertificate
 from berncert.cli import main
 from berncert.documents import (
     parse_certificate_document,
@@ -83,8 +85,8 @@ class TestCertify:
         code = main(["certify", poly_file(WORKED), out, "--method", "raise"])
         assert code == 0
         doc = parse_certificate_document((tmp_path / "cert.txt").read_text())
-        assert doc.method == "raise"
-        assert doc.q1 == doc.q2 <= 16
+        assert doc.certificate.method.value == "raise"
+        assert doc.certificate.q1 == doc.certificate.q2 <= 16
         assert main(["verify", poly_file(WORKED), out]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "ok"
 
@@ -205,7 +207,20 @@ class TestCertify:
             ["certify", poly_file(touching), out, "--method", "raise", "--max-iter", "3"]
         )
         assert code == 3
-        assert "inconclusive" in capsys.readouterr().err
+        assert capsys.readouterr().err == "status=inconclusive lo=-1/72 hi=103/2304\n"
+
+    def test_nested_inconclusive_has_no_bounds(self, poly_file, tmp_path, capsys):
+        # min p lies in [41.26, 44.13]; stage 1 gives up on a row B_k(x2),
+        # whose range bounds nothing about min p.
+        text = (
+            "variables: 2\ncoeffs:\n1827/40 -7/2 9/4 3/2 8/3\n-2 -7/4 -3/2 7/3 -2\n"
+            "1/2 0 -2 9 2\n-8/3 9/2 -5/2 1/2 -6\n"
+        )
+        out = tmp_path / "cert.txt"
+        argv = ["certify", poly_file(text), str(out), "--method", "nested", "--max-iter", "0"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "status=inconclusive\n"
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path):
         assert main(["certify", str(tmp_path / "nope.txt"), "x", "--method", "raise"]) == 1
@@ -233,12 +248,14 @@ class TestVerifyCommand:
         out = tmp_path / "cert.txt"
         assert main(["certify", poly_file(SPHERE), str(out), "--method", "raise"]) == 0
         doc = parse_certificate_document(out.read_text())
-        rows = [list(r) for r in doc.numerators]
-        rows[0][0] = 0  # the document holds integer numerators over denominators
-        tampered = type(doc)(
-            method=doc.method, q1=doc.q1, q2=doc.q2, convention=doc.convention,
-            numerators=tuple(tuple(r) for r in rows), denominators=doc.denominators,
-            report=doc.report, tool_version=doc.tool_version,
+        cert = doc.certificate
+        rows = [list(r) for r in cert.numerators]
+        rows[0][0] = 0  # the certificate holds integer numerators over denominators
+        tampered = dataclasses.replace(
+            doc,
+            certificate=PositivityCertificate.from_integers(
+                cert.q1, cert.q2, rows, cert.denominators, cert.method
+            ),
         )
         out.write_text(serialize_certificate_document(tampered))
         code = main(["verify", poly_file(SPHERE), str(out)])
@@ -250,6 +267,53 @@ class TestVerifyCommand:
         out = str(tmp_path / "cert.txt")
         assert main(["certify", poly_file(SPHERE), out, "--method", "raise"]) == 0
         assert main(["verify", poly_file(WORKED), out]) == 2
+
+    # A well-formed 1 x 2 header; each case breaks it, or its C: block.
+    HEAD = "method: raise\nq1: 0\nq2: 1\nconvention: plain\ntool_version: 0.1.0\n"
+    MALFORMED = {
+        "header-line": ("method raise\nq1: 0\nq2: 1\nC:\n1 1\n",
+                        "expected_'key:_value'_line,_got_'method_raise'"),
+        "no-C-section": (HEAD, "expected_a_'C:'_section"),
+        "missing-header": (HEAD.replace("convention: plain\n", "") + "C:\n1 1\n",
+                           "missing_header_'convention'"),
+        "bad-q1": (HEAD.replace("q1: 0", "q1: x") + "C:\n1 1\n",
+                   "q1_and_q2_must_be_integers"),
+        "report-line": (HEAD + "C:\n1 1\nreport:\nc_min 1\n",
+                        "expected_'key:_value'_report_line,_got_'c_min_1'"),
+        "bad-token": (HEAD + "C:\n1 1/x\n", "malformed_rational_'1/x'"),
+        "empty-block": (HEAD + "C:\nreport:\nc_min: 1\n", "empty_coefficient_block"),
+        "ragged-rows": (HEAD.replace("q1: 0", "q1: 1") + "C:\n1 1\n1\n",
+                        "coefficient_rows_have_inconsistent_lengths"),
+        "unknown-method": (HEAD.replace("raise", "magic") + "C:\n1 1\n",
+                           "unknown_method_'magic'"),
+        "unknown-convention": (HEAD.replace("plain", "normalized") + "C:\n1 1\n",
+                               "unknown_convention_'normalized'"),
+        "wrong-shape": (HEAD + "C:\n1 1 1\n", "coefficient_matrix_must_be_1_x_2"),
+        # Two faults each: the record names the one checked first.
+        "header-before-C": ("method raise\n", "expected_'key:_value'_line,_got_'method_raise'"),
+        "q2-before-report": (HEAD.replace("q2: 1", "q2: -1") + "C:\n1 1\nreport:\nc_min 1\n",
+                             "q1_and_q2_must_be_integers"),
+        "report-before-token": (HEAD + "C:\n1 x\nreport:\nc_min 1\n",
+                                "expected_'key:_value'_report_line,_got_'c_min_1'"),
+        "token-before-method": (HEAD.replace("raise", "magic") + "C:\n1 1/0\n",
+                                "zero_denominator_in_'1/0'"),
+        "method-before-convention": (
+            HEAD.replace("raise", "magic").replace("plain", "normalized") + "C:\n1 1\n",
+            "unknown_method_'magic'",
+        ),
+        "convention-before-shape": (HEAD.replace("plain", "normalized") + "C:\n1\n",
+                                    "unknown_convention_'normalized'"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_parse_error_record_pinned(self, poly_file, tmp_path, capsys, name):
+        text, detail = self.MALFORMED[name]
+        cert = tmp_path / "cert.txt"
+        cert.write_text(text)
+        assert main(["verify", poly_file(SPHERE), str(cert)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"status=parse-error detail={detail}\n"
 
 
 class TestEncloseMin:

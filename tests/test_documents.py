@@ -248,8 +248,12 @@ def test_serialized_integers_are_lowest_terms_tokens(case):
     reduced = [[Fraction(v, den) for v in row] for row in nums]
     assert _c_tokens(text) == [str(c) for row in reduced for c in row]
     again = parse_certificate_document(text)
-    assert again.numerators == tuple(tuple(c.numerator for c in row) for row in reduced)
-    assert again.denominators == tuple(tuple(c.denominator for c in row) for row in reduced)
+    assert again.certificate.numerators == tuple(
+        tuple(c.numerator for c in row) for row in reduced
+    )
+    assert again.certificate.denominators == tuple(
+        tuple(c.denominator for c in row) for row in reduced
+    )
     assert again == CertificateDocument.from_certificate(cert)
 
 

@@ -6,6 +6,7 @@ every certificate into monomials; the verifier must keep producing them byte
 for byte, in the library result and on the CLI's ``status=invalid`` line.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -190,3 +191,91 @@ def plain_matrices(draw):
 def test_expand_plain_2d_matches_sympy(case):
     rows, q1, q2 = case
     assert expand_plain_2d(rows, q1, q2) == _sympy_expand_plain_2d(rows, q1, q2)
+
+
+def _expansion_reason(p, cert):
+    """The reject reason as the verifier built it when it expanded C into
+    monomials: the oracle for the reason verify reads off the kernel
+    comparison."""
+    reasons = [
+        f"nonpositive entry C[{i}][{j}] = {c}"
+        for i, row in enumerate(cert.coefficients)
+        for j, c in enumerate(row)
+        if c <= 0
+    ][:1]
+    expansion = expand_plain_2d(cert.coefficients, cert.q1, cert.q2)
+
+    def coeff(poly, r, c):
+        return poly.coeffs[r][c] if r <= poly.n1 and c <= poly.n2 else Fraction(0)
+
+    first = next(
+        (
+            (r, c)
+            for r in range(max(expansion.n1, p.n1) + 1)
+            for c in range(max(expansion.n2, p.n2) + 1)
+            if coeff(expansion, r, c) != coeff(p, r, c)
+        ),
+        None,
+    )
+    if first is not None:
+        r, c = first
+        reasons.append(
+            f"expansion mismatch at monomial x1^{r} x2^{c}: "
+            f"expansion gives {coeff(expansion, r, c)}, polynomial has {coeff(p, r, c)}"
+        )
+    return "; ".join(reasons) if reasons else None
+
+
+@st.composite
+def reason_inputs(draw):
+    """A small random p and a certificate at degrees (q1, q2) in 0..4, often
+    below p's: the kernel matrix of p cut to (q1, q2), which expands to p
+    only at or above p's degrees, with one entry perhaps perturbed; a random
+    positive matrix; or a random matrix of either sign."""
+    n1, n2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    p = BPoly([[draw(entries) for _ in range(n2 + 1)] for _ in range(n1 + 1)])
+    q1, q2 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(["kernel", "positive", "random"]))
+    if kind == "kernel":
+        cut = BPoly([row[: q2 + 1] for row in p.coeffs[: q1 + 1]])
+        nums, den = plain_coeffs(cut, q1, q2)
+        rows = [[Fraction(v, den) for v in row] for row in nums]
+        if draw(st.booleans()):
+            i, j = draw(st.integers(0, q1)), draw(st.integers(0, q2))
+            rows[i][j] += draw(st.sampled_from([Fraction(1, 10**9), Fraction(-1), Fraction(7, 3)]))
+    else:
+        low = Fraction(1, 6) if kind == "positive" else -3
+        values = st.fractions(min_value=low, max_value=5, max_denominator=6)
+        rows = [[draw(values) for _ in range(q2 + 1)] for _ in range(q1 + 1)]
+    return p, PositivityCertificate(q1, q2, tuple(map(tuple, rows)), Method.RAISE)
+
+
+@settings(max_examples=400, deadline=None)
+@given(reason_inputs())
+def test_reason_matches_expansion_oracle(case):
+    p, cert = case
+    assert verify(p, cert).reason == _expansion_reason(p, cert)
+
+
+def test_long_certificate_rejected_in_bounded_memory(tmp_path, capsys):
+    # p = 1 against q1 = 2000 ones (about 4 KB): C is not p's plain matrix,
+    # whose entries are C(2000, k).  Expanding C into monomials would build a
+    # binomial row per entry of C, about 2 million numbers of up to 2000
+    # bits; the kernel comparison builds one row, since p has one coefficient.
+    poly = tmp_path / "poly.txt"
+    poly.write_text("variables: 2\ncoeffs:\n1\n")
+    cert = tmp_path / "cert.txt"
+    cert.write_text(
+        "method: raise\nq1: 2000\nq2: 0\nconvention: plain\ntool_version: 0.1.0\nC:\n"
+        + "1\n" * 2001
+    )
+    reason = "expansion mismatch at monomial x1^1 x2^0: expansion gives -1999, polynomial has 0"
+    tracemalloc.start()
+    try:
+        code = main(["verify", str(poly), str(cert)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == f"status=invalid reason={reason.replace(' ', '_')}\n"
+    assert peak < 20 * 2**20
