@@ -7,23 +7,19 @@ matrix C with
 
 For q1 >= n1 and q2 >= n2 the products above form a basis of the
 polynomials of bidegree at most (q1, q2), so that matrix is unique: it is
-``plain_coeffs(p, q1, q2)``, computed by the one exact kernel of
-``univariate`` as integer numerators N over one denominator D.  A
-certificate holds C as integer numerators over integer denominators: the
-certifiers store (N, D) as the kernel gave them, a parsed document its
-tokens as written, and ``coefficients`` is a derived Fraction view.
-Verification is a pure function of the certificate and the
-polynomial that does not trust the producer: it checks the sign of every
-numerator (denominators are positive), recomputes that matrix for p cut to
-degrees (q1, q2) and compares it with the stored fractions by integer
-cross-multiplication, in O(q1*q2*(n1+n2)) operations.  The same comparison
-explains a rejection.  Along each axis the plain map is lower triangular
-with unit diagonal, so the first entry where the two matrices differ is the
-first monomial where C's expansion differs from p, and their difference is
-the difference of the coefficients.  A nonzero coefficient of p past
-(q1, q2) is a mismatch as well: no C at those degrees reaches it.  C is
-never expanded; ``expand_plain_2d`` is the inverse map, for callers that
-want the monomial form.
+``plain_coeffs(p, q1, q2)``, integer numerators N over one denominator D,
+made one row at a time by the forward pass of ``univariate`` along x1
+(``_plain_pass``) and then along x2 (``_plain_rows``).  A certificate holds
+C as integer numerators over integer denominators: the certifiers store
+(N, D) as ``plain_coeffs`` gave them, a parsed document its tokens as
+written, and ``coefficients`` is a derived Fraction view.  Verification is
+a pure function of the certificate and the polynomial that does not trust
+the producer: it checks the sign of every numerator (denominators are
+positive), then makes the rows of that matrix for p cut to degrees
+(q1, q2) and compares them in order with the stored fractions by integer
+cross-multiplication, up to the first mismatch, which also names the first
+monomial where C's expansion differs from p (see ``_mismatch``).  C is
+never expanded; ``expand_plain_2d`` is the inverse map.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from typing import Optional
 
 from .errors import DegreeError
 from .polys import BPoly, rat
-from .univariate import _plain_kernel
+from .univariate import _plain_kernel, _plain_pass, _plain_rows
 
 
 class Method(Enum):
@@ -161,17 +157,17 @@ def expand_plain_2d(
     rows of C, then along x1 over the columns of that result, on integers
     over C's common denominator.  The result is exact.
     """
-    rows, den = _plain_kernel(coefficients, q2, sign=-1)
-    cols, _ = _plain_kernel(list(zip(*rows)), q1, sign=-1)
+    rows, den = _plain_kernel(coefficients, q2)
+    cols, _ = _plain_kernel(list(zip(*rows)), q1)
     return BPoly([[Fraction(v, den) for v in row] for row in zip(*cols)])
 
 
 def plain_coeffs(p: BPoly, q1: int, q2: int) -> tuple[list[list[int]], int]:
     """Plain Bernstein coefficients of p at degrees (q1, q2), as integers.
 
-    Returns (N, D) with plain[k][l] = N[k][l] / D: the one kernel runs over
-    the columns of p (the x1 pass, whose rows are the coefficient polynomials
-    A_k(x2) scaled by D) and then over the rows of that result (the x2 pass).
+    Returns (N, D) with plain[k][l] = N[k][l] / D: ``_plain_pass`` over the
+    columns of p (the x1 pass, whose rows are the coefficient polynomials
+    A_k(x2) scaled by D), then ``_plain_rows`` over its rows (the x2 pass).
     Requires q1 >= n1 and q2 >= n2.
     """
     n1, n2 = p.n1, p.n2
@@ -179,9 +175,8 @@ def plain_coeffs(p: BPoly, q1: int, q2: int) -> tuple[list[list[int]], int]:
         raise DegreeError(
             f"degrees ({q1}, {q2}) are below polynomial degrees ({n1}, {n2})"
         )
-    cols, den = _plain_kernel(list(zip(*p.coeffs)), q1)
-    rows, _ = _plain_kernel(list(zip(*cols)), q2)
-    return rows, den
+    x1_rows, den = _plain_pass(list(zip(*p.coeffs)), q1)
+    return list(_plain_rows(x1_rows, n2, q2)), den
 
 
 def _mismatch(p: BPoly, cert: PositivityCertificate) -> Optional[str]:
@@ -193,33 +188,28 @@ def _mismatch(p: BPoly, cert: PositivityCertificate) -> Optional[str]:
     nonzero entry of C - plain_coeffs(cut p) sits at the first monomial
     where the expansion of C differs from the cut p, and equals that
     difference.  The expansion has no monomial past (q1, q2), where any
-    nonzero coefficient of p is a mismatch too; the earlier of the two wins.
+    nonzero coefficient of p is a mismatch too.  Row by row, the entries
+    j <= q2 come before p's coefficients past q2, and the rows of
+    plain_coeffs(cut p) are made one at a time, up to the first mismatch.
     """
     q1, q2 = cert.q1, cert.q2
     cut = BPoly([row[: q2 + 1] for row in p.coeffs[: q1 + 1]])
-    nums, den = plain_coeffs(cut, q1, q2)
-    inside = next(  # indexed, not unpacked: no tuple per entry
-        (
-            (i, j, Fraction(crow[j] * den - prow[j] * drow[j], drow[j] * den))
-            for i, (crow, drow, prow) in enumerate(zip(cert.numerators, cert.denominators, nums))
-            for j in range(q2 + 1)
-            if crow[j] * den != prow[j] * drow[j]
-        ),
-        None,
-    )
-    outside = next(
-        (
-            (i, j, -c)
-            for i, row in enumerate(p.coeffs)
-            for j, c in enumerate(row)
-            if c and (i > q1 or j > q2)
-        ),
-        None,
-    )
-    found = [m for m in (inside, outside) if m]
-    if not found:
+    x1_rows, den = _plain_pass(list(zip(*cut.coeffs)), q1)
+    nums = _plain_rows(x1_rows, cut.n2, q2)
+    for i in range(max(q1, p.n1) + 1):
+        if i <= q1:  # entries indexed, not unpacked: no tuple per entry
+            crow, drow, prow = cert.numerators[i], cert.denominators[i], next(nums)
+            j = next((j for j in range(q2 + 1) if crow[j] * den != prow[j] * drow[j]), None)
+            if j is not None:
+                diff = Fraction(crow[j] * den - prow[j] * drow[j], drow[j] * den)
+                break
+        row = p.coeffs[i] if i <= p.n1 else ()
+        j = next((j for j in range(q2 + 1 if i <= q1 else 0, len(row)) if row[j]), None)
+        if j is not None:
+            diff = -row[j]
+            break
+    else:
         return None
-    i, j, diff = min(found, key=lambda m: m[:2])
     want = p.coeffs[i][j] if i <= p.n1 and j <= p.n2 else Fraction(0)
     return (
         f"expansion mismatch at monomial x1^{i} x2^{j}: "

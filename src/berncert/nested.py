@@ -11,14 +11,15 @@ q1 is driven by a certified positive lower bound on min p over the box and a
 certified upper bound on the Goursat coefficient polynomials of the rows; q2
 by the same quantities computed exactly for each coefficient polynomial.
 That choice of degrees is the whole method: C is the unique plain Bernstein
-matrix of p at (q1, q2), taken from the same exact kernel the raising method
-uses (``certificates.plain_coeffs``) and kept as its integer numerators over
-its one denominator.
+matrix of p at (q1, q2), made by the forward map of
+``certificates.plain_coeffs`` and kept as its integer numerators over its
+one denominator.
 
 Both stages run on integers over one denominator, the first on p's columns,
-the second on the kernel's x1 pass (the rows A_i(x2)): each takes its Goursat
-coefficients from one ``univariate._goursat`` call and bisects integer control
-points (``univariate._range_enclosure``).  Only the report's bounds are
+the second on that map's x1 pass (the rows A_i(x2)), which ``certify_nested``
+also hands to the x2 pass: each takes its Goursat coefficients from one
+``univariate._goursat`` call and bisects integer control points
+(``univariate._range_enclosure``).  Only the report's bounds are
 Fractions, and all of them are computed here.
 """
 
@@ -28,14 +29,15 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .certificates import Method, PositivityCertificate, plain_coeffs
+from .certificates import Method, PositivityCertificate
 from .errors import CertificationError, DegreeError, InconclusiveError
 from .polys import BPoly, RationalLike, UPoly, rat
 from .raising import minimum_lower_bound
 from .univariate import (
     RangeEnclosure1D,
     _goursat,
-    _plain_kernel,
+    _plain_pass,
+    _plain_rows,
     _range_enclosure,
     _within,
     powers_reznick_degree,
@@ -66,20 +68,20 @@ def coefficient_bernstein_polys(p: BPoly, q1: int) -> tuple[UPoly, ...]:
 
     Row i (0 <= i <= q1) is sum over j <= min(n1, i) of
     C(q1-j, q1-i) * a_j(x2), so that p(x1, x2) equals
-    sum_i A_i(x2) * x1**i * (1-x1)**(q1-i) identically: the x1 pass of the
-    kernel over the columns of p, divided by the common denominator.
+    sum_i A_i(x2) * x1**i * (1-x1)**(q1-i) identically: the x1 pass over
+    the columns of p, divided by the common denominator.
     """
     rows, den = _coefficient_rows(p, q1)
     return tuple(UPoly([Fraction(v, den) for v in row]) for row in rows)
 
 
 def _coefficient_rows(p: BPoly, q1: int) -> tuple[list[tuple[int, ...]], int]:
-    """The x1 pass of the kernel as integers: (rows, D) with A_i(x2) equal to
+    """The x1 pass as integers: (rows, D) with A_i(x2) equal to
     sum_j rows[i][j] x2**j / D."""
     if q1 < p.n1:
         raise DegreeError(f"degree {q1} is below the x1 degree {p.n1}")
-    cols, den = _plain_kernel(list(zip(*p.coeffs)), q1)
-    return list(zip(*cols)), den
+    rows, den = _plain_pass(list(zip(*p.coeffs)), q1)
+    return list(rows), den
 
 
 def nested_q1(
@@ -137,8 +139,11 @@ def nested_q2(
     in one ``_goursat`` call, the enclosures by integer de Casteljau; only
     the per-row bounds become Fractions.
     """
-    rows, den = _coefficient_rows(p, q1)
-    n2 = p.n2
+    return _q2_of_rows(*_coefficient_rows(p, q1), p.n2, report, max_levels)
+
+
+def _q2_of_rows(rows, den, n2, report, max_levels) -> tuple[int, NestedDegreeReport]:
+    """``nested_q2`` on the x1 rows (rows, D) it computes."""
     goursat_rows, _ = _goursat(rows, n2)  # integer rows: their D is 1
     infs, maxbs = [], []
     for i, (row, e) in enumerate(zip(rows, goursat_rows)):
@@ -174,12 +179,13 @@ def certify_nested(
 
     Runs the two degree computations, both on integers and with every bound
     computed, then takes the plain Bernstein coefficients of p at (q1, q2)
-    from the kernel; all entries of that matrix are strictly positive, and
-    its expansion reproduces p exactly.
+    by the x2 pass over stage 2's x1 rows; all entries of that matrix are
+    strictly positive, and its expansion reproduces p exactly.
     """
     q1, report = nested_q1(p, max_doublings=max_doublings, max_levels=max_levels)
-    q2, report = nested_q2(p, q1, report, max_levels=max_levels)
-    nums, den = plain_coeffs(p, q1, q2)
+    rows, den = _coefficient_rows(p, q1)
+    q2, report = _q2_of_rows(rows, den, p.n2, report, max_levels)
+    nums = list(_plain_rows(rows, p.n2, q2))
     for i, row in enumerate(nums):
         bad = next((j for j, v in enumerate(row) if v <= 0), None)
         if bad is not None:

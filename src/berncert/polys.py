@@ -134,10 +134,8 @@ class BPoly:
     coeffs: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, coeffs: Iterable[Iterable[RationalLike]]):
-        rows = [[rat(c) for c in row] for row in coeffs]
-        if not rows or not rows[0]:
-            rows = [[Fraction(0)]]
-        width = max(len(r) for r in rows)
+        rows = [[rat(c) for c in row] for row in coeffs] or [[]]
+        width = max(1, *map(len, rows))
         for r in rows:
             r.extend([Fraction(0)] * (width - len(r)))
         while len(rows) > 1 and all(c == 0 for c in rows[-1]):

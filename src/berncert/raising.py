@@ -2,7 +2,7 @@
 
 Both certification methods end in the same matrix: the plain Bernstein
 coefficients of p at degrees (q1, q2), unique at fixed degrees and computed
-by ``certificates.plain_coeffs`` with the one exact kernel of ``univariate``.
+by ``certificates.plain_coeffs`` from the difference table of ``univariate``.
 The methods differ only in how they choose (q1, q2); this module holds the
 raising policy.  At degrees (q1, q2) the normalized coefficients
 
@@ -16,15 +16,14 @@ positive therefore certifies strict positivity, and the two bounds together
 give a certified enclosure of the minimum that converges as the degrees grow.
 
 Neither search of this module needs that matrix.  As a function of the grid
-index, c[k][l] is a polynomial of bidegree (n1, n2) whose coefficients in the
-binomial basis C(k,i) C(l,j) are a[i][j] i! j! / (q1^(i) q2^(j)), with falling
-factorials q^(i) = q (q-1) ... (q-i+1); the values of p on the grid
+index, c[k][l] is a polynomial of bidegree (n1, n2) in the binomial basis
+C(k,i) C(l,j) (``univariate._weights``); the values of p on the grid
 (k/q1, l/q2) are another such polynomial, moved from the monomial basis by
 Stirling numbers.  Both are cleared to small integers and searched by
-``_grid_min``, which walks the grid by prefix sums (a difference table), so
-the minimum coefficient and the refutation witness cost O(q1*q2*(n1+n2))
-additions of integers of about (n1+n2) log q bits.  The plain kernel runs
-only for the certificate, at the degrees that certify.
+``_grid_min``, which walks the grid by prefix sums (``univariate._values``,
+the table that also gives the certificate), so the minimum coefficient and
+the refutation witness cost O(q1*q2*(n1+n2)) additions of integers of about
+(n1+n2) log q bits.  The plain matrix is built only at the certifying degrees.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence
 
 from .certificates import (
@@ -43,6 +41,7 @@ from .certificates import (
 )
 from .errors import DegreeError, InconclusiveError, NotPositiveError
 from .polys import BPoly, RationalLike, binom, binomial_row, rat
+from .univariate import _cleared, _values, _weights
 
 
 @dataclass(frozen=True)
@@ -101,35 +100,18 @@ class RaiseReport:
     gamma2: Fraction
 
 
-def _integer_coeffs(p: BPoly) -> tuple[int, list[list[int]]]:
-    """(D, D*a) with D the lcm of the denominators of p's coefficients."""
-    den = math.lcm(*(a.denominator for row in p.coeffs for a in row))
-    return den, [[a.numerator * (den // a.denominator) for a in row] for row in p.coeffs]
-
-
 def _grid_min(b: Sequence[Sequence[int]], q1: int, q2: int) -> tuple[int, int, int]:
     """First row-major minimum (f(k, l), k, l) over [0..q1] x [0..q2] of
 
         f(k, l) = sum_{i,j} b[i][j] C(k,i) C(l,j),
 
-    an integer polynomial given in the binomial basis.  In one variable, with
-    coefficients c[0..n], f_t(k) = sum_{i >= t} c[i] C(k, i-t) satisfies
-    f_t(k) = c[t] + sum_{m < k} f_{t+1}(m), so the values at 0..q are n
-    rounds of prefix sums starting from the constant c[n].  The columns'
-    values along k are built once; each row k then gives the coefficients
-    along l.
+    an integer polynomial given in the binomial basis.  The columns' values
+    along k (``univariate._values``, prefix sums) are built once; each row k
+    then gives the coefficients along l.
     """
-
-    def values(coeffs, q):
-        vals = [coeffs[-1]] * (q + 1)
-        for c in reversed(coeffs[:-1]):
-            vals.pop()
-            vals = list(accumulate(vals, initial=c))
-        return vals
-
     best = None
-    for k, coeffs in enumerate(zip(*(values(col, q1) for col in zip(*b)))):
-        row = values(coeffs, q2)
+    for k, coeffs in enumerate(zip(*(_values(col, q1) for col in zip(*b)))):
+        row = _values(coeffs, q2)
         m = min(row)
         if best is None or m < best[0]:
             best = (m, k, row.index(m))
@@ -137,16 +119,13 @@ def _grid_min(b: Sequence[Sequence[int]], q1: int, q2: int) -> tuple[int, int, i
 
 
 def _c_min(p: BPoly, q1: int, q2: int) -> Fraction:
-    """The smallest normalized Bernstein coefficient of p at (q1, q2).
-
-    c[k][l] times D q1^(n1) q2^(n2) has the binomial-basis coefficients
-    D a[i][j] i! (q1-i)^(n1-i) j! (q2-j)^(n2-j), all integers.
-    """
+    """The smallest normalized Bernstein coefficient of p at (q1, q2): with
+    the weights w of ``_weights``, c[k][l] times D q1^(n1) q2^(n2) has the
+    binomial-basis coefficients D a[i][j] w1[i] w2[j], all integers."""
     n1, n2 = p.n1, p.n2
-    den, a = _integer_coeffs(p)
-    w1 = [math.factorial(i) * math.perm(q1 - i, n1 - i) for i in range(n1 + 1)]
-    w2 = [math.factorial(j) * math.perm(q2 - j, n2 - j) for j in range(n2 + 1)]
-    b = [[v * u1 * u2 for v, u2 in zip(row, w2)] for row, u1 in zip(a, w1)]
+    a, den = _cleared(p.coeffs)
+    w2 = _weights(n2, q2)
+    b = [[v * u1 * u2 for v, u2 in zip(row, w2)] for row, u1 in zip(a, _weights(n1, q1))]
     value, _, _ = _grid_min(b, q1, q2)
     return Fraction(value, den * math.perm(q1, n1) * math.perm(q2, n2))
 
@@ -234,9 +213,9 @@ def min_enclosure_to_width(
 ) -> MinEnclosure:
     """Enclosure at the first doubled degrees whose bound is at most width.
 
-    Only the bound decides the degrees, so the kernel runs once.  When the
-    cap is reached first, the enclosure at the last degrees is returned and
-    its bound exceeds width.
+    Only the bound decides the degrees, so the minimum search runs once.
+    When the cap is reached first, the enclosure at the last degrees is
+    returned and its bound exceeds width.
     """
     if max_doublings < 0:
         raise ValueError("max_doublings must be nonnegative")
@@ -317,7 +296,7 @@ def _refute(p: BPoly, enc: MinEnclosure) -> None:
     witness; only it and its value become Fractions.
     """
     q1, q2, n1, n2 = enc.q1, enc.q2, p.n1, p.n2
-    den, a = _integer_coeffs(p)
+    a, den = _cleared(p.coeffs)
     # u[i][m] = q**(n-i) m! S(i, m), so q**(n-i) k**i = sum_m u[i][m] C(k, m).
     u1, u2 = (
         [[q ** (n - i) * s for s in row] for i, row in enumerate(_surjections(n))]
@@ -387,9 +366,9 @@ def certify_raise(
     """Certify p > 0 on the box by raising the Bernstein degrees.
 
     Starting from q_start (default (max(n1,2), max(n2,2))), doubles both
-    degrees until every normalized coefficient is positive.  The plain
-    kernel runs once, at the degrees that certify, and its (N, D) is the
-    certificate.  Raises NotPositiveError with a grid witness when an
+    degrees until every normalized coefficient is positive.
+    ``plain_coeffs`` runs once, at the degrees that certify, and its (N, D)
+    is the certificate.  Raises NotPositiveError with a grid witness when an
     enclosure shows the minimum is nonpositive, and InconclusiveError with
     the best enclosure when the doubling cap is reached.
     """

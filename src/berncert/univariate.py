@@ -6,12 +6,12 @@ p~(x) = (2x)**n * p((1-x)/x), degree elevation, an explicit degree bound at
 which a strictly positive polynomial acquires a nonnegative Bernstein
 representation, certified range enclosure by de Casteljau bisection (on
 integer control points: only each level's bounds become Fractions), and a
-positivity certifier that combines all of the above.  ``_plain_kernel`` is the
-package's one basis conversion in both directions: monomial to plain
-Bernstein, and with alternating signs the inverse.  ``to_bernstein_plain``,
-``from_bernstein``, the Goursat transform (``_goursat``: the inverse applied
-to reversed coefficient vectors) and ``elevate`` are single calls of it, and
-the bivariate modules apply it along x1 and along x2.
+positivity certifier that combines all of the above.  The forward map to
+plain Bernstein form is a difference table (``_values`` over ``_weights``):
+``_plain_pass`` on integers, once for ``to_bernstein_plain`` and along x1
+and x2 in the bivariate modules; the range enclosure reads its control
+points off the table.  ``_plain_kernel`` is the inverse map, for
+``from_bernstein`` and the Goursat transform (``_goursat``).
 """
 
 from __future__ import annotations
@@ -19,10 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DegreeError, InconclusiveError, NotPositiveError
 from .polys import RationalLike, UPoly, binomial_row, rat
+
+Vector = Sequence[Union[Fraction, int]]
 
 
 @dataclass(frozen=True)
@@ -63,39 +66,77 @@ class RangeEnclosure1D:
     max_point: Fraction
 
 
-def _plain_kernel(
-    vectors: Sequence[Sequence[Union[Fraction, int]]], q: int, sign: int = 1
-) -> tuple[list[list[int]], int]:
-    """The package's one Bernstein/monomial conversion at degree q, on integers.
+def _cleared(vectors: Sequence[Vector]) -> tuple[list[list[int]], int]:
+    """([D * a for each vector a], D), D the lcm of all the denominators."""
+    den = math.lcm(*(c.denominator for v in vectors for c in v))
+    return [[c.numerator * (den // c.denominator) for c in v] for v in vectors], den
 
-    The common denominator D of all entries is cleared once; a vector a of
-    length n + 1 <= q + 1 then maps to the integers
 
-        out[k] = sum over i <= min(n, k) of sign**(k-i) * C(q-i, k-i) * D * a[i].
+def _plain_kernel(vectors: Sequence[Vector], q: int) -> tuple[list[list[int]], int]:
+    """The inverse map at degree q, plain Bernstein to monomial, on integers.
 
-    With sign = 1 this takes monomial coefficients to plain Bernstein ones:
-    x**i = x**i * (x + (1-x))**(q-i), so a equals
-    sum_k (out[k] / D) * x**k * (1-x)**(q-k).  With sign = -1 it is the
-    inverse matrix, taking plain Bernstein coefficients to monomial ones:
-    x**i * (1-x)**(q-i) expands to sum_k (-1)**(k-i) C(q-i, k-i) x**k.
-    Both use the same binomial rows.  Returns (outputs, D).
+    With D the common denominator, a vector a of length n + 1 <= q + 1 maps
+    to out[k] = sum over i <= min(n, k) of (-1)**(k-i) C(q-i, k-i) D a[i],
+    as x**i (1-x)**(q-i) expands to sum_k (-1)**(k-i) C(q-i, k-i) x**k.
+    Returns (outputs, D).
     """
-    den = 1
-    for v in vectors:
-        for c in v:
-            den = math.lcm(den, c.denominator)
-    # shifted[i][t] = sign**t * C(q-i, t), the weights of input i on outputs
+    vectors, den = _cleared(vectors)
+    # shifted[i][t] = (-1)**t * C(q-i, t), the weights of input i on outputs
     # k = i + t.
-    shifted = [binomial_row(q - i, sign) for i in range(max(len(v) for v in vectors))]
+    shifted = [binomial_row(q - i, -1) for i in range(max(len(v) for v in vectors))]
     out = []
     for v in vectors:
         acc = [0] * (q + 1)
-        for i, c in enumerate(v):
-            a = c.numerator * (den // c.denominator)
+        for i, a in enumerate(v):
             if a:
                 acc[i:] = [s + a * w for s, w in zip(acc[i:], shifted[i])]
         out.append(acc)
     return out, den
+
+
+def _values(coeffs: Sequence[int], q: int) -> list[int]:
+    """[f(0), ..., f(q)] for f(k) = sum_i coeffs[i] C(k, i), by prefix sums:
+    f_t(k) = sum_{i >= t} coeffs[i] C(k, i-t) is coeffs[t] plus the sum of
+    f_{t+1}(m) over m < k, starting from the constant coeffs[n]."""
+    vals = [coeffs[-1]] * (q + 1)
+    for c in reversed(coeffs[:-1]):
+        vals.pop()
+        vals = list(accumulate(vals, initial=c))
+    return vals
+
+
+def _weights(n: int, q: int) -> list[int]:
+    """[i! (q-i)^(n-i) for i <= n], falling factorials, for q >= n: the
+    normalized coefficient C(k, i) / C(q, i) of x**i is C(k, i) w[i] / q^(n)."""
+    return [math.factorial(i) * math.perm(q - i, n - i) for i in range(n + 1)]
+
+
+def _plain_pass(vectors: Sequence[Vector], q: int) -> tuple[Iterator[tuple[int, ...]], int]:
+    """Monomial to plain Bernstein at degree q, on integers, for vectors of
+    one length n + 1 <= q + 1.  With D their common denominator, vector a
+    maps to out[k] = sum over i <= min(n, k) of C(q-i, k-i) D a[i], which is
+    C(q, k) * _values([D a[i] w[i]], q)[k] / q^(n) with w = ``_weights``,
+    the division exact.  Returns (outputs, D); outputs yields the tuple of
+    every vector's out[k] for k = 0..q in turn.
+    """
+    vectors, den = _cleared(vectors)
+    n = len(vectors[0]) - 1
+    w, scale = _weights(n, q), math.perm(q, n)
+    columns = [_values([a * u for a, u in zip(v, w)], q) for v in vectors]
+    binoms = accumulate(range(q), lambda b, k: b * (q - k) // (k + 1), initial=1)
+    return (tuple(b * v // scale for v in vals) for b, vals in zip(binoms, zip(*columns))), den
+
+
+def _plain_rows(rows: Iterable[Sequence[int]], n: int, q: int) -> Iterator[list[int]]:
+    """``_plain_pass`` of each integer vector of length n + 1, one vector at
+    a time: the x2 pass over many rows, with C(q, .) built once for all."""
+    w, binoms, scale = _weights(n, q), binomial_row(q), math.perm(q, n)
+    for row in rows:
+        if n == 0:  # out = a[0] C(q, k): no table, and no division by q^(0) = 1
+            yield [b * row[0] for b in binoms]
+        else:
+            vals = _values([a * u for a, u in zip(row, w)], q)
+            yield [b * v // scale for b, v in zip(binoms, vals)]
 
 
 def to_bernstein_plain(p: UPoly, m: int) -> BernsteinForm1D:
@@ -107,8 +148,8 @@ def to_bernstein_plain(p: UPoly, m: int) -> BernsteinForm1D:
     n = p.degree
     if m < n:
         raise DegreeError(f"target degree {m} is below polynomial degree {n}")
-    (nums,), den = _plain_kernel([p.coeffs], m)
-    return BernsteinForm1D(m, tuple(Fraction(v, den) for v in nums))
+    outputs, den = _plain_pass([p.coeffs], m)
+    return BernsteinForm1D(m, tuple(Fraction(v, den) for v, in outputs))
 
 
 def from_bernstein(b: BernsteinForm1D) -> UPoly:
@@ -116,13 +157,11 @@ def from_bernstein(b: BernsteinForm1D) -> UPoly:
 
     One inverse kernel call.
     """
-    (nums,), den = _plain_kernel([b.coeffs], b.degree, sign=-1)
+    (nums,), den = _plain_kernel([b.coeffs], b.degree)
     return UPoly([Fraction(v, den) for v in nums])
 
 
-def _goursat(
-    vectors: Sequence[Sequence[Union[Fraction, int]]], n: int
-) -> tuple[list[list[int]], int]:
+def _goursat(vectors: Sequence[Vector], n: int) -> tuple[list[list[int]], int]:
     """Goursat coefficients at degree n of each vector of at most n + 1
     coefficients, as integers: (rows, D), transform r being
     sum_k rows[r][k] x**k / D.
@@ -133,7 +172,7 @@ def _goursat(
     and reversed: one inverse kernel call over all the vectors, and a shift.
     """
     reversed_padded = [[0] * (n + 1 - len(v)) + list(reversed(v)) for v in vectors]
-    rows, den = _plain_kernel(reversed_padded, n, sign=-1)
+    rows, den = _plain_kernel(reversed_padded, n)
     return [[v << n for v in row] for row in rows], den
 
 
@@ -211,7 +250,7 @@ def _decasteljau_halves(control: list[int], m: int) -> tuple[list[int], list[int
 
 
 def _range_enclosure(
-    coeffs: Sequence[Union[Fraction, int]],
+    coeffs: Vector,
     den: int,
     predicate: Callable[[RangeEnclosure1D], bool],
     max_levels: int,
@@ -219,9 +258,9 @@ def _range_enclosure(
     """``range_enclosure_1d`` of sum_i coeffs[i] x**i / den, on integers.
 
     Trailing zero coefficients are dropped, so the degree m is the
-    polynomial's own.  The normalized coefficients at degree m are
-    plain[i] / (C(m,i) D), with (plain, D) from the kernel; over
-    S = lcm_i C(m,i) D den they are integers, and every bisection level
+    polynomial's own.  With D clearing the coefficients' denominators, the
+    normalized coefficients at degree m are ``_values`` of the integers
+    D coeffs[i] i! (m-i)! over S = D m! den, and every bisection level
     multiplies the scale by 2**m.  All segments alive at one level share that
     scale, so comparisons are integer ones; a segment that turns passive
     stays passive (min_value only falls and max_value only rises), so it is
@@ -231,11 +270,9 @@ def _range_enclosure(
     m = len(coeffs) - 1
     while m > 0 and coeffs[m] == 0:
         m -= 1
-    (plain,), kden = _plain_kernel([coeffs[: m + 1]], m)
-    binoms = binomial_row(m)
-    lcm = math.lcm(*binoms)
-    scale = lcm * kden * den
-    first = [v * (lcm // b) for v, b in zip(plain, binoms)]
+    (ints,), kden = _cleared([coeffs[: m + 1]])
+    first = _values([a * w for a, w in zip(ints, _weights(m, m))], m)
+    scale = kden * math.factorial(m) * den
     # The first attained minimum and maximum among the endpoints x = 0, 1.
     min_value, min_point = (first[0], 0) if first[0] <= first[-1] else (first[-1], 1)
     max_value, max_point = (first[0], 0) if first[0] >= first[-1] else (first[-1], 1)

@@ -95,6 +95,13 @@ class TestBPoly:
         assert p.coeffs == ((Fraction(1),),)
         assert p.n1 == 0 and p.n2 == 0
 
+    def test_empty_first_row_is_padded(self):
+        # A short first row is padded like any other, even an empty one.
+        assert BPoly([[], [1]]) == BPoly.x1()
+        assert BPoly([[], [0, 2]]) == BPoly([[0, 0], [0, 2]])
+        assert BPoly([[]]).is_zero()
+        assert BPoly([]).is_zero()
+
     def test_rows_example(self):
         rows = BPoly([[1, 0, 1], [0], [1]]).coefficient_rows()
         assert rows == (UPoly([1, 0, 1]), UPoly([0]), UPoly([1]))

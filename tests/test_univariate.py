@@ -1,13 +1,15 @@
 """Univariate Bernstein machinery: conversions, transform, elevation, enclosure."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from berncert import (
+    BPoly,
     BernsteinForm1D,
     InconclusiveError,
     NotPositiveError,
@@ -23,7 +25,9 @@ from berncert import (
     range_enclosure_1d,
     to_bernstein_plain,
 )
-from berncert.univariate import _goursat
+from berncert.certificates import plain_coeffs
+from berncert.nested import _coefficient_rows, coefficient_bernstein_polys
+from berncert.univariate import _goursat, _plain_pass
 
 from corpus import random_unit_fraction, random_upoly
 
@@ -327,6 +331,63 @@ def test_range_enclosure_matches_fraction_oracle(p, mode, width, max_levels):
     got = _enclosure_or_best(lambda: range_enclosure_1d(p, max_levels=max_levels, **kwargs))
     want = _enclosure_or_best(lambda: _fraction_range_enclosure(p, predicate, max_levels))
     assert got == want
+
+
+def _forward_kernel(vectors, q):
+    """The forward kernel loop that the difference table replaced, kept as
+    the oracle for ``_plain_pass``: with D clearing every denominator,
+    out[k] = sum over i <= min(n, k) of C(q-i, k-i) D a[i]."""
+    den = math.lcm(*(c.denominator for v in vectors for c in v))
+    out = []
+    for v in vectors:
+        acc = [0] * (q + 1)
+        for i, c in enumerate(v):
+            a = c.numerator * (den // c.denominator)
+            if a:
+                acc[i:] = [s + a * math.comb(q - i, t) for t, s in enumerate(acc[i:])]
+        out.append(acc)
+    return out, den
+
+
+# Zeros, integers and fractions over mixed denominators.
+forward_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-60, 60).map(Fraction),
+    st.fractions(min_value=-60, max_value=60, max_denominator=90),
+)
+
+
+@st.composite
+def forward_inputs(draw):
+    """p of degrees 0..6 in each variable, at degrees from p's own to 12 above."""
+    n1, n2 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    p = BPoly([[draw(forward_entries) for _ in range(n2 + 1)] for _ in range(n1 + 1)])
+    return p, p.n1 + draw(st.integers(0, 12)), p.n2 + draw(st.integers(0, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(forward_inputs())
+@example((BPoly([[0]]), 0, 0))  # p = 0 on q = 0 axes
+@example((BPoly([[0]]), 7, 3))
+@example((BPoly([[Fraction(-3, 7)]]), 0, 12))
+@example((BPoly([[Fraction(1, 6), Fraction(-5, 4)], [Fraction(2, 9), 3]]), 1, 1))
+@example((BPoly([[Fraction(1, 8), 0, 1], [0, -2, 0], [1, 0, 0]]), 14, 2))
+def test_forward_pass_matches_kernel_loop(case):
+    # The same integers (N, D), not only the same values.
+    p, q1, q2 = case
+    cols, den = _forward_kernel(list(zip(*p.coeffs)), q1)
+    rows, _ = _forward_kernel(list(zip(*cols)), q2)
+    assert plain_coeffs(p, q1, q2) == (rows, den)
+    assert _coefficient_rows(p, q1) == (list(zip(*cols)), den)
+    assert coefficient_bernstein_polys(p, q1) == tuple(
+        UPoly([Fraction(v, den) for v in row]) for row in zip(*cols)
+    )
+    for col in zip(*p.coeffs):
+        u = UPoly(col)
+        (want,), d = _forward_kernel([u.coeffs], q1)
+        outputs, got_d = _plain_pass([u.coeffs], q1)
+        assert ([v for v, in outputs], got_d) == (want, d)
+        assert to_bernstein_plain(u, q1).coeffs == tuple(Fraction(v, d) for v in want)
 
 
 class TestCertifyPositive1D:

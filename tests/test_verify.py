@@ -26,6 +26,7 @@ from berncert.cli import main
 from berncert.documents import (
     CertificateDocument,
     PolynomialDocument,
+    parse_certificate_document,
     serialize_certificate_document,
     serialize_polynomial_document,
 )
@@ -261,7 +262,7 @@ def test_long_certificate_rejected_in_bounded_memory(tmp_path, capsys):
     # p = 1 against q1 = 2000 ones (about 4 KB): C is not p's plain matrix,
     # whose entries are C(2000, k).  Expanding C into monomials would build a
     # binomial row per entry of C, about 2 million numbers of up to 2000
-    # bits; the kernel comparison builds one row, since p has one coefficient.
+    # bits; the row comparison stops at row 1.
     poly = tmp_path / "poly.txt"
     poly.write_text("variables: 2\ncoeffs:\n1\n")
     cert = tmp_path / "cert.txt"
@@ -279,3 +280,28 @@ def test_long_certificate_rejected_in_bounded_memory(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == f"status=invalid reason={reason.replace(' ', '_')}\n"
     assert peak < 20 * 2**20
+
+
+def test_verify_stops_at_the_first_bad_row(tmp_path, capsys):
+    # p = 1 against q1 = 20000 ones (about 40 KB).  p's plain matrix there,
+    # C(20000, k) for k = 0..20000, holds about 36 MB of integers; the rows
+    # are made one at a time, and row 1 already differs.
+    poly = tmp_path / "poly.txt"
+    poly.write_text("variables: 2\ncoeffs:\n1\n")
+    cert = tmp_path / "cert.txt"
+    cert.write_text(
+        "method: raise\nq1: 20000\nq2: 0\nconvention: plain\ntool_version: 0.1.0\nC:\n"
+        + "1\n" * 20001
+    )
+    parsed = parse_certificate_document(cert.read_text()).to_certificate()
+    reason = "expansion mismatch at monomial x1^1 x2^0: expansion gives -19999, polynomial has 0"
+    tracemalloc.start()
+    try:
+        result = verify(BPoly([[1]]), parsed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.reason == reason
+    assert peak < 2 * 2**20
+    assert main(["verify", str(poly), str(cert)]) == 2
+    assert capsys.readouterr().err == f"status=invalid reason={reason.replace(' ', '_')}\n"
