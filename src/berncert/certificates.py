@@ -9,16 +9,20 @@ For q1 >= n1 and q2 >= n2 the products above form a basis of the
 polynomials of bidegree at most (q1, q2), so that matrix is unique: it is
 ``plain_coeffs(p, q1, q2)``, integer numerators N over one denominator D,
 made one row at a time by the forward pass of ``univariate`` along x1
-(``_plain_pass``) and then along x2 (``_plain_rows``).  A certificate holds
-C as integer numerators over integer denominators: the certifiers store
-(N, D) as ``plain_coeffs`` gave them, a parsed document its tokens as
-written, and ``coefficients`` is a derived Fraction view.  Verification is
-a pure function of the certificate and the polynomial that does not trust
-the producer: it checks the sign of every numerator (denominators are
-positive), then makes the rows of that matrix for p cut to degrees
-(q1, q2) and compares them in order with the stored fractions by integer
-cross-multiplication, up to the first mismatch, which also names the first
-monomial where C's expansion differs from p (see ``_mismatch``).  C is
+(``_plain_pass``) and then along x2 (``_plain_rows``): ``plain_rows``.  A
+certificate holds C as integer numerators over integer denominators: the
+certifiers store (N, D) as ``plain_rows`` gave them, a parsed document
+its tokens as written, and ``coefficients`` is a derived Fraction view.
+``CertificateRows`` is a certificate before its matrix is held, the rows
+still to be read, which the CLI writes as they are made.
+
+Verification is a pure function of the certificate and the polynomial that
+does not trust the producer, and it reads the certificate as a stream of
+rows (``verify_rows``), each once, from a certificate or straight from a
+file: one ``min`` per row for the sign of its numerators (denominators are
+positive), and one cross-multiplied comparison with the next row of p's
+plain matrix cut to degrees (q1, q2), made up to the first mismatch, which
+also names the first monomial where C's expansion differs from p.  C is
 never expanded; ``expand_plain_2d`` is the inverse map.
 """
 
@@ -28,7 +32,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from itertools import repeat
+from operator import mul
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DegreeError
 from .polys import BPoly, rat
@@ -162,13 +168,13 @@ def expand_plain_2d(
     return BPoly([[Fraction(v, den) for v in row] for row in zip(*cols)])
 
 
-def plain_coeffs(p: BPoly, q1: int, q2: int) -> tuple[list[list[int]], int]:
-    """Plain Bernstein coefficients of p at degrees (q1, q2), as integers.
+def plain_rows(p: BPoly, q1: int, q2: int) -> tuple[Iterator[list[int]], int]:
+    """The rows of ``plain_coeffs(p, q1, q2)`` one at a time, with D.
 
-    Returns (N, D) with plain[k][l] = N[k][l] / D: ``_plain_pass`` over the
-    columns of p (the x1 pass, whose rows are the coefficient polynomials
-    A_k(x2) scaled by D), then ``_plain_rows`` over its rows (the x2 pass).
-    Requires q1 >= n1 and q2 >= n2.
+    Each row is made when it is asked for: ``_plain_pass`` over the columns
+    of p (the x1 pass, whose rows are the coefficient polynomials A_k(x2)
+    scaled by D), then ``_plain_rows`` over its rows (the x2 pass).
+    Requires q1 >= n1 and q2 >= n2, checked on the call.
     """
     n1, n2 = p.n1, p.n2
     if q1 < n1 or q2 < n2:
@@ -176,40 +182,37 @@ def plain_coeffs(p: BPoly, q1: int, q2: int) -> tuple[list[list[int]], int]:
             f"degrees ({q1}, {q2}) are below polynomial degrees ({n1}, {n2})"
         )
     x1_rows, den = _plain_pass(list(zip(*p.coeffs)), q1)
-    return list(_plain_rows(x1_rows, n2, q2)), den
+    return _plain_rows(x1_rows, n2, q2), den
 
 
-def _mismatch(p: BPoly, cert: PositivityCertificate) -> Optional[str]:
-    """Names the first monomial, row-major, where C's expansion differs from
-    p, or returns None when C is p's plain matrix at (q1, q2).
+def plain_coeffs(p: BPoly, q1: int, q2: int) -> tuple[list[list[int]], int]:
+    """Plain Bernstein coefficients of p at degrees (q1, q2), as integers:
+    (N, D) with plain[k][l] = N[k][l] / D, the rows of ``plain_rows``."""
+    rows, den = plain_rows(p, q1, q2)
+    return list(rows), den
 
-    Along each axis the plain map and its inverse are lower triangular with
-    unit diagonal.  So with p cut to degrees (q1, q2), the first row-major
-    nonzero entry of C - plain_coeffs(cut p) sits at the first monomial
-    where the expansion of C differs from the cut p, and equals that
-    difference.  The expansion has no monomial past (q1, q2), where any
-    nonzero coefficient of p is a mismatch too.  Row by row, the entries
-    j <= q2 come before p's coefficients past q2, and the rows of
-    plain_coeffs(cut p) are made one at a time, up to the first mismatch.
-    """
-    q1, q2 = cert.q1, cert.q2
-    cut = BPoly([row[: q2 + 1] for row in p.coeffs[: q1 + 1]])
-    x1_rows, den = _plain_pass(list(zip(*cut.coeffs)), q1)
-    nums = _plain_rows(x1_rows, cut.n2, q2)
-    for i in range(max(q1, p.n1) + 1):
-        if i <= q1:  # entries indexed, not unpacked: no tuple per entry
-            crow, drow, prow = cert.numerators[i], cert.denominators[i], next(nums)
-            j = next((j for j in range(q2 + 1) if crow[j] * den != prow[j] * drow[j]), None)
-            if j is not None:
-                diff = Fraction(crow[j] * den - prow[j] * drow[j], drow[j] * den)
-                break
-        row = p.coeffs[i] if i <= p.n1 else ()
-        j = next((j for j in range(q2 + 1 if i <= q1 else 0, len(row)) if row[j]), None)
-        if j is not None:
-            diff = -row[j]
-            break
-    else:
-        return None
+
+class CertificateRows:
+    """A certificate whose matrix is not held: its degrees, method and
+    report, and its numerator rows over the one denominator ``den``, made as
+    they are read.  ``collect`` reads them all into the certificate; the
+    CLI writes them to the document one at a time instead."""
+
+    def __init__(
+        self, q1: int, q2: int, method: Method, report, rows: Iterator[list[int]], den: int
+    ):
+        self.q1, self.q2, self.method, self.report, self.rows, self.den = (
+            q1, q2, method, report, rows, den
+        )
+
+    def collect(self) -> PositivityCertificate:
+        return PositivityCertificate.from_integers(
+            self.q1, self.q2, list(self.rows), self.den, self.method, self.report
+        )
+
+
+def _mismatch(p: BPoly, i: int, j: int, diff: Fraction) -> str:
+    """The reason for a difference diff between C's expansion and p at x1^i x2^j."""
     want = p.coeffs[i][j] if i <= p.n1 and j <= p.n2 else Fraction(0)
     return (
         f"expansion mismatch at monomial x1^{i} x2^{j}: "
@@ -217,30 +220,59 @@ def _mismatch(p: BPoly, cert: PositivityCertificate) -> Optional[str]:
     )
 
 
+def _extra_term(p: BPoly, i: int, start: int) -> Optional[str]:
+    """The reason naming p's first nonzero coefficient in row i from column
+    start on, a monomial C's expansion does not have, or None."""
+    row = p.coeffs[i] if i <= p.n1 else ()
+    j = next((j for j in range(start, len(row)) if row[j]), None)
+    return None if j is None else _mismatch(p, i, j, -row[j])
+
+
+def verify_rows(
+    p: BPoly, q1: int, q2: int, rows: Iterable[tuple[Sequence[int], Sequence[int]]]
+) -> VerificationResult:
+    """``verify`` of the certificate at (q1, q2) whose (numerators,
+    denominators) rows, q1 + 1 of q2 + 1 entries with positive
+    denominators, are read one at a time and not kept.
+
+    Each row gets one ``min`` for its sign and one cross-multiplied
+    comparison with the next row of p's plain matrix cut to (q1, q2); a
+    loop runs only to locate a difference.  Along each axis the plain map
+    and its inverse are unit lower triangular, so the first row-major
+    nonzero entry of C - plain_coeffs(cut p) is the difference at the first
+    monomial where C's expansion differs from the cut p.  A nonzero
+    coefficient of p past (q1, q2) is a mismatch too, after the entries
+    j <= q2 of its row.  p's rows are made only up to the first mismatch.
+    """
+    cut = BPoly([row[: q2 + 1] for row in p.coeffs[: q1 + 1]])
+    x1_rows, den = _plain_pass(list(zip(*cut.coeffs)), q1)
+    expected = _plain_rows(x1_rows, cut.n2, q2)
+    sign = mismatch = None
+    for i, (nums, dens) in enumerate(rows):
+        if sign is None and min(nums) <= 0:  # denominators are positive
+            j = next(j for j, n in enumerate(nums) if n <= 0)
+            sign = f"nonpositive entry C[{i}][{j}] = {Fraction(nums[j], dens[j])}"
+        if mismatch is None:
+            prow = next(expected)
+            if list(map(mul, nums, repeat(den))) != list(map(mul, prow, dens)):
+                j = next(j for j in range(q2 + 1) if nums[j] * den != prow[j] * dens[j])
+                diff = Fraction(nums[j] * den - prow[j] * dens[j], dens[j] * den)
+                mismatch = _mismatch(p, i, j, diff)
+            else:
+                mismatch = _extra_term(p, i, q2 + 1)
+    if mismatch is None:  # rows of p past q1
+        extra = (_extra_term(p, i, 0) for i in range(q1 + 1, p.n1 + 1))
+        mismatch = next(filter(None, extra), None)
+    reasons = tuple(reason for reason in (sign, mismatch) if reason is not None)
+    return VerificationResult(not reasons, reasons)
+
+
 def verify(p: BPoly, cert: PositivityCertificate) -> VerificationResult:
     """Check strict positivity of all entries and that C is p's plain matrix.
 
     Both checks always run; the result collects every failure reason found
     (first nonpositive entry in row-major order, first mismatching monomial
-    of the expansion of C against p), both read off without expanding C.
+    of the expansion of C against p), both read off without expanding C, by
+    ``verify_rows`` over the certificate's rows.
     """
-    reasons = []
-    entry = next(
-        (
-            (i, j)
-            for i, row in enumerate(cert.numerators)
-            for j, n in enumerate(row)
-            if n <= 0  # denominators are positive
-        ),
-        None,
-    )
-    if entry is not None:
-        i, j = entry
-        reasons.append(
-            f"nonpositive entry C[{i}][{j}] = "
-            f"{Fraction(cert.numerators[i][j], cert.denominators[i][j])}"
-        )
-    mismatch = _mismatch(p, cert)
-    if mismatch is not None:
-        reasons.append(mismatch)
-    return VerificationResult(not reasons, tuple(reasons))
+    return verify_rows(p, cert.q1, cert.q2, zip(cert.numerators, cert.denominators))

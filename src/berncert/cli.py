@@ -13,21 +13,20 @@ import os
 import sys
 from decimal import Decimal  # already loaded by fractions, so free at startup
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import __version__
 from .documents import (
-    CertificateDocument,
+    CertificateReader,
     ParseError,
-    parse_certificate_document,
+    certificate_lines,
     parse_polynomial_document,
     parse_rational,
-    serialize_certificate_document,
 )
 from .errors import DegreeError, InconclusiveError, NotPositiveError
-from .certificates import verify
-from .nested import certify_nested
-from .raising import MinEnclosure, certify_raise, min_enclosure, min_enclosure_to_width
+from .certificates import verify_rows
+from .nested import nested_rows
+from .raising import MinEnclosure, min_enclosure, min_enclosure_to_width, raise_rows
 
 DEFAULT_REFINEMENT_CAP = 64
 DEFAULT_DOUBLING_CAP = 20
@@ -63,18 +62,22 @@ def _read_polynomial(path: str):
         return parse_polynomial_document(handle.read())
 
 
-def _write_atomically(path: str, text: str) -> None:
-    """Write text to path so that a failed write leaves path as it was.
+def _write_atomically(path: str, lines: Iterable[str]) -> None:
+    """Write lines to path, one at a time as they are made, so that a failed
+    write, or an exception raised while making a line, leaves path as it was.
 
-    The text goes to a new file beside the target, created with mode 0666
-    masked by the umask like any new file, and is then renamed onto the
-    target; a symbolic link is followed, so the file it names is replaced.
-    A target that exists but is not a regular file (a pipe, a device) is
-    written in place, since a rename would replace the special file itself.
+    The lines go to a new file beside the target, created with mode 0666
+    masked by the umask like any new file, which is renamed onto the target
+    once the last line is written, and removed if anything fails; a
+    symbolic link is followed, so the file it names is replaced.  A target
+    that exists but is not a regular file (a pipe, a device) is written in
+    place, since a rename would replace the special file itself: when a
+    line fails there, the reader has had the lines before it.
     """
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            for line in lines:
+                handle.write(line)
         return
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
@@ -82,7 +85,8 @@ def _write_atomically(path: str, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            for line in lines:
+                handle.write(line)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
@@ -106,7 +110,7 @@ def cmd_certify(args) -> int:
             if args.q_start is not None:
                 _diag(status="usage-error", detail="--q-start applies to --method raise")
                 return 1
-            cert = certify_nested(p, max_doublings=doublings, max_levels=levels)
+            cert = nested_rows(p, max_doublings=doublings, max_levels=levels)
         else:
             q_start: Optional[tuple[int, int]] = None
             if args.q_start is not None:
@@ -116,7 +120,7 @@ def cmd_certify(args) -> int:
                 except ValueError:
                     _diag(status="usage-error", detail="--q-start expects q1,q2")
                     return 1
-            cert = certify_raise(p, q_start=q_start, max_doublings=doublings)
+            cert = raise_rows(p, q_start=q_start, max_doublings=doublings)
     except NotPositiveError as exc:
         _diag(status="not-positive", witness=exc.witness, value=exc.value)
         return 2
@@ -129,13 +133,12 @@ def cmd_certify(args) -> int:
     except DegreeError as exc:
         _diag(status="usage-error", detail=str(exc).replace(" ", "_"))
         return 1
-    try:
-        text = serialize_certificate_document(CertificateDocument.from_certificate(cert))
+    try:  # the rows are made as they are written
+        _write_atomically(args.output, certificate_lines(cert))
     except ValueError:  # str() refuses integers past the interpreter's digit limit
         limit = sys.get_int_max_str_digits()
         _diag(status="too-large", detail=f"a_certificate_number_has_over_{limit}_digits")
         return 1
-    _write_atomically(args.output, text)
     print(f"certified method={cert.method.value} q1={cert.q1} q2={cert.q2}")
     return 0
 
@@ -145,9 +148,15 @@ def cmd_verify(args) -> int:
     if doc.variables != 2:
         _diag(status="usage-error", detail="verify requires a bivariate polynomial")
         return 1
-    with open(args.certificate, "r", encoding="utf-8") as handle:
-        cert_doc = parse_certificate_document(handle.read())
-    result = verify(doc.to_bpoly(), cert_doc.to_certificate())
+    try:  # the lines str.splitlines would give, parsed as they are read
+        with open(args.certificate, "r", encoding="utf-8") as handle:
+            lines = (piece for line in handle for piece in line.splitlines())
+            reader = CertificateReader(lines)
+            result = verify_rows(doc.to_bpoly(), reader.q1, reader.q2, reader.rows())
+    except UnicodeDecodeError:  # give the position in the file, not in a chunk
+        with open(args.certificate, "rb") as handle:
+            handle.read().decode("utf-8")
+        raise
     if result:
         print("ok")
         return 0

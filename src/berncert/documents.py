@@ -3,11 +3,17 @@
 Both formats are UTF-8 text with ``key: value`` header lines followed by
 coefficient blocks; rationals are serialized as ``num/den`` strings in lowest
 terms (or plain integers), so parse -> serialize -> parse is the identity and
-certificates can be re-verified from the file alone.  Lines that are blank or
-start with ``#`` are ignored.  Tokens follow the ASCII grammar
-``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator; anything else, including
-an integer over the interpreter's 4300-digit conversion limit, is a
-``ParseError``.
+certificates can be re-verified from the file alone.  Lines end where
+``str.splitlines`` ends them; lines that are blank or start with ``#`` are
+ignored.  Tokens follow the ASCII grammar ``-?[0-9]+(/[0-9]+)?`` with a
+nonzero denominator; anything else, including an integer over the
+interpreter's 4300-digit conversion limit, is a ``ParseError``.
+
+A certificate is a stream of rows, written by one line writer (``_lines``,
+of a ``CertificateRows`` or of a document) and read by one row reader
+(``CertificateReader``); the str-in and str-out functions collect them.  A
+row is formatted by one ``join`` and parsed by ``split`` and ``int``
+whenever that gives what the grammar gives, else by the grammar itself.
 
 A ``CertificateDocument`` holds the ``PositivityCertificate`` itself, built
 from the ``C:`` tokens as written (integer numerators and denominators;
@@ -51,9 +57,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator, Sequence
 
 from . import __version__
-from .certificates import Matrix, Method, PositivityCertificate
+from .certificates import CertificateRows, Matrix, Method, PositivityCertificate
 from .nested import NestedDegreeReport
 from .polys import BPoly, UPoly
 from .raising import RaiseReport
@@ -61,10 +68,6 @@ from .raising import RaiseReport
 # ASCII digits only: \d and int() also take other Unicode digits, int() also
 # underscores and a sign.
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
-# A matrix line of such tokens whose denominators are nonzero; \s is the
-# whitespace str.split() splits at.
-_NONZERO_TOKEN = r"-?[0-9]+(?:/0*[1-9][0-9]*)?"
-_ROW_RE = re.compile(rf"{_NONZERO_TOKEN}(?:\s+{_NONZERO_TOKEN})*")
 _COUNT_RE = re.compile(r"[0-9]+")
 
 
@@ -102,38 +105,46 @@ def _parse_count(value: str, error: str) -> int:
         raise ParseError(error) from exc
 
 
-def _format_pair(num: int, den: int) -> str:
-    """The lowest-terms token of num/den, as str(Fraction(num, den)) writes it."""
-    g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
+def _content_lines(lines: Iterable[str]) -> Iterator[str]:
+    """The stripped lines that are neither blank nor ``#`` comments."""
+    return (line for line in map(str.strip, lines) if line and not line.startswith("#"))
 
 
-def _content_lines(text: str) -> list[str]:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        lines.append(line)
-    return lines
+def _parse_tokens(line: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The numerators and the denominators of one matrix line, token by
+    token by the grammar; raises the first bad token's ParseError."""
+    nums, dens = zip(*map(_parse_pair, line.split()))
+    return nums, dens
 
 
 def _parse_row(line: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The numerators and the denominators of one matrix line.  A line that
-    fails the one-regex check, or holds an integer over the digit limit, is
-    parsed token by token, which raises the first bad token's ParseError."""
-    tokens = line.split()
-    if _ROW_RE.fullmatch(line):
-        parts = [t.partition("/") for t in tokens]
+    """``_parse_tokens`` of a matrix line, by ``split`` and ``int`` alone
+    when that gives the same rows: on an ASCII line without ``+`` or ``_``,
+    int() takes exactly ``-?[0-9]+`` under the digit limit, and a ``/``
+    token needs both parts and den > 0 (not ``1/``, ``/2``, ``1/2/3``,
+    ``1/0``, ``1/-2``).  Every other line takes the grammar's path."""
+    if line.isascii() and "+" not in line and "_" not in line:
         try:
-            return (
-                tuple([int(n) for n, _, _ in parts]),
-                tuple([int(d) if d else 1 for _, _, d in parts]),
-            )
-        except ValueError:  # int() over the interpreter's digit limit
+            if "/" not in line:
+                nums = tuple(map(int, line.split()))
+                return nums, (1,) * len(nums)
+            parts = [token.partition("/") for token in line.split()]
+            dens = tuple([int(d) if s else 1 for _, s, d in parts])
+            if min(dens) > 0:
+                return tuple([int(n) for n, _, _ in parts]), dens
+        except ValueError:
             pass
-    nums, dens = zip(*map(_parse_pair, tokens))
-    return nums, dens
+    return _parse_tokens(line)
+
+
+def _format_row(nums: Sequence[int], dens: Sequence[int]) -> str:
+    """The line of a matrix row: entry n/d as ``n//g/d//g`` with
+    g = gcd(n, d), or ``n//g`` when g = d, the token str(Fraction(n, d))
+    would give, without building the Fraction."""
+    return " ".join([
+        str(n // g) if g == d else f"{n // g}/{d // g}"
+        for n, d, g in zip(nums, dens, map(math.gcd, nums, dens))
+    ])
 
 
 def _parse_matrix_rows(lines: list[str]) -> tuple[Matrix, Matrix]:
@@ -180,7 +191,7 @@ class PolynomialDocument:
 
 
 def parse_polynomial_document(text: str) -> PolynomialDocument:
-    lines = _content_lines(text)
+    lines = list(_content_lines(text.splitlines()))
     if not lines or not lines[0].startswith("variables:"):
         raise ParseError("expected a 'variables:' header line")
     variables = _parse_count(
@@ -201,6 +212,22 @@ def serialize_polynomial_document(doc: PolynomialDocument) -> str:
     return "\n".join(out) + "\n"
 
 
+def _report_pairs(report) -> tuple[tuple[str, str], ...]:
+    """The ``report:`` text of a certifier's report object."""
+    pairs: tuple = ()
+    if isinstance(report, RaiseReport):
+        pairs = (
+            ("doublings", report.doublings),
+            ("c_min", report.enclosure.c_min),
+            ("bound", report.enclosure.bound),
+            ("gamma1", report.gamma1),
+            ("gamma2", report.gamma2),
+        )
+    elif isinstance(report, NestedDegreeReport):
+        pairs = (("lambda_lower", report.lambda_lower), ("l_upper", report.l_upper))
+    return tuple((key, str(value)) for key, value in pairs)
+
+
 @dataclass(frozen=True)
 class CertificateDocument:
     """A certificate file: the certificate, plus what only the file holds,
@@ -216,79 +243,146 @@ class CertificateDocument:
 
     @classmethod
     def from_certificate(cls, cert: PositivityCertificate) -> "CertificateDocument":
-        r = cert.report
-        pairs: tuple = ()
-        if isinstance(r, RaiseReport):
-            pairs = (
-                ("doublings", r.doublings),
-                ("c_min", r.enclosure.c_min),
-                ("bound", r.enclosure.bound),
-                ("gamma1", r.gamma1),
-                ("gamma2", r.gamma2),
-            )
-        elif isinstance(r, NestedDegreeReport):
-            pairs = (("lambda_lower", r.lambda_lower), ("l_upper", r.l_upper))
         bare = PositivityCertificate.from_integers(
             cert.q1, cert.q2, cert.numerators, cert.denominators, cert.method
         )
-        return cls(bare, tuple((key, str(value)) for key, value in pairs), __version__)
+        return cls(bare, _report_pairs(cert.report), __version__)
 
     def to_certificate(self) -> PositivityCertificate:
         return self.certificate
 
 
-def _key_values(lines: list[str], kind: str = "") -> list[tuple[str, str]]:
-    """The stripped (key, value) of each ``key: value`` line."""
-    pairs = []
-    for line in lines:
-        if ":" not in line:
-            raise ParseError(f"expected 'key: value' {kind}line, got {line!r}")
-        key, value = line.split(":", 1)
-        pairs.append((key.strip(), value.strip()))
-    return pairs
+def _lines(method: Method, q1: int, q2: int, tool_version: str, rows, report) -> Iterator[str]:
+    """The lines of a certificate document, with their newlines: one per
+    (numerators, denominators) row of ``rows`` as it is read."""
+    yield (
+        f"method: {method.value}\nq1: {q1}\nq2: {q2}\nconvention: plain\n"
+        f"tool_version: {tool_version}\nC:\n"
+    )
+    for nums, dens in rows:
+        yield _format_row(nums, dens) + "\n"
+    if report:
+        yield "report:\n" + "".join(f"{key}: {value}\n" for key, value in report)
 
 
-def parse_certificate_document(text: str) -> CertificateDocument:
-    lines = _content_lines(text)
-    c_at = lines.index("C:") if "C:" in lines else len(lines)
-    headers = dict(_key_values(lines[:c_at]))
-    if c_at == len(lines):
-        raise ParseError("expected a 'C:' section")
-    for required in ("method", "q1", "q2", "convention", "tool_version"):
-        if required not in headers:
-            raise ParseError(f"missing header {required!r}")
-    q1 = _parse_count(headers["q1"], "q1 and q2 must be integers")
-    q2 = _parse_count(headers["q2"], "q1 and q2 must be integers")
-    body = lines[c_at + 1:]
-    r_at = body.index("report:") if "report:" in body else len(body)
-    report = tuple(_key_values(body[r_at + 1:], "report "))
-    numerators, denominators = _parse_matrix_rows(body[:r_at])
-    try:
-        method = Method(headers["method"])
-    except ValueError:
-        raise ParseError(f"unknown method {headers['method']!r}") from None
-    if headers["convention"] != "plain":
-        raise ParseError(f"unknown convention {headers['convention']!r}")
-    if len(numerators) != q1 + 1 or len(numerators[0]) != q2 + 1:
-        raise ParseError(f"coefficient matrix must be {q1 + 1} x {q2 + 1}")
-    cert = PositivityCertificate.from_integers(q1, q2, numerators, denominators, method)
-    return CertificateDocument(cert, report, headers["tool_version"])
+def certificate_lines(cert: CertificateRows) -> Iterator[str]:
+    """The document's lines, each row made as it is written.  A value past
+    str()'s digit limit raises ValueError: in the report, on the call; in a
+    row, when that row is reached."""
+    report = _report_pairs(cert.report)
+    rows = ((nums, [cert.den] * len(nums)) for nums in cert.rows)
+    return _lines(cert.method, cert.q1, cert.q2, __version__, rows, report)
 
 
 def serialize_certificate_document(doc: CertificateDocument) -> str:
     cert = doc.certificate
-    out = [
-        f"method: {cert.method.value}",
-        f"q1: {cert.q1}",
-        f"q2: {cert.q2}",
-        "convention: plain",
-        f"tool_version: {doc.tool_version}",
-        "C:",
-    ]
-    for nums, dens in zip(cert.numerators, cert.denominators):
-        out.append(" ".join(map(_format_pair, nums, dens)))
-    if doc.report:
-        out.append("report:")
-        for key, value in doc.report:
-            out.append(f"{key}: {value}")
-    return "\n".join(out) + "\n"
+    rows = zip(cert.numerators, cert.denominators)
+    return "".join(_lines(cert.method, cert.q1, cert.q2, doc.tool_version, rows, doc.report))
+
+
+def _key_value(line: str, kind: str = "") -> tuple[str, str]:
+    """The stripped (key, value) of a ``key: value`` line."""
+    if ":" not in line:
+        raise ParseError(f"expected 'key: value' {kind}line, got {line!r}")
+    key, value = line.split(":", 1)
+    return key.strip(), value.strip()
+
+
+class CertificateReader:
+    """A certificate document read from its lines one at a time.
+
+    The constructor reads the header; ``rows()`` yields each (numerators,
+    denominators) row of the ``C:`` block as it is parsed, then reads the
+    report.  A fault is raised only after the last line is read (an error
+    raised by the lines themselves, such as a decoding error, comes first),
+    the first in this order: header lines, no ``C:``, missing headers,
+    ``q1``/``q2`` (from the constructor), the report, a bad row, no rows,
+    ragged rows, method, convention, shape.
+    Rows are yielded only while no fault is known and they fit q1 x q2.
+    """
+
+    def __init__(self, lines: Iterable[str]):
+        self._lines = _content_lines(lines)
+        headers: dict[str, str] = {}
+        fault = None
+        for line in self._lines:
+            if line == "C:":
+                break
+            try:
+                key, value = _key_value(line)
+            except ParseError as exc:
+                fault = fault or exc
+                continue
+            headers[key] = value
+        else:
+            raise fault or ParseError("expected a 'C:' section")
+        try:
+            if fault:
+                raise fault
+            for required in ("method", "q1", "q2", "convention", "tool_version"):
+                if required not in headers:
+                    raise ParseError(f"missing header {required!r}")
+            self.q1 = _parse_count(headers["q1"], "q1 and q2 must be integers")
+            self.q2 = _parse_count(headers["q2"], "q1 and q2 must be integers")
+        except ParseError:
+            self._drain()
+            raise
+        self.tool_version = headers["tool_version"]
+        self.report: list[tuple[str, str]] = []
+        self.method = next((m for m in Method if m.value == headers["method"]), None)
+        self._late = None  # the method or convention fault, raised after the rows
+        if self.method is None:
+            self._late = ParseError(f"unknown method {headers['method']!r}")
+        elif headers["convention"] != "plain":
+            self._late = ParseError(f"unknown convention {headers['convention']!r}")
+
+    def _drain(self) -> None:
+        """Read the remaining lines, for the decoding faults they may hold."""
+        for _ in self._lines:
+            pass
+
+    def rows(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        fault, count, width, ragged = None, 0, None, False
+        for line in self._lines:
+            if line == "report:":
+                break
+            if fault:
+                continue
+            try:
+                nums, dens = _parse_row(line)
+            except ParseError as exc:
+                fault = exc
+                continue
+            count += 1
+            width = len(nums) if width is None else width
+            ragged = ragged or len(nums) != width
+            if not (self._late or ragged) and width == self.q2 + 1 and count <= self.q1 + 1:
+                yield nums, dens
+        try:
+            for line in self._lines:
+                self.report.append(_key_value(line, "report "))
+        except ParseError as exc:
+            fault = exc
+            self._drain()
+        if not fault and count == 0:
+            fault = ParseError("empty coefficient block")
+        if not fault and ragged:
+            fault = ParseError("coefficient rows have inconsistent lengths")
+        fault = fault or self._late
+        if not fault and (count != self.q1 + 1 or width != self.q2 + 1):
+            fault = ParseError(f"coefficient matrix must be {self.q1 + 1} x {self.q2 + 1}")
+        if fault:
+            raise fault
+
+
+def parse_certificate_document(text: str) -> CertificateDocument:
+    reader = CertificateReader(text.splitlines())
+    rows = list(reader.rows())
+    cert = PositivityCertificate.from_integers(
+        reader.q1,
+        reader.q2,
+        [nums for nums, _ in rows],
+        [dens for _, dens in rows],
+        reader.method,
+    )
+    return CertificateDocument(cert, tuple(reader.report), reader.tool_version)

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
-from .certificates import Method, PositivityCertificate
+from .certificates import CertificateRows, Method, PositivityCertificate
 from .errors import CertificationError, DegreeError, InconclusiveError
 from .polys import BPoly, RationalLike, UPoly, rat
 from .raising import minimum_lower_bound
@@ -169,6 +169,36 @@ def _q2_of_rows(rows, den, n2, report, max_levels) -> tuple[int, NestedDegreeRep
     return q2, replace(report, q2=q2, per_i_inf_lower=tuple(infs), per_i_maxb_upper=tuple(maxbs))
 
 
+def nested_rows(
+    p: BPoly,
+    *,
+    max_doublings: int = 20,
+    max_levels: int = 64,
+) -> CertificateRows:
+    """``certify_nested`` up to its matrix: both degree computations run, and
+    the x2 pass over stage 2's x1 rows is left to be read, each row checked
+    as it is made.  Raises as ``certify_nested`` does, the
+    CertificationError when the bad row is read."""
+    q1, report = nested_q1(p, max_doublings=max_doublings, max_levels=max_levels)
+    rows, den = _coefficient_rows(p, q1)
+    q2, report = _q2_of_rows(rows, den, p.n2, report, max_levels)
+    return CertificateRows(
+        q1, q2, Method.NESTED, report, _positive_rows(_plain_rows(rows, p.n2, q2)), den
+    )
+
+
+def _positive_rows(rows: Iterator[list[int]]) -> Iterator[list[int]]:
+    """rows, each checked to be strictly positive as it passes."""
+    for i, row in enumerate(rows):
+        if min(row) <= 0:
+            bad = next(j for j, v in enumerate(row) if v <= 0)
+            raise CertificationError(
+                f"row {i} produced a nonpositive coefficient at {bad}; "
+                "the certified bounds did not give a sufficient degree"
+            )
+        yield row
+
+
 def certify_nested(
     p: BPoly,
     *,
@@ -179,18 +209,8 @@ def certify_nested(
 
     Runs the two degree computations, both on integers and with every bound
     computed, then takes the plain Bernstein coefficients of p at (q1, q2)
-    by the x2 pass over stage 2's x1 rows; all entries of that matrix are
-    strictly positive, and its expansion reproduces p exactly.
+    by the x2 pass over stage 2's x1 rows (``nested_rows``, collected); all
+    entries of that matrix are strictly positive, and its expansion
+    reproduces p exactly.
     """
-    q1, report = nested_q1(p, max_doublings=max_doublings, max_levels=max_levels)
-    rows, den = _coefficient_rows(p, q1)
-    q2, report = _q2_of_rows(rows, den, p.n2, report, max_levels)
-    nums = list(_plain_rows(rows, p.n2, q2))
-    for i, row in enumerate(nums):
-        bad = next((j for j, v in enumerate(row) if v <= 0), None)
-        if bad is not None:
-            raise CertificationError(
-                f"row {i} produced a nonpositive coefficient at {bad}; "
-                "the certified bounds did not give a sufficient degree"
-            )
-    return PositivityCertificate.from_integers(q1, q2, nums, den, Method.NESTED, report)
+    return nested_rows(p, max_doublings=max_doublings, max_levels=max_levels).collect()

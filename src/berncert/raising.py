@@ -34,10 +34,12 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 from .certificates import (
+    CertificateRows,
     Method,
     PositivityCertificate,
     expand_plain_2d,
     plain_coeffs,
+    plain_rows,
 )
 from .errors import DegreeError, InconclusiveError, NotPositiveError
 from .polys import BPoly, RationalLike, binom, binomial_row, rat
@@ -358,6 +360,22 @@ def minimum_lower_bound(
     return enc.c_min, enc
 
 
+def raise_rows(
+    p: BPoly,
+    q_start: Optional[tuple[int, int]] = None,
+    max_doublings: int = 20,
+) -> CertificateRows:
+    """``certify_raise`` up to its matrix: the degrees are chosen and the
+    report made, and the rows of ``plain_rows`` at those degrees are left to
+    be read.  Raises as ``certify_raise`` does."""
+    doublings, enc = _raise(
+        p, lambda e: e.c_min > 0, "positive Bernstein form", max_doublings, q_start
+    )
+    rows, den = plain_rows(p, enc.q1, enc.q2)
+    report = RaiseReport(doublings, enc, *gamma_bounds(p))
+    return CertificateRows(enc.q1, enc.q2, Method.RAISE, report, rows, den)
+
+
 def certify_raise(
     p: BPoly,
     q_start: Optional[tuple[int, int]] = None,
@@ -368,13 +386,9 @@ def certify_raise(
     Starting from q_start (default (max(n1,2), max(n2,2))), doubles both
     degrees until every normalized coefficient is positive.
     ``plain_coeffs`` runs once, at the degrees that certify, and its (N, D)
-    is the certificate.  Raises NotPositiveError with a grid witness when an
-    enclosure shows the minimum is nonpositive, and InconclusiveError with
-    the best enclosure when the doubling cap is reached.
+    is the certificate: ``raise_rows``, collected.  Raises NotPositiveError
+    with a grid witness when an enclosure shows the minimum is nonpositive,
+    and InconclusiveError with the best enclosure when the doubling cap is
+    reached.
     """
-    doublings, enc = _raise(
-        p, lambda e: e.c_min > 0, "positive Bernstein form", max_doublings, q_start
-    )
-    nums, den = plain_coeffs(p, enc.q1, enc.q2)
-    report = RaiseReport(doublings, enc, *gamma_bounds(p))
-    return PositivityCertificate.from_integers(enc.q1, enc.q2, nums, den, Method.RAISE, report)
+    return raise_rows(p, q_start, max_doublings).collect()

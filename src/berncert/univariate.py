@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import add
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DegreeError, InconclusiveError, NotPositiveError
@@ -117,14 +118,26 @@ def _plain_pass(vectors: Sequence[Vector], q: int) -> tuple[Iterator[tuple[int, 
     maps to out[k] = sum over i <= min(n, k) of C(q-i, k-i) D a[i], which is
     C(q, k) * _values([D a[i] w[i]], q)[k] / q^(n) with w = ``_weights``,
     the division exact.  Returns (outputs, D); outputs yields the tuple of
-    every vector's out[k] for k = 0..q in turn.
+    every vector's out[k] for k = 0..q in turn, each made when it is asked
+    for, so a reader that stops early never pays for the rest.
     """
     vectors, den = _cleared(vectors)
+    return _plain_outputs(vectors, q), den
+
+
+def _plain_outputs(vectors: list[list[int]], q: int) -> Iterator[tuple[int, ...]]:
+    """The outputs of ``_plain_pass`` by forward differences: diffs[t] holds
+    f_t(k) = sum_{i >= t} D a[i] w[i] C(k, i-t) of every vector, f_0 the
+    values of ``_values``, and f_t(k+1) = f_t(k) + f_{t+1}(k)."""
     n = len(vectors[0]) - 1
     w, scale = _weights(n, q), math.perm(q, n)
-    columns = [_values([a * u for a, u in zip(v, w)], q) for v in vectors]
-    binoms = accumulate(range(q), lambda b, k: b * (q - k) // (k + 1), initial=1)
-    return (tuple(b * v // scale for v in vals) for b, vals in zip(binoms, zip(*columns))), den
+    diffs = [[a * u for a in column] for column, u in zip(zip(*vectors), w)]
+    b = 1  # C(q, k)
+    for k in range(q + 1):
+        yield tuple([b * v // scale for v in diffs[0]])
+        b = b * (q - k) // (k + 1)
+        for t in range(n):
+            diffs[t] = list(map(add, diffs[t], diffs[t + 1]))
 
 
 def _plain_rows(rows: Iterable[Sequence[int]], n: int, q: int) -> Iterator[list[int]]:

@@ -14,6 +14,7 @@ import berncert
 from berncert import PositivityCertificate
 from berncert.cli import main
 from berncert.documents import (
+    ParseError,
     parse_certificate_document,
     serialize_certificate_document,
 )
@@ -303,6 +304,25 @@ class TestVerifyCommand:
         ),
         "convention-before-shape": (HEAD.replace("plain", "normalized") + "C:\n1\n",
                                     "unknown_convention_'normalized'"),
+        # A row is read before the report that follows it, but a report line
+        # still wins over every fault of the rows, and a row fault over a
+        # shape fault found earlier in the stream.
+        "header-before-no-C": ("q1: 0\nbad\n", "expected_'key:_value'_line,_got_'bad'"),
+        "missing-before-q1": (HEAD.replace("tool_version: 0.1.0\n", "").replace("q1: 0", "q1: x")
+                              + "C:\n1 1\n", "missing_header_'tool_version'"),
+        "report-before-empty": (HEAD + "C:\nreport:\nc_min 1\n",
+                                "expected_'key:_value'_report_line,_got_'c_min_1'"),
+        "report-before-rows-past-shape": (HEAD + "C:\n1 1\n1 1\n1 x\nreport:\nbad\n",
+                                          "expected_'key:_value'_report_line,_got_'bad'"),
+        "token-past-shape": (HEAD + "C:\n1 1\n1 x\n", "malformed_rational_'x'"),
+        "token-before-ragged": (HEAD.replace("q1: 0", "q1: 1") + "C:\n1 1\n1\n1 x\n",
+                                "malformed_rational_'x'"),
+        "ragged-before-method": (HEAD.replace("q1: 0", "q1: 1").replace("raise", "magic")
+                                 + "C:\n1 1\n1\n", "coefficient_rows_have_inconsistent_lengths"),
+        "empty-before-method": (HEAD.replace("raise", "magic") + "C:\nreport:\n",
+                                "empty_coefficient_block"),
+        "too-many-rows": (HEAD + "C:\n1 1\n1 1\n", "coefficient_matrix_must_be_1_x_2"),
+        "C-line-in-block": (HEAD + "C:\n1 1\nC:\n", "malformed_rational_'C:'"),
     }
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -422,16 +442,53 @@ class TestUsage:
         assert main(["eval", poly_file(self.HUGE), "--at", "1/2,0"]) == 0
         assert capsys.readouterr().out == "2" + "9" * 4299 + "7/2\n"
 
-    @pytest.mark.parametrize("method", ["raise", "nested"])
-    def test_certificate_over_digit_limit_is_too_large(self, poly_file, tmp_path, capsys, method):
+    # 2 * 10^4299 (1 + x1), within the limit, certifies by raise at (2, 2): row
+    # 0 is N (1, 2, 1), whose entries fit, and row 1 is N (3, 6, 3), where
+    # 6N has 4301 digits, so the refusal comes partway through the rows.
+    PARTWAY = f"variables: 2\ncoeffs:\n2{'0' * 4299}\n2{'0' * 4299}\n"
+
+    @pytest.mark.parametrize(
+        "method, text",
+        [("raise", HUGE), ("nested", HUGE), ("raise", PARTWAY)],
+        ids=["raise", "nested", "raise-partway"],
+    )
+    def test_certificate_over_digit_limit_is_too_large(
+        self, poly_file, tmp_path, capsys, method, text
+    ):
         out = tmp_path / "cert.txt"
-        poly = poly_file(self.HUGE)
+        poly = poly_file(text)
         assert main(["certify", poly, str(out), "--method", method]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("status=too-large detail=")
         assert captured.err.count("\n") == 1
         assert sorted(os.listdir(tmp_path)) == ["poly.txt"]
+        # An existing target is left as it was, and no temporary file stays.
+        out.write_text("previous certificate\n")
+        assert main(["certify", poly, str(out), "--method", method]) == 1
+        assert capsys.readouterr().err.startswith("status=too-large detail=")
+        assert out.read_text() == "previous certificate\n"
+        assert sorted(os.listdir(tmp_path)) == ["cert.txt", "poly.txt"]
+
+    def test_partway_refusal_has_written_whole_rows_only(self, poly_file, tmp_path):
+        # The same refusal through a pipe, which is written in place: the
+        # reader gets the header and row 0, a document that verify refuses
+        # to parse, since its C: block is short.
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert main(["certify", poly_file(self.PARTWAY), str(fifo), "--method", "raise"]) == 1
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        n = 2 * 10**4299
+        assert received == [
+            "method: raise\nq1: 2\nq2: 2\nconvention: plain\n"
+            f"tool_version: {berncert.__version__}\nC:\n{n} {2 * n} {n}\n"
+        ]
+        with pytest.raises(ParseError, match="coefficient matrix must be 3 x 3"):
+            parse_certificate_document(received[0])
 
     @pytest.mark.parametrize(
         "text",

@@ -1,6 +1,7 @@
 """Document formats: parsing, serialization, lossless round trips."""
 
 import functools
+import io
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from berncert import (
     certify_raise,
     verify,
 )
+from berncert import documents as docs
 from berncert.documents import (
     CertificateDocument,
     ParseError,
@@ -303,3 +305,100 @@ def test_bad_certificate_tokens_are_parse_error(token, column):
     )
     with pytest.raises(ParseError):
         parse_certificate_document(text)
+
+
+# The row parser's split-and-int path against the grammar's regex and
+# token-by-token path, its oracle: the same rows or the same ParseError text.
+ROW_TOKENS = [
+    "0", "1", "-3", "1/2", "2/4", "-0", "007", "00/01", "1/02", "+5", "1_0", "\u0663",
+    "1/\u0664", "\uff11", "1/", "/2", "/", "1/0", "0/0", "1/-2", "1/1", "1/+2", "--1", "-",
+    "1/2/3", "1//2", "x", "1e3", "7" * 4301, "1/" + "3" * 4301, "-" + "9" * 4300,
+]
+row_lines = st.lists(
+    st.sampled_from(ROW_TOKENS)
+    | st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True)
+    | st.text(max_size=4),
+    min_size=1,
+    max_size=6,
+).flatmap(
+    lambda tokens: st.lists(
+        st.sampled_from([" ", "  ", "\t", "\x0b", "\u2003", "\xa0"]),
+        min_size=len(tokens) - 1,
+        max_size=len(tokens) - 1,
+    ).map(lambda seps: "".join(t + s for t, s in zip(tokens, seps + [""])).strip())
+)
+
+
+def _row_outcome(parse, line):
+    try:
+        return parse(line)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(row_lines.filter(bool))
+def test_row_parser_matches_the_grammar(line):
+    assert _row_outcome(docs._parse_row, line) == _row_outcome(docs._parse_tokens, line)
+
+
+@pytest.mark.parametrize(
+    "line", ["+5 1", "1_0 1", "1 \u0663", "1/", "/2 1", "1/0", "1/-2", "--1", "1/2/3", "7" * 4301]
+)
+def test_row_parser_falls_back_with_the_grammars_error(line):
+    with pytest.raises(ParseError) as fast:
+        docs._parse_row(line)
+    with pytest.raises(ParseError) as oracle:
+        docs._parse_tokens(line)
+    assert str(fast.value) == str(oracle.value)
+
+
+# verify reads a certificate as the lines of a text-mode file, each split
+# again by str.splitlines: that splits where str.splitlines splits the whole
+# text, wherever the file's chunks are cut (a CR LF across a cut included).
+LINE_PIECES = [
+    "a", "1 2", " ", "#", "\r", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+    "\x85", "\u2028", "\u2029", "\xe9", "\U0001d7d9",
+]
+
+
+def _file_lines(data: bytes, chunk: int):
+    handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    handle._CHUNK_SIZE = chunk  # bytes per read, so that cuts fall everywhere
+    return (piece for line in handle for piece in line.splitlines())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(LINE_PIECES), max_size=30).map("".join), st.integers(1, 9))
+def test_file_lines_split_as_splitlines(text, chunk):
+    assert list(_file_lines(text.encode("utf-8"), chunk)) == text.splitlines()
+
+
+def _document_outcome(text, chunk):
+    """What parse_certificate_document gives for text, and what the streaming
+    reader gives for it read from a file in chunks of the given size."""
+    def parsed():
+        try:
+            doc = parse_certificate_document(text)
+        except ParseError as exc:
+            return str(exc)
+        cert = doc.certificate
+        return cert.q1, cert.q2, cert.numerators, cert.denominators, doc.report
+
+    def streamed():
+        try:
+            reader = docs.CertificateReader(_file_lines(text.encode(), chunk))
+            rows = list(reader.rows())
+        except ParseError as exc:
+            return str(exc)
+        nums, dens = (tuple(part) for part in zip(*rows))
+        return reader.q1, reader.q2, nums, dens, tuple(reader.report)
+
+    return parsed(), streamed()
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents, st.integers(1, 9))
+def test_streamed_document_matches_text(text, chunk):
+    parsed, streamed = _document_outcome(text, chunk)
+    assert parsed == streamed

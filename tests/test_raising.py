@@ -312,8 +312,8 @@ class TestCertifyRaise:
         def no_kernel(*args):
             raise AssertionError("the kernel ran before the q_start check")
 
-        monkeypatch.setattr(raising, "plain_coeffs", no_kernel)
-        monkeypatch.setattr(raising, "_grid_min", no_kernel)
+        for name in ("plain_coeffs", "plain_rows", "_grid_min"):
+            monkeypatch.setattr(raising, name, no_kernel)
         with pytest.raises(DegreeError):
             certify_raise(WORKED, q_start=(1, 1), max_doublings=20000)
 
@@ -511,11 +511,16 @@ class TestKernelCalls:
     def kernel_calls(self, monkeypatch):
         calls = []
 
-        def counting(p, q1, q2):
-            calls.append((q1, q2))
-            return plain_coeffs(p, q1, q2)
+        def counting(kernel):
+            def count(p, q1, q2):
+                calls.append((q1, q2))
+                return kernel(p, q1, q2)
 
-        monkeypatch.setattr(raising, "plain_coeffs", counting)
+            return count
+
+        # certify_raise makes its rows by plain_rows; bern_coeffs calls plain_coeffs.
+        for name in ("plain_coeffs", "plain_rows"):
+            monkeypatch.setattr(raising, name, counting(getattr(raising, name)))
         return calls
 
     def test_once_on_success(self, kernel_calls):

@@ -1,0 +1,175 @@
+"""Certificates as streams of rows: ``certify`` writes and ``verify`` reads
+the ``C:`` block one row at a time, so neither holds the whole document."""
+
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+
+from berncert import BPoly, certify_nested, certify_raise, verify
+from berncert.cli import main
+from berncert.documents import (
+    CertificateDocument,
+    parse_certificate_document,
+    serialize_certificate_document,
+)
+
+# (x1 - 31/64)^2 + 1/1000, a near-zero input that certifies by raise at
+# (256, 256): 66,049 entries, about 7 MB of text.
+A = Fraction(31, 64)
+NEAR_ZERO = BPoly([[A * A + Fraction(1, 1000), 0], [-2 * A, 0], [1, 0]])
+NEAR_ZERO_TEXT = f"variables: 2\ncoeffs:\n{A * A + Fraction(1, 1000)} 0\n{-2 * A} 0\n1 0\n"
+SPHERE = "variables: 2\ncoeffs:\n1 0 1\n0 0 0\n1 0 0\n"
+WORKED = BPoly([[Fraction(1, 8), 0, 1], [0, -2, 0], [1, 0, 0]])  # (x1-x2)^2 + 1/8
+PLANE = BPoly([[1, 1], [1, 0]])  # 1 + x1 + x2
+THIRDS = BPoly([[1, Fraction(-1, 3)], [Fraction(1, 2), 0]])  # 1 + x1/2 - x2/3
+
+
+def _poly_text(p: BPoly) -> str:
+    return "variables: 2\ncoeffs:\n" + "\n".join(" ".join(map(str, row)) for row in p.coeffs) + "\n"
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture(scope="module")
+def near_zero(tmp_path_factory):
+    """The near-zero polynomial file and its certificate, made once."""
+    work = tmp_path_factory.mktemp("near-zero")
+    poly, cert = work / "poly.txt", work / "cert.txt"
+    poly.write_text(NEAR_ZERO_TEXT)
+    assert main(["certify", str(poly), str(cert), "--method", "raise"]) == 0
+    return poly, cert
+
+
+def _peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_certify_memory_is_bounded_by_a_row(near_zero, tmp_path, capsys):
+    poly, cert = near_zero
+    out = tmp_path / "again.txt"
+    assert _peak(["certify", str(poly), str(out), "--method", "raise"]) < 1 << 20
+    assert capsys.readouterr().out == "certified method=raise q1=256 q2=256\n"
+    assert out.read_bytes() == cert.read_bytes()
+
+
+def test_verify_memory_is_bounded_by_a_row(near_zero, capsys):
+    poly, cert = near_zero
+    assert _peak(["verify", str(poly), str(cert)]) < 1 << 20
+    assert capsys.readouterr().out == "ok\n"
+
+
+@pytest.mark.parametrize(
+    "p, method",
+    [(WORKED, "raise"), (PLANE, "raise"), (PLANE, "nested"), (THIRDS, "raise"), (THIRDS, "nested")],
+    ids=["worked-raise", "plane-raise", "plane-nested", "thirds-raise", "thirds-nested"],
+)
+def test_cli_writes_the_serialized_document(tmp_path, p, method):
+    poly, out = tmp_path / "poly.txt", tmp_path / "cert.txt"
+    poly.write_text(_poly_text(p))
+    assert main(["certify", str(poly), str(out), "--method", method]) == 0
+    cert = {"raise": certify_raise, "nested": certify_nested}[method](p)
+    text = serialize_certificate_document(CertificateDocument.from_certificate(cert))
+    assert out.read_bytes() == text.encode("utf-8")
+
+
+# Every place str.splitlines ends a line; blank and comment lines between.
+SEPARATORS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _with_separators(text: str) -> str:
+    out = []
+    for i, line in enumerate(text.split("\n")[:-1]):
+        sep = SEPARATORS[i % len(SEPARATORS)]
+        out.append(line + sep)
+        if i % 3 == 0:
+            out.append(f"# comment{sep}  {sep}")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("tamper", [False, True], ids=["valid", "perturbed"])
+def test_line_separators_give_the_same_verdict_from_text_and_file(tmp_path, capsys, tamper):
+    cert = certify_raise(WORKED)
+    text = serialize_certificate_document(CertificateDocument.from_certificate(cert))
+    if tamper:
+        head, rest = text.split("\nC:\n", 1)
+        first, rest = rest.split(" ", 1)
+        text = f"{head}\nC:\n{Fraction(first) + Fraction(1, 10**9)} {rest}"
+    odd = _with_separators(text)
+    assert odd.count("\n") < text.count("\n")
+    doc = parse_certificate_document(odd)
+    assert doc == parse_certificate_document(text)
+    result = verify(WORKED, doc.certificate)
+    assert bool(result) is not tamper
+    poly, path = tmp_path / "poly.txt", tmp_path / "cert.txt"
+    poly.write_text(_poly_text(WORKED))
+    path.write_bytes(odd.encode("utf-8"))
+    code, out, err = _run(capsys, ["verify", str(poly), str(path)])
+    if tamper:
+        assert (code, out) == (2, "")
+        assert err == f"status=invalid reason={result.reason.replace(' ', '_')}\n"
+    else:
+        assert (code, out, err) == (0, "ok\n", "")
+
+
+def _decode_error(data: bytes) -> str:
+    """The parse-error record of bytes that are not UTF-8, read whole."""
+    with pytest.raises(UnicodeDecodeError) as exc:
+        data.decode("utf-8")
+    return f"status=parse-error detail={str(exc.value).replace(' ', '_')}\n"
+
+
+def test_bad_bytes_deep_in_the_block_are_parse_error(near_zero, tmp_path, capsys):
+    poly, cert = near_zero
+    data = bytearray(cert.read_bytes())
+    at = len(data) // 2  # megabytes into the C: block, past the first chunk
+    assert data.index(b"\nC:\n") < 1 << 10 and b"report:" not in data[:at]
+    data[at] = 0xFF
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(bytes(data))
+    code, out, err = _run(capsys, ["verify", str(poly), str(bad)])
+    assert (code, out) == (1, "")
+    assert err.startswith("status=parse-error detail='utf-8'_codec_can't_decode_byte_0xff")
+    assert err == _decode_error(bytes(data))
+
+
+HEAD = b"method: raise\nq1: 1\nq2: 1\nconvention: plain\ntool_version: 0.1.0\nC:\n"
+
+
+@pytest.mark.parametrize(
+    "at, bad",
+    [(len(HEAD), b"\xff"), (8191, b"\xe2\x80"), (8190, b"\xf0\x9f\x98"), (None, b"\xe2\x80")],
+    ids=["block-start", "across-8k", "across-8k-4byte", "cut-at-end"],
+)
+def test_bad_bytes_give_the_whole_file_record(tmp_path, capsys, at, bad):
+    # Positions count from the file's start, wherever the reads are cut.
+    data = bytearray(HEAD + b"1 1\n" * 5000)
+    if at is None:
+        data += bad
+    else:
+        data[at : at + len(bad)] = bad
+    poly, path = tmp_path / "poly.txt", tmp_path / "bad.txt"
+    poly.write_text(SPHERE)
+    path.write_bytes(bytes(data))
+    code, out, err = _run(capsys, ["verify", str(poly), str(path)])
+    assert (code, out, err) == (1, "", _decode_error(bytes(data)))
+
+
+def test_bad_bytes_win_over_an_earlier_header_fault(tmp_path, capsys):
+    # The text is decoded before it is parsed: bytes that are not UTF-8,
+    # anywhere, are the fault reported, as when the file was read whole.
+    poly, bad = tmp_path / "poly.txt", tmp_path / "bad.txt"
+    poly.write_text(SPHERE)
+    bad.write_bytes(b"method raise\nC:\n" + b"1 1\n" * 50000 + b"\xff\n")
+    code, out, err = _run(capsys, ["verify", str(poly), str(bad)])
+    assert (code, out) == (1, "")
+    assert err.startswith("status=parse-error detail='utf-8'_codec_can't_decode_byte_0xff")
