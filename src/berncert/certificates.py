@@ -245,8 +245,7 @@ def verify_rows(
     j <= q2 of its row.  p's rows are made only up to the first mismatch.
     """
     cut = BPoly([row[: q2 + 1] for row in p.coeffs[: q1 + 1]])
-    x1_rows, den = _plain_pass(list(zip(*cut.coeffs)), q1)
-    expected = _plain_rows(x1_rows, cut.n2, q2)
+    expected, den = plain_rows(cut, q1, q2)
     sign = mismatch = None
     for i, (nums, dens) in enumerate(rows):
         if sign is None and min(nums) <= 0:  # denominators are positive

@@ -3,7 +3,10 @@
 Exit codes are the machine contract: 0 success, 1 usage or I/O or parse
 errors, 2 refuted positivity or invalid certificate, 3 inconclusive within
 the iteration caps.  Diagnostics go to standard error as one-line
-``key=value`` records; rational values are printed as ``num/den``.
+``key=value`` records; rational values are printed as ``num/den``, and
+spaces in a value as ``_``, so a record splits on spaces into its fields.
+The commands raise their failures; ``main`` alone turns each into its
+record and exit code.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .documents import (
 from .errors import DegreeError, InconclusiveError, NotPositiveError
 from .certificates import verify_rows
 from .nested import nested_rows
+from .polys import BPoly
 from .raising import MinEnclosure, min_enclosure, min_enclosure_to_width, raise_rows
 
 DEFAULT_REFINEMENT_CAP = 64
@@ -47,19 +51,34 @@ def _diag(**fields) -> None:
     for key, value in fields.items():
         if isinstance(value, tuple):
             value = ",".join(_text(v) for v in value)
-        parts.append(f"{key}={_text(value)}")
+        parts.append(f"{key}={_text(value).replace(' ', '_')}")
     print(" ".join(parts), file=sys.stderr)
+
+
+class _UsageError(Exception):
+    """A command line that names no valid run: ``status=usage-error``."""
+
+
+class _TooLarge(Exception):
+    """A certificate with a number past the interpreter's digit limit for
+    str(), which is not written: ``status=too-large``."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        _diag(status="usage-error", detail=message.replace(" ", "_"))
-        raise SystemExit(1)
+        raise _UsageError(message)
 
 
 def _read_polynomial(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         return parse_polynomial_document(handle.read())
+
+
+def _read_bivariate(path: str, command: str) -> BPoly:
+    doc = _read_polynomial(path)
+    if doc.variables != 2:
+        raise _UsageError(f"{command} requires a bivariate polynomial")
+    return doc.to_bpoly()
 
 
 def _write_atomically(path: str, lines: Iterable[str]) -> None:
@@ -76,8 +95,7 @@ def _write_atomically(path: str, lines: Iterable[str]) -> None:
     """
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as handle:
-            for line in lines:
-                handle.write(line)
+            handle.writelines(lines)
         return
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
@@ -85,8 +103,7 @@ def _write_atomically(path: str, lines: Iterable[str]) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as handle:
-            for line in lines:
-                handle.write(line)
+            handle.writelines(lines)
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
@@ -98,61 +115,38 @@ def _parse_point(text: str) -> list[Fraction]:
 
 
 def cmd_certify(args) -> int:
-    doc = _read_polynomial(args.input)
-    if doc.variables != 2:
-        _diag(status="usage-error", detail="certify requires a bivariate polynomial")
-        return 1
-    p = doc.to_bpoly()
+    p = _read_bivariate(args.input, "certify")
     doublings = args.max_iter if args.max_iter is not None else DEFAULT_DOUBLING_CAP
     levels = args.max_iter if args.max_iter is not None else DEFAULT_REFINEMENT_CAP
-    try:
-        if args.method == "nested":
-            if args.q_start is not None:
-                _diag(status="usage-error", detail="--q-start applies to --method raise")
-                return 1
-            cert = nested_rows(p, max_doublings=doublings, max_levels=levels)
-        else:
-            q_start: Optional[tuple[int, int]] = None
-            if args.q_start is not None:
-                try:
-                    q1, q2 = args.q_start.split(",")
-                    q_start = (int(q1), int(q2))
-                except ValueError:
-                    _diag(status="usage-error", detail="--q-start expects q1,q2")
-                    return 1
-            cert = raise_rows(p, q_start=q_start, max_doublings=doublings)
-    except NotPositiveError as exc:
-        _diag(status="not-positive", witness=exc.witness, value=exc.value)
-        return 2
-    except InconclusiveError as exc:
-        if isinstance(exc.best, MinEnclosure):  # nested attaches 1-D row enclosures
-            _diag(status="inconclusive", lo=exc.best.lo, hi=exc.best.hi)
-        else:
-            _diag(status="inconclusive")
-        return 3
-    except DegreeError as exc:
-        _diag(status="usage-error", detail=str(exc).replace(" ", "_"))
-        return 1
+    if args.method == "nested":
+        if args.q_start is not None:
+            raise _UsageError("--q-start applies to --method raise")
+        cert = nested_rows(p, max_doublings=doublings, max_levels=levels)
+    else:
+        q_start: Optional[tuple[int, int]] = None
+        if args.q_start is not None:
+            try:
+                q1, q2 = args.q_start.split(",")
+                q_start = (int(q1), int(q2))
+            except ValueError:
+                raise _UsageError("--q-start expects q1,q2")
+        cert = raise_rows(p, q_start=q_start, max_doublings=doublings)
     try:  # the rows are made as they are written
         _write_atomically(args.output, certificate_lines(cert))
     except ValueError:  # str() refuses integers past the interpreter's digit limit
         limit = sys.get_int_max_str_digits()
-        _diag(status="too-large", detail=f"a_certificate_number_has_over_{limit}_digits")
-        return 1
+        raise _TooLarge(f"a certificate number has over {limit} digits")
     print(f"certified method={cert.method.value} q1={cert.q1} q2={cert.q2}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    doc = _read_polynomial(args.poly)
-    if doc.variables != 2:
-        _diag(status="usage-error", detail="verify requires a bivariate polynomial")
-        return 1
+    p = _read_bivariate(args.poly, "verify")
     try:  # the lines str.splitlines would give, parsed as they are read
         with open(args.certificate, "r", encoding="utf-8") as handle:
             lines = (piece for line in handle for piece in line.splitlines())
             reader = CertificateReader(lines)
-            result = verify_rows(doc.to_bpoly(), reader.q1, reader.q2, reader.rows())
+            result = verify_rows(p, reader.q1, reader.q2, reader.rows())
     except UnicodeDecodeError:  # give the position in the file, not in a chunk
         with open(args.certificate, "rb") as handle:
             handle.read().decode("utf-8")
@@ -160,37 +154,25 @@ def cmd_verify(args) -> int:
     if result:
         print("ok")
         return 0
-    _diag(status="invalid", reason=result.reason.replace(" ", "_"))
+    _diag(status="invalid", reason=result.reason)
     return 2
 
 
 def cmd_enclose_min(args) -> int:
-    doc = _read_polynomial(args.input)
-    if doc.variables != 2:
-        _diag(status="usage-error", detail="enclose-min requires a bivariate polynomial")
-        return 1
-    p = doc.to_bpoly()
-    cap = args.max_iter if args.max_iter is not None else DEFAULT_DOUBLING_CAP
+    p = _read_bivariate(args.input, "enclose-min")
     if args.target_width is not None:
         width = parse_rational(args.target_width)
         if width <= 0:
-            _diag(status="usage-error", detail="--target-width must be positive")
-            return 1
+            raise _UsageError("--target-width must be positive")
+        cap = args.max_iter if args.max_iter is not None else DEFAULT_DOUBLING_CAP
         enc = min_enclosure_to_width(p, width, cap)
-        print(f"{_text(enc.lo)} {_text(enc.hi)} {enc.q1} {enc.q2}")
-        if enc.bound <= width:
-            return 0
-        _diag(status="inconclusive", lo=enc.lo, hi=enc.hi)
-        return 3
-    if args.q1 is None or args.q2 is None:
-        _diag(status="usage-error", detail="provide --q1 and --q2, or --target-width")
-        return 1
-    try:
+    elif args.q1 is None or args.q2 is None:
+        raise _UsageError("provide --q1 and --q2, or --target-width")
+    else:
         enc = min_enclosure(p, args.q1, args.q2)
-    except DegreeError as exc:
-        _diag(status="usage-error", detail=str(exc).replace(" ", "_"))
-        return 1
     print(f"{_text(enc.lo)} {_text(enc.hi)} {enc.q1} {enc.q2}")
+    if args.target_width is not None and enc.bound > width:
+        raise InconclusiveError(f"enclosure wider than {_text(width)}", best=enc)
     return 0
 
 
@@ -198,11 +180,7 @@ def cmd_eval(args) -> int:
     doc = _read_polynomial(args.input)
     point = _parse_point(args.at)
     if len(point) != doc.variables:
-        _diag(
-            status="usage-error",
-            detail=f"expected {doc.variables} coordinates, got {len(point)}",
-        )
-        return 1
+        raise _UsageError(f"expected {doc.variables} coordinates, got {len(point)}")
     if doc.variables == 1:
         value = doc.to_upoly().eval(point[0])
     else:
@@ -266,20 +244,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; every failure it raises ends here as one record."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if getattr(args, "max_iter", None) is not None and args.max_iter < 0:
-            parser.error(f"argument --max-iter: {args.max_iter} is negative")
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+            raise _UsageError(f"argument --max-iter: {args.max_iter} is negative")
         return args.func(args)
+    except SystemExit as exc:  # --help and --version
+        return int(exc.code or 0)
+    except NotPositiveError as exc:
+        _diag(status="not-positive", witness=exc.witness, value=exc.value)
+        return 2
+    except InconclusiveError as exc:
+        if isinstance(exc.best, MinEnclosure):  # nested attaches 1-D row enclosures
+            _diag(status="inconclusive", lo=exc.best.lo, hi=exc.best.hi)
+        else:
+            _diag(status="inconclusive")
+        return 3
+    except (_UsageError, DegreeError) as exc:
+        _diag(status="usage-error", detail=str(exc))
+        return 1
+    except _TooLarge as exc:
+        _diag(status="too-large", detail=str(exc))
+        return 1
     except (ParseError, UnicodeDecodeError) as exc:
-        _diag(status="parse-error", detail=str(exc).replace(" ", "_"))
+        _diag(status="parse-error", detail=str(exc))
         return 1
     except OSError as exc:
-        _diag(status="io-error", detail=str(exc).replace(" ", "_"))
+        _diag(status="io-error", detail=str(exc))
         return 1
 
 

@@ -275,10 +275,13 @@ def _range_enclosure(
     normalized coefficients at degree m are ``_values`` of the integers
     D coeffs[i] i! (m-i)! over S = D m! den, and every bisection level
     multiplies the scale by 2**m.  All segments alive at one level share that
-    scale, so comparisons are integer ones; a segment that turns passive
-    stays passive (min_value only falls and max_value only rises), so it is
-    kept as its bounds alone.  Points are numerators over 2**levels.  Only
-    the fields of each level's RangeEnclosure1D become Fractions.
+    scale, so comparisons are integer ones.  A segment whose control points
+    lie in [min_value, max_value] is dropped for good (min_value only falls
+    and max_value only rises), so lo and hi are min_value and max_value
+    widened by the live segments alone: an attained value is an end control
+    point of some segment, and a dropped one's points lie between them.
+    Points are numerators over 2**levels.  Only the fields of each level's
+    RangeEnclosure1D become Fractions.
     """
     m = len(coeffs) - 1
     while m > 0 and coeffs[m] == 0:
@@ -290,13 +293,11 @@ def _range_enclosure(
     min_value, min_point = (first[0], 0) if first[0] <= first[-1] else (first[-1], 1)
     max_value, max_point = (first[0], 0) if first[0] >= first[-1] else (first[-1], 1)
     segments = [(0, first)]  # (j, control points) on [j, j+1] / 2**levels
-    passive_lo = passive_hi = None
     levels = 0
     while True:
         lows = [min(cps) for _, cps in segments]
         highs = [max(cps) for _, cps in segments]
-        lo = min(lows) if passive_lo is None else min(passive_lo, *lows)
-        hi = max(highs) if passive_hi is None else max(passive_hi, *highs)
+        lo, hi = min(min_value, *lows), max(max_value, *highs)
         denom, points = scale << (m * levels), 1 << levels
         enc = RangeEnclosure1D(
             Fraction(lo, denom),
@@ -309,13 +310,11 @@ def _range_enclosure(
         )
         if predicate(enc):
             return enc
-        active = []
-        for seg, low, high in zip(segments, lows, highs):
-            if low < min_value or high > max_value:
-                active.append(seg)
-            else:
-                passive_lo = low if passive_lo is None else min(passive_lo, low)
-                passive_hi = high if passive_hi is None else max(passive_hi, high)
+        active = [
+            seg
+            for seg, low, high in zip(segments, lows, highs)
+            if low < min_value or high > max_value
+        ]
         if not active:
             return enc
         if levels >= max_levels:
@@ -326,8 +325,6 @@ def _range_enclosure(
         # One level down: every kept integer moves to the new scale.
         min_value, max_value = min_value << m, max_value << m
         min_point, max_point = min_point << 1, max_point << 1
-        if passive_lo is not None:
-            passive_lo, passive_hi = passive_lo << m, passive_hi << m
         segments = []
         for j, cps in active:
             left, right = _decasteljau_halves(cps, m)

@@ -147,6 +147,10 @@ class TestCertify:
                 self.handle.flush()
                 raise OSError(28, "No space left on device")
 
+            def writelines(self, lines):  # as io.IOBase does it
+                for line in lines:
+                    self.write(line)
+
         real_open = open
 
         def failing_open(file, mode="r", *args, **kwargs):
@@ -508,6 +512,120 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+# Every failure path of every command: argv (paths as {names}), exit code,
+# the one stderr record, and stdout.  Paths: {worked} WORKED, {sphere}
+# SPHERE, {uni} UNI, {negative} NEGATIVE, {bad} a document with a malformed
+# entry, {missing} no file, {out} a certificate to write, {zero} a 1 x 1
+# certificate C = (0).
+CAPPED_NESTED = (  # certify --method nested gives up on a row at --max-iter 0
+    "variables: 2\ncoeffs:\n1827/40 -7/2 9/4 3/2 8/3\n-2 -7/4 -3/2 7/3 -2\n"
+    "1/2 0 -2 9 2\n-8/3 9/2 -5/2 1/2 -6\n"
+)
+RECORDS = {
+    "certify-univariate": (
+        ["certify", "{uni}", "{out}", "--method", "raise"], 1,
+        "status=usage-error detail=certify_requires_a_bivariate_polynomial", ""),
+    "verify-univariate": (
+        ["verify", "{uni}", "{zero}"], 1,
+        "status=usage-error detail=verify_requires_a_bivariate_polynomial", ""),
+    "enclose-univariate": (
+        ["enclose-min", "{uni}", "--q1", "2", "--q2", "2"], 1,
+        "status=usage-error detail=enclose-min_requires_a_bivariate_polynomial", ""),
+    "q-start-with-nested": (
+        ["certify", "{sphere}", "{out}", "--method", "nested", "--q-start", "4,4"], 1,
+        "status=usage-error detail=--q-start_applies_to_--method_raise", ""),
+    "q-start-malformed": (
+        ["certify", "{sphere}", "{out}", "--method", "raise", "--q-start", "4"], 1,
+        "status=usage-error detail=--q-start_expects_q1,q2", ""),
+    "target-width-zero": (
+        ["enclose-min", "{worked}", "--target-width", "0"], 1,
+        "status=usage-error detail=--target-width_must_be_positive", ""),
+    "enclose-without-degrees": (
+        ["enclose-min", "{worked}", "--q1", "2"], 1,
+        "status=usage-error detail=provide_--q1_and_--q2,_or_--target-width", ""),
+    "eval-arity": (
+        ["eval", "{worked}", "--at", "1/7"], 1,
+        "status=usage-error detail=expected_2_coordinates,_got_1", ""),
+    "eval-arity-univariate": (
+        ["eval", "{uni}", "--at", "1,1"], 1,
+        "status=usage-error detail=expected_1_coordinates,_got_2", ""),
+    "enclose-q1-below-floor": (
+        ["enclose-min", "{worked}", "--q1", "0", "--q2", "2"], 1,
+        "status=usage-error detail=degrees_(0,_2)_are_below_the_floors_(2,_2)", ""),
+    "q-start-below-floor": (
+        ["certify", "{sphere}", "{out}", "--method", "raise", "--q-start", "1,1"], 1,
+        "status=usage-error detail=q_start_(1,_1)_is_below_the_floors_(2,_2)", ""),
+    "argparse-missing-method": (
+        ["certify", "{sphere}", "{out}"], 1,
+        "status=usage-error detail=the_following_arguments_are_required:_--method", ""),
+    "argparse-negative-max-iter": (
+        ["enclose-min", "{worked}", "--target-width", "1/100", "--max-iter", "-3"], 1,
+        "status=usage-error detail=argument_--max-iter:_-3_is_negative", ""),
+    "argparse-bad-int": (
+        ["enclose-min", "{worked}", "--q1", "2", "--q2", "x"], 1,
+        "status=usage-error detail=argument_--q2:_invalid_int_value:_'x'", ""),
+    "certify-parse-error": (
+        ["certify", "{bad}", "{out}", "--method", "raise"], 1,
+        "status=parse-error detail=malformed_rational_'1/x'", ""),
+    "eval-point-parse-error": (
+        ["eval", "{worked}", "--at", "0.5,0"], 1,
+        "status=parse-error detail=malformed_rational_'0.5'", ""),
+    "target-width-parse-error": (
+        ["enclose-min", "{worked}", "--target-width", "1/x"], 1,
+        "status=parse-error detail=malformed_rational_'1/x'", ""),
+    "certify-io-error": (
+        ["certify", "{missing}", "{out}", "--method", "raise"], 1,
+        "status=io-error detail=[Errno_2]_No_such_file_or_directory:_'{missing}'", ""),
+    "verify-io-error": (
+        ["verify", "{sphere}", "{missing}"], 1,
+        "status=io-error detail=[Errno_2]_No_such_file_or_directory:_'{missing}'", ""),
+    "too-large": (
+        ["certify", "{huge}", "{out}", "--method", "raise"], 1,
+        "status=too-large detail=a_certificate_number_has_over_4300_digits", ""),
+    "not-positive": (
+        ["certify", "{negative}", "{out}", "--method", "raise"], 2,
+        "status=not-positive witness=0,0 value=-1", ""),
+    "invalid": (
+        ["verify", "{sphere}", "{zero}"], 2,
+        "status=invalid reason=nonpositive_entry_C[0][0]_=_0;_expansion_mismatch_at_"
+        "monomial_x1^0_x2^0:_expansion_gives_0,_polynomial_has_1", ""),
+    "inconclusive-raise": (
+        ["certify", "{touching}", "{out}", "--method", "raise", "--max-iter", "3"], 3,
+        "status=inconclusive lo=-1/72 hi=103/2304", ""),
+    "inconclusive-nested": (
+        ["certify", "{capped}", "{out}", "--method", "nested", "--max-iter", "0"], 3,
+        "status=inconclusive", ""),
+    "inconclusive-target-width": (
+        ["enclose-min", "{worked}", "--target-width", "1/100000", "--max-iter", "2"], 3,
+        "status=inconclusive lo=3/56 hi=61/224", "3/56 61/224 8 8\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_failure_record(poly_file, tmp_path, capsys, name):
+    argv, code, record, out = RECORDS[name]
+    zero = tmp_path / "zero.cert"
+    zero.write_text("method: raise\nq1: 0\nq2: 0\nconvention: plain\ntool_version: 0.1.0\nC:\n0\n")
+    paths = {
+        "worked": poly_file(WORKED, "worked.txt"), "sphere": poly_file(SPHERE, "sphere.txt"),
+        "uni": poly_file(UNI, "uni.txt"), "negative": poly_file(NEGATIVE, "negative.txt"),
+        "bad": poly_file("variables: 2\ncoeffs:\n1 1/x\n", "bad.txt"),
+        "touching": poly_file("variables: 2\ncoeffs:\n1/9\n-2/3\n1\n", "touching.txt"),
+        "capped": poly_file(CAPPED_NESTED, "capped.txt"),
+        "huge": poly_file(TestUsage.HUGE, "huge.txt"),
+        "missing": tmp_path / "missing.txt", "out": tmp_path / "cert.txt", "zero": zero,
+    }
+    assert main([arg.format(**paths) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err == record.format(**paths) + "\n"
+    assert captured.out == out
+    assert not paths["out"].exists()
+    # One record whose fields split on single spaces into key=value tokens.
+    tokens = captured.err[:-1].split(" ")
+    assert all(key.isidentifier() and value for key, _, value in (t.partition("=") for t in tokens))
+    assert tokens[0].startswith("status=")
 
 
 def test_module_entry_point(tmp_path):

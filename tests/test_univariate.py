@@ -26,8 +26,17 @@ from berncert import (
     to_bernstein_plain,
 )
 from berncert.certificates import plain_coeffs
-from berncert.nested import _coefficient_rows, coefficient_bernstein_polys
-from berncert.univariate import _goursat, _plain_pass
+from berncert.nested import _coefficient_rows, _q2_stop, coefficient_bernstein_polys
+from berncert.univariate import (
+    _cleared,
+    _decasteljau_halves,
+    _goursat,
+    _plain_pass,
+    _range_enclosure,
+    _values,
+    _weights,
+    _within,
+)
 
 from corpus import random_unit_fraction, random_upoly
 
@@ -330,6 +339,84 @@ def test_range_enclosure_matches_fraction_oracle(p, mode, width, max_levels):
         predicate = PREDICATES[mode]
     got = _enclosure_or_best(lambda: range_enclosure_1d(p, max_levels=max_levels, **kwargs))
     want = _enclosure_or_best(lambda: _fraction_range_enclosure(p, predicate, max_levels))
+    assert got == want
+
+
+def _passive_range_enclosure(coeffs, den, predicate, max_levels):
+    """The integer bisection as it was when dropped segments were kept as
+    running bounds, passive_lo and passive_hi, shifted to each new scale:
+    the oracle for ``_range_enclosure``, which widens min_value and
+    max_value by the live segments alone."""
+    m = len(coeffs) - 1
+    while m > 0 and coeffs[m] == 0:
+        m -= 1
+    (ints,), kden = _cleared([coeffs[: m + 1]])
+    first = _values([a * w for a, w in zip(ints, _weights(m, m))], m)
+    scale = kden * math.factorial(m) * den
+    min_value, min_point = (first[0], 0) if first[0] <= first[-1] else (first[-1], 1)
+    max_value, max_point = (first[0], 0) if first[0] >= first[-1] else (first[-1], 1)
+    segments = [(0, first)]
+    passive_lo = passive_hi = None
+    levels = 0
+    while True:
+        lows = [min(cps) for _, cps in segments]
+        highs = [max(cps) for _, cps in segments]
+        lo = min(lows) if passive_lo is None else min(passive_lo, *lows)
+        hi = max(highs) if passive_hi is None else max(passive_hi, *highs)
+        denom, points = scale << (m * levels), 1 << levels
+        enc = RangeEnclosure1D(
+            Fraction(lo, denom), Fraction(hi, denom), levels,
+            Fraction(min_value, denom), Fraction(min_point, points),
+            Fraction(max_value, denom), Fraction(max_point, points),
+        )
+        if predicate(enc):
+            return enc
+        active = []
+        for seg, low, high in zip(segments, lows, highs):
+            if low < min_value or high > max_value:
+                active.append(seg)
+            else:
+                passive_lo = low if passive_lo is None else min(passive_lo, low)
+                passive_hi = high if passive_hi is None else max(passive_hi, high)
+        if not active:
+            return enc
+        if levels >= max_levels:
+            raise InconclusiveError("cap", best=enc)
+        min_value, max_value = min_value << m, max_value << m
+        min_point, max_point = min_point << 1, max_point << 1
+        if passive_lo is not None:
+            passive_lo, passive_hi = passive_lo << m, passive_hi << m
+        segments = []
+        for j, cps in active:
+            left, right = _decasteljau_halves(cps, m)
+            segments.append((2 * j, left))
+            segments.append((2 * j + 1, right))
+            mid_value = left[-1]
+            if mid_value < min_value:
+                min_value, min_point = mid_value, 2 * j + 1
+            if mid_value > max_value:
+                max_value, max_point = mid_value, 2 * j + 1
+        levels += 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=40), min_size=1, max_size=8),
+    st.integers(1, 50),
+    st.sampled_from(["certify_positive_1d", "nested_q2", "within"]),
+    st.fractions(min_value=Fraction(1, 1000), max_value=2),
+    st.integers(0, 12),
+)
+def test_range_enclosure_matches_passive_oracle(coeffs, den, mode, width, max_levels):
+    # The stop rules that call _range_enclosure: certify_positive_1d's,
+    # nested's _q2_stop and range_enclosure_1d's _within.
+    predicate = {
+        "certify_positive_1d": PREDICATES["certify_positive_1d"],
+        "nested_q2": _q2_stop,
+        "within": _within(width),
+    }[mode]
+    got = _enclosure_or_best(lambda: _range_enclosure(coeffs, den, predicate, max_levels))
+    want = _enclosure_or_best(lambda: _passive_range_enclosure(coeffs, den, predicate, max_levels))
     assert got == want
 
 
