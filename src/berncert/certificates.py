@@ -14,7 +14,10 @@ certificate holds C as integer numerators over integer denominators: the
 certifiers store (N, D) as ``plain_rows`` gave them, a parsed document
 its tokens as written, and ``coefficients`` is a derived Fraction view.
 ``CertificateRows`` is a certificate before its matrix is held, the rows
-still to be read, which the CLI writes as they are made.
+still to be read, which the CLI writes as they are made; it checks each row
+strictly positive as the row is read, whichever method made it, and a
+nonpositive entry is a ``CertificationError`` (the method's degrees were
+too low), raised before that row is written or collected.
 
 Verification is a pure function of the certificate and the polynomial that
 does not trust the producer, and it reads the certificate as a stream of
@@ -36,7 +39,7 @@ from itertools import repeat
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import DegreeError
+from .errors import CertificationError, DegreeError
 from .polys import BPoly, rat
 from .univariate import _plain_kernel, _plain_pass, _plain_rows
 
@@ -195,15 +198,28 @@ def plain_coeffs(p: BPoly, q1: int, q2: int) -> tuple[list[list[int]], int]:
 class CertificateRows:
     """A certificate whose matrix is not held: its degrees, method and
     report, and its numerator rows over the one denominator ``den``, made as
-    they are read.  ``collect`` reads them all into the certificate; the
-    CLI writes them to the document one at a time instead."""
+    they are read and each checked strictly positive as it passes.
+    ``collect`` reads them all into the certificate; the CLI writes them to
+    the document one at a time instead."""
 
     def __init__(
         self, q1: int, q2: int, method: Method, report, rows: Iterator[list[int]], den: int
     ):
-        self.q1, self.q2, self.method, self.report, self.rows, self.den = (
-            q1, q2, method, report, rows, den
-        )
+        self.q1, self.q2, self.method, self.report, self.den = q1, q2, method, report, den
+        self.rows = self._positive(rows)
+
+    @staticmethod
+    def _positive(rows: Iterator[list[int]]) -> Iterator[list[int]]:
+        """rows, each checked to be strictly positive as it is read: a
+        nonpositive entry means the certifier chose degrees too low."""
+        for i, row in enumerate(rows):
+            if min(row) <= 0:
+                bad = next(j for j, v in enumerate(row) if v <= 0)
+                raise CertificationError(
+                    f"row {i} produced a nonpositive coefficient at {bad}; "
+                    "the certified bounds did not give a sufficient degree"
+                )
+            yield row
 
     def collect(self) -> PositivityCertificate:
         return PositivityCertificate.from_integers(

@@ -1,10 +1,11 @@
 """Command line front end.
 
 Exit codes are the machine contract: 0 success, 1 usage or I/O or parse
-errors, 2 refuted positivity or invalid certificate, 3 inconclusive within
-the iteration caps.  Diagnostics go to standard error as one-line
-``key=value`` records; rational values are printed as ``num/den``, and
-spaces in a value as ``_``, so a record splits on spaces into its fields.
+errors or a certifier's internal error, 2 refuted positivity or invalid
+certificate, 3 inconclusive within the iteration caps.  Diagnostics go to
+standard error as one-line ``key=value`` records; rational values are
+printed as ``num/den``, and spaces in a value as ``_``, so a record splits
+on spaces into its fields.
 The commands raise their failures; ``main`` alone turns each into its
 record and exit code.
 """
@@ -26,14 +27,18 @@ from .documents import (
     parse_polynomial_document,
     parse_rational,
 )
-from .errors import DegreeError, InconclusiveError, NotPositiveError
+from .errors import CertificationError, DegreeError, InconclusiveError, NotPositiveError
 from .certificates import verify_rows
 from .nested import nested_rows
 from .polys import BPoly
-from .raising import MinEnclosure, min_enclosure, min_enclosure_to_width, raise_rows
-
-DEFAULT_REFINEMENT_CAP = 64
-DEFAULT_DOUBLING_CAP = 20
+from .raising import (
+    DEFAULT_DOUBLING_CAP,
+    MinEnclosure,
+    min_enclosure,
+    min_enclosure_to_width,
+    raise_rows,
+)
+from .univariate import DEFAULT_REFINEMENT_CAP
 
 
 def _text(value) -> str:
@@ -209,7 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     certify.add_argument(
         "--max-iter", type=int, default=None,
-        help="iteration cap (default 64 bisection levels / 20 degree doublings)",
+        help=(
+            f"iteration cap (default {DEFAULT_REFINEMENT_CAP} bisection levels"
+            f" / {DEFAULT_DOUBLING_CAP} degree doublings)"
+        ),
     )
     certify.add_argument(
         "--q-start", default=None,
@@ -233,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="double degrees until the error bound is at most this rational",
     )
     enclose.add_argument("--max-iter", type=int, default=None,
-                         help="doubling cap (default 20)")
+                         help=f"doubling cap (default {DEFAULT_DOUBLING_CAP})")
     enclose.set_defaults(func=cmd_enclose_min)
 
     eval_p = sub.add_parser("eval", help="evaluate a polynomial exactly")
@@ -261,6 +269,9 @@ def main(argv=None) -> int:
         else:
             _diag(status="inconclusive")
         return 3
+    except CertificationError as exc:  # the certifier's degrees gave a nonpositive row
+        _diag(status="internal-error", detail=str(exc))
+        return 1
     except (_UsageError, DegreeError) as exc:
         _diag(status="usage-error", detail=str(exc))
         return 1

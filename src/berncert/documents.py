@@ -21,7 +21,9 @@ unreduced tokens are accepted), plus the two things only the file has: the
 ordered ``report`` text and ``tool_version``.  The ``convention: plain``
 header has one legal value, so it is written, required and checked, not
 stored.  Entry n/d is written as ``n//g/d//g`` with g = gcd(n, d), the token
-``str(Fraction(n, d))`` would give, without building the Fraction.
+``str(Fraction(n, d))`` would give, without building the Fraction.  The
+``report:`` text of a new certificate is its report object's own ``pairs``,
+each value written by ``str``, so this module knows no certifier.
 Polynomial documents hold Fractions.
 
 Polynomial document::
@@ -61,9 +63,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import __version__
 from .certificates import CertificateRows, Matrix, Method, PositivityCertificate
-from .nested import NestedDegreeReport
 from .polys import BPoly, UPoly
-from .raising import RaiseReport
 
 # ASCII digits only: \d and int() also take other Unicode digits, int() also
 # underscores and a sign.
@@ -213,19 +213,9 @@ def serialize_polynomial_document(doc: PolynomialDocument) -> str:
 
 
 def _report_pairs(report) -> tuple[tuple[str, str], ...]:
-    """The ``report:`` text of a certifier's report object."""
-    pairs: tuple = ()
-    if isinstance(report, RaiseReport):
-        pairs = (
-            ("doublings", report.doublings),
-            ("c_min", report.enclosure.c_min),
-            ("bound", report.enclosure.bound),
-            ("gamma1", report.gamma1),
-            ("gamma2", report.gamma2),
-        )
-    elif isinstance(report, NestedDegreeReport):
-        pairs = (("lambda_lower", report.lambda_lower), ("l_upper", report.l_upper))
-    return tuple((key, str(value)) for key, value in pairs)
+    """The ``report:`` text of a certifier's report object, which gives its
+    own keys and values (``pairs``); none for no report."""
+    return () if report is None else tuple((key, str(value)) for key, value in report.pairs())
 
 
 @dataclass(frozen=True)

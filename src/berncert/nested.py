@@ -13,7 +13,9 @@ by the same quantities computed exactly for each coefficient polynomial.
 That choice of degrees is the whole method: C is the unique plain Bernstein
 matrix of p at (q1, q2), made by the forward map of
 ``certificates.plain_coeffs`` and kept as its integer numerators over its
-one denominator.
+one denominator.  Its rows are checked by ``certificates.CertificateRows``,
+as raise's are, and ``NestedDegreeReport.pairs`` gives its report's keys
+and values.
 
 Both stages run on integers over one denominator, the first on p's columns,
 the second on that map's x1 pass (the rows A_i(x2)), which ``certify_nested``
@@ -27,13 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .certificates import CertificateRows, Method, PositivityCertificate
-from .errors import CertificationError, DegreeError, InconclusiveError
+from .errors import DegreeError, InconclusiveError
 from .polys import BPoly, RationalLike, UPoly, rat
-from .raising import minimum_lower_bound
+from .raising import DEFAULT_DOUBLING_CAP, minimum_lower_bound
 from .univariate import (
+    DEFAULT_REFINEMENT_CAP,
     RangeEnclosure1D,
     _goursat,
     _plain_pass,
@@ -62,6 +65,10 @@ class NestedDegreeReport:
     per_i_inf_lower: Optional[tuple[Fraction, ...]] = None
     per_i_maxb_upper: Optional[tuple[Fraction, ...]] = None
 
+    def pairs(self) -> tuple[tuple[str, Fraction], ...]:
+        """The certificate document's ``report:`` keys and values."""
+        return (("lambda_lower", self.lambda_lower), ("l_upper", self.l_upper))
+
 
 def coefficient_bernstein_polys(p: BPoly, q1: int) -> tuple[UPoly, ...]:
     """The coefficient polynomials A_i(x2) of p at Bernstein degree q1 in x1.
@@ -88,8 +95,8 @@ def nested_q1(
     p: BPoly,
     *,
     lambda_lower: Optional[RationalLike] = None,
-    max_doublings: int = 20,
-    max_levels: int = 64,
+    max_doublings: int = DEFAULT_DOUBLING_CAP,
+    max_levels: int = DEFAULT_REFINEMENT_CAP,
 ) -> tuple[int, NestedDegreeReport]:
     """Shared x1 Bernstein degree at which every slice p(., x2) is positive.
 
@@ -126,7 +133,7 @@ def nested_q2(
     p: BPoly,
     q1: int,
     report: NestedDegreeReport,
-    max_levels: int = 64,
+    max_levels: int = DEFAULT_REFINEMENT_CAP,
 ) -> tuple[int, NestedDegreeReport]:
     """Shared x2 degree certifying every coefficient polynomial positive.
 
@@ -172,38 +179,24 @@ def _q2_of_rows(rows, den, n2, report, max_levels) -> tuple[int, NestedDegreeRep
 def nested_rows(
     p: BPoly,
     *,
-    max_doublings: int = 20,
-    max_levels: int = 64,
+    max_doublings: int = DEFAULT_DOUBLING_CAP,
+    max_levels: int = DEFAULT_REFINEMENT_CAP,
 ) -> CertificateRows:
     """``certify_nested`` up to its matrix: both degree computations run, and
     the x2 pass over stage 2's x1 rows is left to be read, each row checked
-    as it is made.  Raises as ``certify_nested`` does, the
-    CertificationError when the bad row is read."""
+    by ``CertificateRows`` as it is made.  Raises as ``certify_nested``
+    does, the CertificationError when the bad row is read."""
     q1, report = nested_q1(p, max_doublings=max_doublings, max_levels=max_levels)
     rows, den = _coefficient_rows(p, q1)
     q2, report = _q2_of_rows(rows, den, p.n2, report, max_levels)
-    return CertificateRows(
-        q1, q2, Method.NESTED, report, _positive_rows(_plain_rows(rows, p.n2, q2)), den
-    )
-
-
-def _positive_rows(rows: Iterator[list[int]]) -> Iterator[list[int]]:
-    """rows, each checked to be strictly positive as it passes."""
-    for i, row in enumerate(rows):
-        if min(row) <= 0:
-            bad = next(j for j, v in enumerate(row) if v <= 0)
-            raise CertificationError(
-                f"row {i} produced a nonpositive coefficient at {bad}; "
-                "the certified bounds did not give a sufficient degree"
-            )
-        yield row
+    return CertificateRows(q1, q2, Method.NESTED, report, _plain_rows(rows, p.n2, q2), den)
 
 
 def certify_nested(
     p: BPoly,
     *,
-    max_doublings: int = 20,
-    max_levels: int = 64,
+    max_doublings: int = DEFAULT_DOUBLING_CAP,
+    max_levels: int = DEFAULT_REFINEMENT_CAP,
 ) -> PositivityCertificate:
     """Certify p > 0 on the unit box by the nested univariate construction.
 

@@ -64,14 +64,6 @@ class UPoly:
             cs = [Fraction(0)]
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @classmethod
-    def constant(cls, value: RationalLike) -> "UPoly":
-        return cls([value])
-
-    @classmethod
-    def x(cls) -> "UPoly":
-        return cls([0, 1])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -210,33 +202,21 @@ class BPoly:
     def __sub__(self, other: "BPoly") -> "BPoly":
         return self + (-other)
 
-    def __mul__(self, other: Union["BPoly", RationalLike]) -> "BPoly":
-        if isinstance(other, BPoly):
-            out = [
-                [Fraction(0)] * (self.n2 + other.n2 + 1)
-                for _ in range(self.n1 + other.n1 + 1)
-            ]
-            for i1, row1 in enumerate(self.coeffs):
-                for j1, a in enumerate(row1):
-                    if a == 0:
-                        continue
-                    for i2, row2 in enumerate(other.coeffs):
-                        for j2, b in enumerate(row2):
-                            out[i1 + i2][j1 + j2] += a * b
-            return BPoly(out)
-        s = rat(other)
-        return BPoly([[c * s for c in row] for row in self.coeffs])
-
-    def __rmul__(self, other: RationalLike) -> "BPoly":
-        return self * other
-
-    def __pow__(self, n: int) -> "BPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = BPoly.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
+    def __mul__(self, other: "BPoly") -> "BPoly":
+        if not isinstance(other, BPoly):
+            return NotImplemented
+        out = [
+            [Fraction(0)] * (self.n2 + other.n2 + 1)
+            for _ in range(self.n1 + other.n1 + 1)
+        ]
+        for i1, row1 in enumerate(self.coeffs):
+            for j1, a in enumerate(row1):
+                if a == 0:
+                    continue
+                for i2, row2 in enumerate(other.coeffs):
+                    for j2, b in enumerate(row2):
+                        out[i1 + i2][j1 + j2] += a * b
+        return BPoly(out)
 
 
 def grid_values(p: BPoly, points1: Sequence[Fraction], points2: Sequence[Fraction]):

@@ -45,6 +45,8 @@ from .errors import DegreeError, InconclusiveError, NotPositiveError
 from .polys import BPoly, RationalLike, binom, binomial_row, rat
 from .univariate import _cleared, _values, _weights
 
+DEFAULT_DOUBLING_CAP = 20  # degree doublings before a raising loop gives up
+
 
 @dataclass(frozen=True)
 class BernsteinForm2D:
@@ -100,6 +102,16 @@ class RaiseReport:
     enclosure: MinEnclosure
     gamma1: Fraction
     gamma2: Fraction
+
+    def pairs(self) -> tuple[tuple[str, object], ...]:
+        """The certificate document's ``report:`` keys and values."""
+        return (
+            ("doublings", self.doublings),
+            ("c_min", self.enclosure.c_min),
+            ("bound", self.enclosure.bound),
+            ("gamma1", self.gamma1),
+            ("gamma2", self.gamma2),
+        )
 
 
 def _grid_min(b: Sequence[Sequence[int]], q1: int, q2: int) -> tuple[int, int, int]:
@@ -211,7 +223,7 @@ def min_enclosure(p: BPoly, q1: int, q2: int) -> MinEnclosure:
 
 
 def min_enclosure_to_width(
-    p: BPoly, width: RationalLike, max_doublings: int = 20
+    p: BPoly, width: RationalLike, max_doublings: int = DEFAULT_DOUBLING_CAP
 ) -> MinEnclosure:
     """Enclosure at the first doubled degrees whose bound is at most width.
 
@@ -345,7 +357,7 @@ def _raise(
 
 
 def minimum_lower_bound(
-    p: BPoly, max_doublings: int = 20
+    p: BPoly, max_doublings: int = DEFAULT_DOUBLING_CAP
 ) -> tuple[Fraction, MinEnclosure]:
     """Certified positive lower bound on min p over the box.
 
@@ -363,7 +375,7 @@ def minimum_lower_bound(
 def raise_rows(
     p: BPoly,
     q_start: Optional[tuple[int, int]] = None,
-    max_doublings: int = 20,
+    max_doublings: int = DEFAULT_DOUBLING_CAP,
 ) -> CertificateRows:
     """``certify_raise`` up to its matrix: the degrees are chosen and the
     report made, and the rows of ``plain_rows`` at those degrees are left to
@@ -379,7 +391,7 @@ def raise_rows(
 def certify_raise(
     p: BPoly,
     q_start: Optional[tuple[int, int]] = None,
-    max_doublings: int = 20,
+    max_doublings: int = DEFAULT_DOUBLING_CAP,
 ) -> PositivityCertificate:
     """Certify p > 0 on the box by raising the Bernstein degrees.
 

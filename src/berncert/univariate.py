@@ -28,6 +28,8 @@ from .polys import RationalLike, UPoly, binomial_row, rat
 
 Vector = Sequence[Union[Fraction, int]]
 
+DEFAULT_REFINEMENT_CAP = 64  # bisection levels before a range enclosure gives up
+
 
 @dataclass(frozen=True)
 class BernsteinForm1D:
@@ -348,7 +350,7 @@ def range_enclosure_1d(
     max_width: Optional[RationalLike] = None,
     *,
     predicate: Optional[Callable[[RangeEnclosure1D], bool]] = None,
-    max_levels: int = 64,
+    max_levels: int = DEFAULT_REFINEMENT_CAP,
 ) -> RangeEnclosure1D:
     """Certified enclosure of the range of p over [0, 1].
 
@@ -391,7 +393,9 @@ class UnivariateCertificate:
     max_abs_e: Fraction
 
 
-def certify_positive_1d(p: UPoly, max_levels: int = 64) -> UnivariateCertificate:
+def certify_positive_1d(
+    p: UPoly, max_levels: int = DEFAULT_REFINEMENT_CAP
+) -> UnivariateCertificate:
     """Certify p > 0 on [0, 1] by a strictly positive plain Bernstein form.
 
     Pipeline: certify a positive lower bound on min p by range enclosure with

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import berncert
-from berncert import PositivityCertificate
+from berncert import PositivityCertificate, nested, raising
 from berncert.cli import main
 from berncert.documents import (
     ParseError,
@@ -626,6 +626,30 @@ def test_failure_record(poly_file, tmp_path, capsys, name):
     tokens = captured.err[:-1].split(" ")
     assert all(key.isidentifier() and value for key, _, value in (t.partition("=") for t in tokens))
     assert tokens[0].startswith("status=")
+
+
+
+# Degrees forced below what the method's bounds give, on WORKED: nested keeps
+# q2 at n2 = 2, raise stops at the floors (2, 2), where C[1][1] = -3/2.
+TOO_LOW = {
+    "nested": ("_q2_of_rows", lambda rows, den, n2, report, max_levels: (n2, report), 358),
+    "raise": ("_raise", lambda p, *_: (0, raising.min_enclosure(p, 2, 2)), 1),
+}
+
+
+@pytest.mark.parametrize("method", sorted(TOO_LOW))
+def test_nonpositive_row_is_internal_error(poly_file, tmp_path, capsys, monkeypatch, method):
+    name, choice, row = TOO_LOW[method]
+    monkeypatch.setattr(nested if method == "nested" else raising, name, choice)
+    poly = poly_file(WORKED)
+    assert main(["certify", poly, str(tmp_path / "cert.txt"), "--method", method]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"status=internal-error detail=row_{row}_produced_a_nonpositive_coefficient_at_1;"
+        "_the_certified_bounds_did_not_give_a_sufficient_degree\n"
+    )
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["poly.txt"]  # no certificate, no .tmp file
 
 
 def test_module_entry_point(tmp_path):

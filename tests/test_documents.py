@@ -1,8 +1,10 @@
 """Document formats: parsing, serialization, lossless round trips."""
 
+import ast
 import functools
 import io
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -402,3 +404,20 @@ def _document_outcome(text, chunk):
 def test_streamed_document_matches_text(text, chunk):
     parsed, streamed = _document_outcome(text, chunk)
     assert parsed == streamed
+
+
+def test_documents_imports_no_certifier():
+    # The document format knows certificates, not how they were made: a
+    # report gives its own ``report:`` pairs, so documents imports neither
+    # certifier module, under any spelling of the import.
+    modules = set()
+    for node in ast.walk(ast.parse(Path(docs.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+            if node.module is None:  # from . import name
+                modules.update(alias.name for alias in node.names)
+    names = {module.rpartition(".")[2] for module in modules}
+    assert "__version__" in names and "certificates" in names  # the walk sees both forms
+    assert not names & {"raising", "nested"}, sorted(modules)

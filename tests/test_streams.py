@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from berncert import BPoly, certify_nested, certify_raise, verify
+from berncert import BPoly, CertificationError, Method, certify_nested, certify_raise, verify
+from berncert.certificates import CertificateRows
 from berncert.cli import main
 from berncert.documents import (
     CertificateDocument,
@@ -80,6 +81,28 @@ def test_cli_writes_the_serialized_document(tmp_path, p, method):
     cert = {"raise": certify_raise, "nested": certify_nested}[method](p)
     text = serialize_certificate_document(CertificateDocument.from_certificate(cert))
     assert out.read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("bad, col", [([-3, 2, 2], 0), ([7, 0, -1], 1), ([1, 1, -1], 2)])
+def test_certificate_rows_stop_at_the_first_nonpositive_row(method, k, bad, col):
+    # Every certificate's rows are checked as they are read, whichever
+    # method chose the degrees: the good rows before the bad one pass.
+    rows = [[1, 2, 3]] * k + [bad, [1, 1, 1]]
+    message = (
+        f"row {k} produced a nonpositive coefficient at {col}; "
+        "the certified bounds did not give a sufficient degree"
+    )
+    cert = CertificateRows(k + 1, 2, method, None, iter(rows), 5)
+    read = []
+    with pytest.raises(CertificationError) as exc:
+        for row in cert.rows:
+            read.append(row)
+    assert (read, str(exc.value)) == (rows[:k], message)
+    with pytest.raises(CertificationError) as exc:
+        CertificateRows(k + 1, 2, method, None, iter(rows), 5).collect()
+    assert str(exc.value) == message
 
 
 # Every place str.splitlines ends a line; blank and comment lines between.
