@@ -31,7 +31,6 @@ never expanded; ``expand_plain_2d`` is the inverse map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -40,7 +39,7 @@ from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CertificationError, DegreeError
-from .polys import BPoly, rat
+from .polys import BPoly, Record, rat
 from .univariate import _plain_kernel, _plain_pass, _plain_rows
 
 
@@ -61,8 +60,7 @@ def same_values(an: Matrix, ad: Matrix, bn: Matrix, bd: Matrix) -> bool:
     )
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class PositivityCertificate:
+class PositivityCertificate(Record):
     """Degrees plus a strictly positive plain Bernstein coefficient matrix.
 
     Entry C[i][j] is numerators[i][j] / denominators[i][j], integers with
@@ -72,12 +70,8 @@ class PositivityCertificate:
     matrix as Fractions.  Equality compares values, not representations.
     """
 
-    q1: int
-    q2: int
-    numerators: Matrix
-    denominators: Matrix
-    method: Method
-    report: Optional[object] = None
+    _fields = ("q1", "q2", "numerators", "denominators", "method", "report")
+    __slots__ = _fields + ("__dict__",)  # the dict holds ``coefficients`` once built
 
     def __init__(self, q1: int, q2: int, coefficients, method: Method, report=None):
         """Certificate from rows of rationals (Fraction, int or str)."""
@@ -142,12 +136,11 @@ class PositivityCertificate:
         return hash((self.q1, self.q2, self.method))
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(Record):
     """Outcome of a certificate check; falsy when invalid, with reasons."""
 
-    ok: bool
-    reasons: tuple[str, ...] = ()
+    __slots__ = _fields = ("ok", "reasons")
+    _defaults = {"reasons": ()}
 
     def __bool__(self) -> bool:
         return self.ok

@@ -57,13 +57,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from . import __version__
 from .certificates import CertificateRows, Matrix, Method, PositivityCertificate
-from .polys import BPoly, UPoly
+from .polys import BPoly, Record, UPoly
 
 # ASCII digits only: \d and int() also take other Unicode digits, int() also
 # underscores and a sign.
@@ -158,12 +157,10 @@ def _parse_matrix_rows(lines: list[str]) -> tuple[Matrix, Matrix]:
     return tuple(nums for nums, _ in rows), tuple(dens for _, dens in rows)
 
 
-@dataclass(frozen=True)
-class PolynomialDocument:
+class PolynomialDocument(Record):
     """Parsed polynomial file: variable count plus the coefficient matrix."""
 
-    variables: int
-    coeffs: tuple[tuple[Fraction, ...], ...]
+    __slots__ = _fields = ("variables", "coeffs")
 
     def __post_init__(self):
         if self.variables not in (1, 2):
@@ -218,8 +215,7 @@ def _report_pairs(report) -> tuple[tuple[str, str], ...]:
     return () if report is None else tuple((key, str(value)) for key, value in report.pairs())
 
 
-@dataclass(frozen=True)
-class CertificateDocument:
+class CertificateDocument(Record):
     """A certificate file: the certificate, plus what only the file holds,
     the ordered ``report`` key/value text and the ``tool_version``.
 
@@ -227,9 +223,7 @@ class CertificateDocument:
     when their certificates have equal values and their texts agree.
     """
 
-    certificate: PositivityCertificate
-    report: tuple[tuple[str, str], ...]
-    tool_version: str
+    __slots__ = _fields = ("certificate", "report", "tool_version")
 
     @classmethod
     def from_certificate(cls, cert: PositivityCertificate) -> "CertificateDocument":

@@ -27,13 +27,12 @@ Fractions, and all of them are computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 from .certificates import CertificateRows, Method, PositivityCertificate
 from .errors import DegreeError, InconclusiveError
-from .polys import BPoly, RationalLike, UPoly, rat
+from .polys import BPoly, RationalLike, Record, UPoly, rat
 from .raising import DEFAULT_DOUBLING_CAP, minimum_lower_bound
 from .univariate import (
     DEFAULT_REFINEMENT_CAP,
@@ -47,23 +46,21 @@ from .univariate import (
 )
 
 
-@dataclass(frozen=True)
-class NestedDegreeReport:
+class NestedDegreeReport(Record):
     """Certified quantities behind the degrees of a nested certificate.
 
     lambda_lower is a positive lower bound on min p over the box; l_upper
     dominates sup over x2 of the largest row Goursat coefficient magnitude.
     The per-row vectors are filled by the second stage: positive lower bounds
     on each coefficient polynomial over [0, 1] and the exact maxima of their
-    Goursat coefficient magnitudes.
+    Goursat coefficient magnitudes.  The second stage's fields default to
+    None.
     """
 
-    q1: int
-    lambda_lower: Fraction
-    l_upper: Fraction
-    q2: Optional[int] = None
-    per_i_inf_lower: Optional[tuple[Fraction, ...]] = None
-    per_i_maxb_upper: Optional[tuple[Fraction, ...]] = None
+    __slots__ = _fields = (
+        "q1", "lambda_lower", "l_upper", "q2", "per_i_inf_lower", "per_i_maxb_upper"
+    )
+    _defaults = dict.fromkeys(("q2", "per_i_inf_lower", "per_i_maxb_upper"))
 
     def pairs(self) -> tuple[tuple[str, Fraction], ...]:
         """The certificate document's ``report:`` keys and values."""
@@ -173,7 +170,7 @@ def _q2_of_rows(rows, den, n2, report, max_levels) -> tuple[int, NestedDegreeRep
     # The degree grows with maxB_i / inf_i, so the worst row sets it.
     maxb, inf = max(zip(maxbs, infs), key=lambda row: row[0] / row[1])
     q2 = 2 * powers_reznick_degree(n2, maxb, inf)
-    return q2, replace(report, q2=q2, per_i_inf_lower=tuple(infs), per_i_maxb_upper=tuple(maxbs))
+    return q2, report._replace(q2=q2, per_i_inf_lower=tuple(infs), per_i_maxb_upper=tuple(maxbs))
 
 
 def nested_rows(

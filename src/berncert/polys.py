@@ -7,16 +7,94 @@ dense coefficient matrices with entry (i, j) multiplying x1**i * x2**j.  Both
 are canonicalized on construction (trailing zero coefficients trimmed, the
 zero polynomial kept as a single zero entry) so that the stored length always
 matches the degree.
+
+``Record`` is the base of the package's frozen value records, from these
+polynomials up to certificate documents.  Its methods are written once here
+rather than generated for each class at import, which kept a command's
+start-up short: generating them, and importing the module that does, cost
+more than most commands' exact arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
+
+
+class Record:
+    """A frozen value record.  A subclass names its fields once, as
+    ``__slots__ = _fields = (...)``, and may give ``_defaults`` for fields
+    that can be left out and a ``__post_init__`` hook that checks or
+    coerces them (with ``object.__setattr__``).  Records of one class are
+    equal when their field values are, and hash by those values; a record
+    is never equal to another class's.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        """Fields by position, then by keyword, then from ``_defaults``."""
+        cls, names = type(self), self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(args)}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in cls._defaults:
+                value = cls._defaults[name]
+            else:
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
+            object.__setattr__(self, name, value)
+        if kwargs:
+            raise TypeError(f"{cls.__name__} got unexpected or repeated fields {sorted(kwargs)}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _replace(self, **changes) -> "Record":
+        """A copy with some fields changed, built and checked as a new record."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self._values())
+
+
+def _rebuild(cls: type, values: tuple) -> Record:
+    """The record of class cls with these field values, as pickled; its
+    ``__init__`` is not run again."""
+    record = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        object.__setattr__(record, name, value)
+    return record
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -50,11 +128,10 @@ def binomial_row(m: int, sign: int = 1) -> list[int]:
     return row
 
 
-@dataclass(frozen=True)
-class UPoly:
+class UPoly(Record):
     """Dense univariate polynomial; ``coeffs[i]`` multiplies x**i."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RationalLike]):
         cs = [rat(c) for c in coeffs]
@@ -119,11 +196,10 @@ class UPoly:
         return out
 
 
-@dataclass(frozen=True)
-class BPoly:
+class BPoly(Record):
     """Dense bivariate polynomial; ``coeffs[i][j]`` multiplies x1**i * x2**j."""
 
-    coeffs: tuple[tuple[Fraction, ...], ...]
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Iterable[RationalLike]]):
         rows = [[rat(c) for c in row] for row in coeffs] or [[]]

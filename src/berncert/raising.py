@@ -29,7 +29,7 @@ the refutation witness cost O(q1*q2*(n1+n2)) additions of integers of about
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -42,14 +42,13 @@ from .certificates import (
     plain_rows,
 )
 from .errors import DegreeError, InconclusiveError, NotPositiveError
-from .polys import BPoly, RationalLike, binom, binomial_row, rat
+from .polys import BPoly, RationalLike, Record, binom, binomial_row, rat
 from .univariate import _cleared, _values, _weights
 
 DEFAULT_DOUBLING_CAP = 20  # degree doublings before a raising loop gives up
 
 
-@dataclass(frozen=True)
-class BernsteinForm2D:
+class BernsteinForm2D(Record):
     """Normalized tensor-product Bernstein coefficients of a bivariate polynomial.
 
     coeffs[k][l] pairs with C(q1,k) x1**k (1-x1)**(q1-k) *
@@ -57,9 +56,7 @@ class BernsteinForm2D:
     coeffs[k][l] * C(q1,k) * C(q2,l).
     """
 
-    q1: int
-    q2: int
-    coeffs: tuple[tuple[Fraction, ...], ...]
+    __slots__ = _fields = ("q1", "q2", "coeffs")
 
     def __post_init__(self):
         if len(self.coeffs) != self.q1 + 1:
@@ -72,18 +69,14 @@ class BernsteinForm2D:
         object.__setattr__(self, "coeffs", tuple(rows))
 
 
-@dataclass(frozen=True)
-class MinEnclosure:
+class MinEnclosure(Record):
     """Certified interval [lo, hi] containing min of p over the unit box.
 
     lo is the minimum normalized Bernstein coefficient at (q1, q2) and
     hi = lo + bound with bound = gamma1*(q1-1)/q1**2 + gamma2*(q2-1)/q2**2.
     """
 
-    q1: int
-    q2: int
-    c_min: Fraction
-    bound: Fraction
+    __slots__ = _fields = ("q1", "q2", "c_min", "bound")
 
     @property
     def lo(self) -> Fraction:
@@ -94,14 +87,10 @@ class MinEnclosure:
         return self.c_min + self.bound
 
 
-@dataclass(frozen=True)
-class RaiseReport:
+class RaiseReport(Record):
     """Audit data for a degree-raising certificate."""
 
-    doublings: int
-    enclosure: MinEnclosure
-    gamma1: Fraction
-    gamma2: Fraction
+    __slots__ = _fields = ("doublings", "enclosure", "gamma1", "gamma2")
 
     def pairs(self) -> tuple[tuple[str, object], ...]:
         """The certificate document's ``report:`` keys and values."""
@@ -135,7 +124,13 @@ def _grid_min(b: Sequence[Sequence[int]], q1: int, q2: int) -> tuple[int, int, i
 def _c_min(p: BPoly, q1: int, q2: int) -> Fraction:
     """The smallest normalized Bernstein coefficient of p at (q1, q2): with
     the weights w of ``_weights``, c[k][l] times D q1^(n1) q2^(n2) has the
-    binomial-basis coefficients D a[i][j] w1[i] w2[j], all integers."""
+    binomial-basis coefficients D a[i][j] w1[i] w2[j], all integers.
+    Every grid search enters here, so this is where a degree whose q + 1
+    grid points no list can hold is refused, with DegreeError."""
+    if max(q1, q2) >= sys.maxsize:
+        raise DegreeError(
+            f"degrees ({q1}, {q2}) are past the largest grid degree {sys.maxsize - 1}"
+        )
     n1, n2 = p.n1, p.n2
     a, den = _cleared(p.coeffs)
     w2 = _weights(n2, q2)

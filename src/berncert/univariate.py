@@ -17,28 +17,25 @@ points off the table.  ``_plain_kernel`` is the inverse map, for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import add
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DegreeError, InconclusiveError, NotPositiveError
-from .polys import RationalLike, UPoly, binomial_row, rat
+from .polys import RationalLike, Record, UPoly, binomial_row, rat
 
 Vector = Sequence[Union[Fraction, int]]
 
 DEFAULT_REFINEMENT_CAP = 64  # bisection levels before a range enclosure gives up
 
 
-@dataclass(frozen=True)
-class BernsteinForm1D:
+class BernsteinForm1D(Record):
     """Plain Bernstein coefficients of a univariate polynomial at a fixed degree:
     p(x) = sum_i coeffs[i] * x**i * (1-x)**(degree-i).
     """
 
-    degree: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = _fields = ("degree", "coeffs")
 
     def __post_init__(self):
         if self.degree < 0:
@@ -50,8 +47,7 @@ class BernsteinForm1D:
         object.__setattr__(self, "coeffs", tuple(rat(c) for c in self.coeffs))
 
 
-@dataclass(frozen=True)
-class RangeEnclosure1D:
+class RangeEnclosure1D(Record):
     """Certified range enclosure of a polynomial over [0, 1].
 
     ``lo <= min p`` and ``max p <= hi``.  ``min_value``/``max_value`` are
@@ -60,13 +56,9 @@ class RangeEnclosure1D:
     maximum in [max_value, hi].  ``subdivisions`` counts bisection levels.
     """
 
-    lo: Fraction
-    hi: Fraction
-    subdivisions: int
-    min_value: Fraction
-    min_point: Fraction
-    max_value: Fraction
-    max_point: Fraction
+    __slots__ = _fields = (
+        "lo", "hi", "subdivisions", "min_value", "min_point", "max_value", "max_point"
+    )
 
 
 def _cleared(vectors: Sequence[Vector]) -> tuple[list[list[int]], int]:
@@ -376,8 +368,7 @@ def range_enclosure_1d(
     return _range_enclosure(p.coeffs, 1, predicate, max_levels)
 
 
-@dataclass(frozen=True)
-class UnivariateCertificate:
+class UnivariateCertificate(Record):
     """Strict-positivity certificate for a univariate polynomial on [0, 1].
 
     ``form`` is a plain Bernstein representation of degree ``q_star = 2 * q``
@@ -386,11 +377,7 @@ class UnivariateCertificate:
     the certified lower bound ``lambda_lower`` on min p over [0, 1].
     """
 
-    q_star: int
-    form: BernsteinForm1D
-    q: int
-    lambda_lower: Fraction
-    max_abs_e: Fraction
+    __slots__ = _fields = ("q_star", "form", "q", "lambda_lower", "max_abs_e")
 
 
 def certify_positive_1d(

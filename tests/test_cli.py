@@ -1,6 +1,5 @@
 """Command line interface: subcommands, exit codes, diagnostics."""
 
-import dataclasses
 import os
 import stat
 import subprocess
@@ -256,8 +255,7 @@ class TestVerifyCommand:
         cert = doc.certificate
         rows = [list(r) for r in cert.numerators]
         rows[0][0] = 0  # the certificate holds integer numerators over denominators
-        tampered = dataclasses.replace(
-            doc,
+        tampered = doc._replace(
             certificate=PositivityCertificate.from_integers(
                 cert.q1, cert.q2, rows, cert.denominators, cert.method
             ),
@@ -523,6 +521,9 @@ CAPPED_NESTED = (  # certify --method nested gives up on a row at --max-iter 0
     "variables: 2\ncoeffs:\n1827/40 -7/2 9/4 3/2 8/3\n-2 -7/4 -3/2 7/3 -2\n"
     "1/2 0 -2 9 2\n-8/3 9/2 -5/2 1/2 -6\n"
 )
+# A degree past sys.maxsize - 1, whose q + 1 grid points no list can hold.
+HUGE_Q = str(10**20)
+PAST_GRID = f"_are_past_the_largest_grid_degree_{sys.maxsize - 1}"
 RECORDS = {
     "certify-univariate": (
         ["certify", "{uni}", "{out}", "--method", "raise"], 1,
@@ -554,6 +555,15 @@ RECORDS = {
     "enclose-q1-below-floor": (
         ["enclose-min", "{worked}", "--q1", "0", "--q2", "2"], 1,
         "status=usage-error detail=degrees_(0,_2)_are_below_the_floors_(2,_2)", ""),
+    "enclose-q1-past-grid": (
+        ["enclose-min", "{worked}", "--q1", HUGE_Q, "--q2", "2"], 1,
+        f"status=usage-error detail=degrees_({HUGE_Q},_2){PAST_GRID}", ""),
+    "enclose-q2-past-grid": (
+        ["enclose-min", "{worked}", "--q1", "2", "--q2", HUGE_Q], 1,
+        f"status=usage-error detail=degrees_(2,_{HUGE_Q}){PAST_GRID}", ""),
+    "q-start-past-grid": (
+        ["certify", "{worked}", "{out}", "--method", "raise", "--q-start", f"{HUGE_Q},2"], 1,
+        f"status=usage-error detail=degrees_({HUGE_Q},_2){PAST_GRID}", ""),
     "q-start-below-floor": (
         ["certify", "{sphere}", "{out}", "--method", "raise", "--q-start", "1,1"], 1,
         "status=usage-error detail=q_start_(1,_1)_is_below_the_floors_(2,_2)", ""),
@@ -666,3 +676,19 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3/2"
+
+
+def test_import_leaves_out_dataclasses():
+    # Importing dataclasses (and inspect, which it pulls in) and generating
+    # each record's methods was most of every command's start-up time.
+    src = os.path.dirname(os.path.dirname(berncert.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, berncert.cli; print({'dataclasses', 'inspect'} & set(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "set()\n"

@@ -14,6 +14,7 @@ from berncert import (
     Method,
     NotPositiveError,
     PositivityCertificate,
+    RangeEnclosure1D,
     UPoly,
     certify_nested,
     coefficient_bernstein_polys,
@@ -269,3 +270,28 @@ class TestCertifyNested:
         assert cert.report.q2 == cert.q2
         assert cert.report.lambda_lower > 0
         assert len(cert.report.per_i_inf_lower) == cert.q1 + 1
+
+
+class TestQ2Inconclusive:
+    """Stage 2's two ways to give up, each carrying the row's enclosure."""
+
+    def test_row_not_certifiably_positive(self):
+        # At q1 = 2, A_1(x2) = 1/8 + x2^2 - x2 has value -1/4 at 1/2.
+        _, report = nested_q1(WORKED)
+        with pytest.raises(InconclusiveError) as exc:
+            nested_q2(WORKED, 2, report)
+        assert str(exc.value) == (
+            "coefficient polynomial 1 is not certifiably positive (value -1/4 at 1/2)"
+        )
+        assert isinstance(exc.value.best, RangeEnclosure1D)
+
+    def test_row_at_the_level_cap(self):
+        q1, report = nested_q1(WORKED)
+        assert q1 == 2440
+        with pytest.raises(InconclusiveError) as exc:
+            nested_q2(WORKED, q1, report, max_levels=0)
+        assert str(exc.value) == (
+            "coefficient polynomial 158 could not be certified positive "
+            "within 0 bisection levels"
+        )
+        assert isinstance(exc.value.best, RangeEnclosure1D)

@@ -1,12 +1,25 @@
 """Core polynomial containers and exact arithmetic."""
 
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from berncert import BPoly, UPoly, binom, rat
+from berncert import (
+    BernsteinForm1D,
+    BernsteinForm2D,
+    BPoly,
+    DegreeError,
+    MinEnclosure,
+    NestedDegreeReport,
+    UPoly,
+    binom,
+    rat,
+)
+from berncert.documents import ParseError, PolynomialDocument
+from berncert.polys import Record
 
 from corpus import random_fraction
 
@@ -143,3 +156,94 @@ def test_grid_values_match_eval():
     pts = [Fraction(k, 4) for k in range(5)]
     for (x1, x2), value in grid_values(p, pts, pts):
         assert value == p.eval(x1, x2)
+
+
+class TestRecord:
+    """The frozen value-record base of every record class."""
+
+    class Pair(Record):
+        __slots__ = _fields = ("a", "b")
+        _defaults = {"b": 0}
+
+    class OtherPair(Record):
+        __slots__ = _fields = ("a", "b")
+
+    def test_fields_by_position_keyword_and_default(self):
+        assert self.Pair(1, 2) == self.Pair(1, b=2) == self.Pair(b=2, a=1)
+        assert self.Pair(1).b == 0
+        for args, kwargs in [((1, 2, 3), {}), ((), {"b": 2}), ((1,), {"a": 1}), ((1,), {"c": 3})]:
+            with pytest.raises(TypeError):
+                self.Pair(*args, **kwargs)
+
+    def test_equality_only_within_one_class(self):
+        assert self.Pair(1, 2) != self.Pair(1, 3)
+        assert self.Pair(1, 2) != self.OtherPair(1, 2)
+        assert self.Pair(1, 2) != (1, 2)
+        assert UPoly([1]) != BPoly([[1]])
+        assert self.Pair(1, 2).__eq__((1, 2)) is NotImplemented
+
+    def test_equal_values_hash_equal(self):
+        assert hash(self.Pair(Fraction(1, 2), (3,))) == hash(self.Pair(Fraction(2, 4), (3,)))
+        assert hash(UPoly([1, 2])) == hash(UPoly([1, 2, 0]))
+        assert len({MinEnclosure(2, 2, Fraction(1), Fraction(0)) for _ in range(3)}) == 1
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        pair = self.Pair(1, 2)
+        with pytest.raises(AttributeError):
+            pair.a = 3
+        with pytest.raises(AttributeError):
+            del pair.b
+        with pytest.raises(AttributeError):
+            pair.c = 3
+        with pytest.raises(AttributeError):
+            UPoly([1]).coeffs = (Fraction(2),)
+        assert pair == self.Pair(1, 2)
+
+    def test_repr(self):
+        assert repr(self.Pair(Fraction(1, 2), "x")) == (
+            "TestRecord.Pair(a=Fraction(1, 2), b='x')"
+        )
+        assert repr(MinEnclosure(2, 4, Fraction(1), Fraction(0))) == (
+            "MinEnclosure(q1=2, q2=4, c_min=Fraction(1, 1), bound=Fraction(0, 1))"
+        )
+
+    def test_replace(self):
+        pair = self.Pair(1, 2)
+        assert pair._replace(b=5) == self.Pair(1, 5)
+        assert pair._replace() == pair and pair == self.Pair(1, 2)
+        report = NestedDegreeReport(4, Fraction(1), Fraction(2))
+        assert report.q2 is None
+        assert report._replace(q2=6) == NestedDegreeReport(4, Fraction(1), Fraction(2), q2=6)
+        with pytest.raises(TypeError):
+            pair._replace(c=1)
+
+    def test_replace_runs_the_checks(self):
+        form = BernsteinForm1D(1, (1, 2))
+        with pytest.raises(ValueError):
+            form._replace(degree=2)
+
+    def test_pickle_round_trip(self):
+        for record in (UPoly([1, 2]), MinEnclosure(2, 2, Fraction(1, 3), Fraction(0))):
+            assert pickle.loads(pickle.dumps(record)) == record
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: BernsteinForm1D(-1, ()), DegreeError),
+        (lambda: BernsteinForm1D(2, (1, 2)), ValueError),
+        (lambda: BernsteinForm2D(1, 1, ((1, 2),)), ValueError),
+        (lambda: BernsteinForm2D(0, 1, ((1,),)), ValueError),
+        (lambda: PolynomialDocument(3, ((Fraction(1),),)), ParseError),
+        (lambda: PolynomialDocument(1, ((Fraction(1),), (Fraction(2),))), ParseError),
+    ],
+)
+def test_validating_records_raise(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_validating_records_coerce():
+    assert BernsteinForm1D(1, (1, "1/2")).coeffs == (Fraction(1), Fraction(1, 2))
+    assert BernsteinForm2D(0, 1, [["3/4", 2]]).coeffs == ((Fraction(3, 4), Fraction(2)),)
+
