@@ -39,7 +39,7 @@ from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CertificationError, DegreeError
-from .polys import BPoly, Record, rat
+from .polys import BPoly, Record, rat, rat_text
 from .univariate import _plain_kernel, _plain_pass, _plain_rows
 
 
@@ -225,7 +225,7 @@ def _mismatch(p: BPoly, i: int, j: int, diff: Fraction) -> str:
     want = p.coeffs[i][j] if i <= p.n1 and j <= p.n2 else Fraction(0)
     return (
         f"expansion mismatch at monomial x1^{i} x2^{j}: "
-        f"expansion gives {want + diff}, polynomial has {want}"
+        f"expansion gives {rat_text(want + diff)}, polynomial has {rat_text(want)}"
     )
 
 
@@ -259,7 +259,7 @@ def verify_rows(
     for i, (nums, dens) in enumerate(rows):
         if sign is None and min(nums) <= 0:  # denominators are positive
             j = next(j for j, n in enumerate(nums) if n <= 0)
-            sign = f"nonpositive entry C[{i}][{j}] = {Fraction(nums[j], dens[j])}"
+            sign = f"nonpositive entry C[{i}][{j}] = {rat_text(Fraction(nums[j], dens[j]))}"
         if mismatch is None:
             prow = next(expected)
             if list(map(mul, nums, repeat(den))) != list(map(mul, prow, dens)):

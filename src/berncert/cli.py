@@ -4,8 +4,8 @@ Exit codes are the machine contract: 0 success, 1 usage or I/O or parse
 errors or a certifier's internal error, 2 refuted positivity or invalid
 certificate, 3 inconclusive within the iteration caps.  Diagnostics go to
 standard error as one-line ``key=value`` records; rational values are
-printed as ``num/den``, and spaces in a value as ``_``, so a record splits
-on spaces into its fields.
+printed in full as ``num/den`` (``polys.rat_text``), and spaces in a value
+as ``_``, so a record splits on spaces into its fields.
 The commands raise their failures; ``main`` alone turns each into its
 record and exit code.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from decimal import Decimal  # already loaded by fractions, so free at startup
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -23,6 +22,7 @@ from . import __version__
 from .documents import (
     CertificateReader,
     ParseError,
+    TooLargeError,
     certificate_lines,
     parse_polynomial_document,
     parse_rational,
@@ -30,7 +30,7 @@ from .documents import (
 from .errors import CertificationError, DegreeError, InconclusiveError, NotPositiveError
 from .certificates import verify_rows
 from .nested import nested_rows
-from .polys import BPoly
+from .polys import BPoly, rat_text
 from .raising import (
     DEFAULT_DOUBLING_CAP,
     MinEnclosure,
@@ -41,32 +41,17 @@ from .raising import (
 from .univariate import DEFAULT_REFINEMENT_CAP
 
 
-def _text(value) -> str:
-    """str(value), or for a Fraction whose parts are past the interpreter's
-    digit limit for str(), the same digits through ``decimal``."""
-    try:
-        return str(value)
-    except ValueError:
-        num, den = (format(Decimal(v), "f") for v in (value.numerator, value.denominator))
-        return num if den == "1" else f"{num}/{den}"
-
-
 def _diag(**fields) -> None:
     parts = []
     for key, value in fields.items():
         if isinstance(value, tuple):
-            value = ",".join(_text(v) for v in value)
-        parts.append(f"{key}={_text(value).replace(' ', '_')}")
+            value = ",".join(map(rat_text, value))
+        parts.append(f"{key}={rat_text(value).replace(' ', '_')}")
     print(" ".join(parts), file=sys.stderr)
 
 
 class _UsageError(Exception):
     """A command line that names no valid run: ``status=usage-error``."""
-
-
-class _TooLarge(Exception):
-    """A certificate with a number past the interpreter's digit limit for
-    str(), which is not written: ``status=too-large``."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,7 +81,9 @@ def _write_atomically(path: str, lines: Iterable[str]) -> None:
     symbolic link is followed, so the file it names is replaced.  A target
     that exists but is not a regular file (a pipe, a device) is written in
     place, since a rename would replace the special file itself: when a
-    line fails there, the reader has had the lines before it.
+    line fails there, the reader has had the lines before it.  An OSError
+    from creating the new file names path as given, not the file's random
+    name.
     """
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as handle:
@@ -105,7 +92,10 @@ def _write_atomically(path: str, lines: Iterable[str]) -> None:
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with open(fd, "w", encoding="utf-8") as handle:
             handle.writelines(lines)
@@ -136,11 +126,7 @@ def cmd_certify(args) -> int:
             except ValueError:
                 raise _UsageError("--q-start expects q1,q2")
         cert = raise_rows(p, q_start=q_start, max_doublings=doublings)
-    try:  # the rows are made as they are written
-        _write_atomically(args.output, certificate_lines(cert))
-    except ValueError:  # str() refuses integers past the interpreter's digit limit
-        limit = sys.get_int_max_str_digits()
-        raise _TooLarge(f"a certificate number has over {limit} digits")
+    _write_atomically(args.output, certificate_lines(cert))  # rows made as written
     print(f"certified method={cert.method.value} q1={cert.q1} q2={cert.q2}")
     return 0
 
@@ -175,9 +161,9 @@ def cmd_enclose_min(args) -> int:
         raise _UsageError("provide --q1 and --q2, or --target-width")
     else:
         enc = min_enclosure(p, args.q1, args.q2)
-    print(f"{_text(enc.lo)} {_text(enc.hi)} {enc.q1} {enc.q2}")
+    print(f"{rat_text(enc.lo)} {rat_text(enc.hi)} {enc.q1} {enc.q2}")
     if args.target_width is not None and enc.bound > width:
-        raise InconclusiveError(f"enclosure wider than {_text(width)}", best=enc)
+        raise InconclusiveError(f"enclosure wider than {rat_text(width)}", best=enc)
     return 0
 
 
@@ -190,7 +176,7 @@ def cmd_eval(args) -> int:
         value = doc.to_upoly().eval(point[0])
     else:
         value = doc.to_bpoly().eval(point[0], point[1])
-    print(_text(value))
+    print(rat_text(value))
     return 0
 
 
@@ -275,7 +261,7 @@ def main(argv=None) -> int:
     except (_UsageError, DegreeError) as exc:
         _diag(status="usage-error", detail=str(exc))
         return 1
-    except _TooLarge as exc:
+    except TooLargeError as exc:
         _diag(status="too-large", detail=str(exc))
         return 1
     except (ParseError, UnicodeDecodeError) as exc:

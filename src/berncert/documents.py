@@ -7,7 +7,8 @@ certificates can be re-verified from the file alone.  Lines end where
 ``str.splitlines`` ends them; lines that are blank or start with ``#`` are
 ignored.  Tokens follow the ASCII grammar ``-?[0-9]+(/[0-9]+)?`` with a
 nonzero denominator; anything else, including an integer over the
-interpreter's 4300-digit conversion limit, is a ``ParseError``.
+interpreter's 4300-digit conversion limit, is a ``ParseError``, and a
+certificate number over that limit is not written: ``TooLargeError``.
 
 A certificate is a stream of rows, written by one line writer (``_lines``,
 of a ``CertificateRows`` or of a document) and read by one row reader
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -74,16 +76,38 @@ class ParseError(ValueError):
     """A document does not conform to the format."""
 
 
+class TooLargeError(ValueError):
+    """A certificate number past the interpreter's digit limit for str(),
+    which the writer refuses, as the reader refuses one with ParseError."""
+
+
+def _int(digits: str, error: str) -> int:
+    """int() of a numeral the grammar has matched, else ParseError(error):
+    there int() raises ValueError only over the interpreter's digit limit."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise ParseError(error) from exc
+
+
+def _written(write, *args):
+    """write(*args), the text of certificate numbers, else TooLargeError:
+    there str() raises ValueError only over the interpreter's digit limit."""
+    try:
+        return write(*args)
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise TooLargeError(f"a certificate number has over {limit} digits") from exc
+
+
 def _parse_pair(token: str) -> tuple[int, int]:
     """Parse an integer or ``num/den`` token into (num, den), den > 0, as
     written; rejects anything else."""
     if not _RATIONAL_RE.fullmatch(token):
         raise ParseError(f"malformed rational {token!r}")
     num, _, den = token.partition("/")
-    try:  # int() raises ValueError only over the interpreter's digit limit
-        pair = int(num), int(den) if den else 1
-    except ValueError as exc:
-        raise ParseError(f"rational token of {len(token)} characters is too long") from exc
+    error = f"rational token of {len(token)} characters is too long"
+    pair = _int(num, error), _int(den, error) if den else 1
     if pair[1] == 0:
         raise ParseError(f"zero denominator in {token!r}")
     return pair
@@ -98,10 +122,7 @@ def _parse_count(value: str, error: str) -> int:
     """Parse a nonnegative ASCII decimal header value, else ParseError(error)."""
     if not _COUNT_RE.fullmatch(value):
         raise ParseError(error)
-    try:  # int() raises ValueError only over the interpreter's digit limit
-        return int(value)
-    except ValueError as exc:
-        raise ParseError(error) from exc
+    return _int(value, error)
 
 
 def _content_lines(lines: Iterable[str]) -> Iterator[str]:
@@ -230,7 +251,7 @@ class CertificateDocument(Record):
         bare = PositivityCertificate.from_integers(
             cert.q1, cert.q2, cert.numerators, cert.denominators, cert.method
         )
-        return cls(bare, _report_pairs(cert.report), __version__)
+        return cls(bare, _written(_report_pairs, cert.report), __version__)
 
     def to_certificate(self) -> PositivityCertificate:
         return self.certificate
@@ -244,16 +265,16 @@ def _lines(method: Method, q1: int, q2: int, tool_version: str, rows, report) ->
         f"tool_version: {tool_version}\nC:\n"
     )
     for nums, dens in rows:
-        yield _format_row(nums, dens) + "\n"
+        yield _written(_format_row, nums, dens) + "\n"
     if report:
         yield "report:\n" + "".join(f"{key}: {value}\n" for key, value in report)
 
 
 def certificate_lines(cert: CertificateRows) -> Iterator[str]:
     """The document's lines, each row made as it is written.  A value past
-    str()'s digit limit raises ValueError: in the report, on the call; in a
-    row, when that row is reached."""
-    report = _report_pairs(cert.report)
+    str()'s digit limit raises TooLargeError: in the report, on the call; in
+    a row, when that row is reached."""
+    report = _written(_report_pairs, cert.report)
     rows = ((nums, [cert.den] * len(nums)) for nums in cert.rows)
     return _lines(cert.method, cert.q1, cert.q2, __version__, rows, report)
 

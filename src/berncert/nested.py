@@ -32,7 +32,7 @@ from typing import Optional
 
 from .certificates import CertificateRows, Method, PositivityCertificate
 from .errors import DegreeError, InconclusiveError
-from .polys import BPoly, RationalLike, Record, UPoly, rat
+from .polys import BPoly, RationalLike, Record, UPoly, rat, rat_text
 from .raising import DEFAULT_DOUBLING_CAP, minimum_lower_bound
 from .univariate import (
     DEFAULT_REFINEMENT_CAP,
@@ -162,7 +162,7 @@ def _q2_of_rows(rows, den, n2, report, max_levels) -> tuple[int, NestedDegreeRep
         if enc.min_value <= 0 or enc.lo <= 0:
             raise InconclusiveError(
                 f"coefficient polynomial {i} is not certifiably positive "
-                f"(value {enc.min_value} at {enc.min_point})",
+                f"(value {rat_text(enc.min_value)} at {rat_text(enc.min_point)})",
                 best=enc,
             )
         infs.append(enc.lo)

@@ -8,6 +8,10 @@ are canonicalized on construction (trailing zero coefficients trimmed, the
 zero polynomial kept as a single zero entry) so that the stored length always
 matches the degree.
 
+``rat`` reads a rational and ``rat_text`` writes one as free text, for every
+message and diagnostic record, including values past the interpreter's
+4300-digit limit for str(); the document formats keep their own rule.
+
 ``Record`` is the base of the package's frozen value records, from these
 polynomials up to certificate documents.  Its methods are written once here
 rather than generated for each class at import, which kept a command's
@@ -18,6 +22,7 @@ more than most commands' exact arithmetic.
 from __future__ import annotations
 
 import math
+from decimal import Decimal  # already loaded by fractions, so free at startup
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -102,6 +107,18 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return Fraction(value)
+
+
+def rat_text(value) -> str:
+    """The text of a value, the reverse of ``rat``: ``str(value)``, or for an
+    int or Fraction whose parts are past the interpreter's digit limit for
+    str(), the same digits through ``decimal``.  Every message and record
+    that shows a rational writes it with this."""
+    try:
+        return str(value)
+    except ValueError:
+        num, den = (format(Decimal(v), "f") for v in (value.numerator, value.denominator))
+        return num if den == "1" else f"{num}/{den}"
 
 
 def binom(m: int, v: int) -> int:

@@ -42,7 +42,7 @@ from .certificates import (
     plain_rows,
 )
 from .errors import DegreeError, InconclusiveError, NotPositiveError
-from .polys import BPoly, RationalLike, Record, binom, binomial_row, rat
+from .polys import BPoly, RationalLike, Record, binom, binomial_row, rat, rat_text
 from .univariate import _cleared, _values, _weights
 
 DEFAULT_DOUBLING_CAP = 20  # degree doublings before a raising loop gives up
@@ -129,7 +129,8 @@ def _c_min(p: BPoly, q1: int, q2: int) -> Fraction:
     grid points no list can hold is refused, with DegreeError."""
     if max(q1, q2) >= sys.maxsize:
         raise DegreeError(
-            f"degrees ({q1}, {q2}) are past the largest grid degree {sys.maxsize - 1}"
+            f"degrees ({rat_text(q1)}, {rat_text(q2)}) are past the largest grid degree"
+            f" {sys.maxsize - 1}"
         )
     n1, n2 = p.n1, p.n2
     a, den = _cleared(p.coeffs)
@@ -189,10 +190,13 @@ def _doubled_degrees(
     """The degrees every raising loop walks, in order.
 
     Starts at q_start (default the floors (max(n1, 2), max(n2, 2))) and
-    doubles both degrees together, max_doublings times.  q_start is checked
-    on the call; the pairs are generated as the loop asks for them, so a
-    loop that stops early never builds the degrees it does not reach.
+    doubles both degrees together, max_doublings times.  q_start and a
+    negative max_doublings are refused on the call; the pairs are generated
+    as the loop asks for them, so a loop that stops early never builds the
+    degrees it does not reach.
     """
+    if max_doublings < 0:
+        raise ValueError("max_doublings must be nonnegative")
     f1, f2 = _degree_floor(p.n1), _degree_floor(p.n2)
     q1, q2 = (f1, f2) if q_start is None else q_start
     if q1 < f1 or q2 < f2:
@@ -226,8 +230,6 @@ def min_enclosure_to_width(
     When the cap is reached first, the enclosure at the last degrees is
     returned and its bound exceeds width.
     """
-    if max_doublings < 0:
-        raise ValueError("max_doublings must be nonnegative")
     width = rat(width)
     g1, g2 = gamma_bounds(p)
     for q1, q2 in _doubled_degrees(p, max_doublings):
@@ -273,16 +275,10 @@ def bernstein_approximation(p: BPoly, q1: int, q2: int) -> BPoly:
 
 
 def _corner_check(p: BPoly) -> None:
-    zero, one = Fraction(0), Fraction(1)
-    for x1 in (zero, one):
-        for x2 in (zero, one):
-            value = p.eval(x1, x2)
-            if value <= 0:
-                raise NotPositiveError(
-                    f"p({x1}, {x2}) = {value} is not strictly positive",
-                    witness=(x1, x2),
-                    value=value,
-                )
+    for x1, x2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        value = p.eval(x1, x2)
+        if value <= 0:
+            raise NotPositiveError((Fraction(x1), Fraction(x2)), value)
 
 
 def _surjections(n: int) -> list[list[int]]:
@@ -319,13 +315,8 @@ def _refute(p: BPoly, enc: MinEnclosure) -> None:
         for m in range(n1 + 1)
     ]
     num, k, l = _grid_min(b, q1, q2)
-    witness = (Fraction(k, q1), Fraction(l, q2))
     value = Fraction(num, den * q1**n1 * q2**n2)
-    raise NotPositiveError(
-        f"minimum over the box is at most {enc.hi}; p{witness} = {value}",
-        witness=witness,
-        value=value,
-    )
+    raise NotPositiveError((Fraction(k, q1), Fraction(l, q2)), value, at_most=enc.hi)
 
 
 def _raise(

@@ -22,7 +22,7 @@ from itertools import accumulate
 from operator import add
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import DegreeError, InconclusiveError, NotPositiveError
+from .errors import CertificationError, DegreeError, InconclusiveError, NotPositiveError
 from .polys import RationalLike, Record, UPoly, binomial_row, rat
 
 Vector = Sequence[Union[Fraction, int]]
@@ -275,8 +275,11 @@ def _range_enclosure(
     widened by the live segments alone: an attained value is an end control
     point of some segment, and a dropped one's points lie between them.
     Points are numerators over 2**levels.  Only the fields of each level's
-    RangeEnclosure1D become Fractions.
+    RangeEnclosure1D become Fractions.  Every enclosure of the package runs
+    here, so this is where a negative max_levels is refused, with ValueError.
     """
+    if max_levels < 0:
+        raise ValueError("max_levels must be nonnegative")
     m = len(coeffs) - 1
     while m > 0 and coeffs[m] == 0:
         m -= 1
@@ -391,27 +394,21 @@ def certify_positive_1d(
     strictly positive.  Raises NotPositiveError with a witness point when a
     sample value <= 0 turns up (the endpoints are checked first since the
     extreme plain coefficients equal p(0) and p(1)), and InconclusiveError
-    when the enclosure still straddles zero at the bisection cap.
+    when the enclosure still straddles zero at the bisection cap.  A
+    nonpositive coefficient at q_star, which means the degree bound was not
+    sufficient, is a CertificationError, as in the bivariate certifiers.
     """
     for endpoint in (Fraction(0), Fraction(1)):
         value = p.eval(endpoint)
         if value <= 0:
-            raise NotPositiveError(
-                f"p({endpoint}) = {value} is not strictly positive",
-                witness=endpoint,
-                value=value,
-            )
+            raise NotPositiveError(endpoint, value)
     enc = range_enclosure_1d(
         p,
         predicate=lambda e: e.lo > 0 or e.min_value <= 0,
         max_levels=max_levels,
     )
     if enc.min_value <= 0:
-        raise NotPositiveError(
-            f"p({enc.min_point}) = {enc.min_value} is not strictly positive",
-            witness=enc.min_point,
-            value=enc.min_value,
-        )
+        raise NotPositiveError(enc.min_point, enc.min_value)
     lam = enc.lo
     e = goursat_coefficients(p)
     max_abs_e = max(abs(c) for c in e)
@@ -420,7 +417,7 @@ def certify_positive_1d(
     form = to_bernstein_plain(p, q_star)
     bad = [i for i, c in enumerate(form.coeffs) if c <= 0]
     if bad:
-        raise AssertionError(
+        raise CertificationError(
             f"certified lower bound produced a nonpositive coefficient at {bad[0]}"
         )
     return UnivariateCertificate(q_star, form, q, lam, max_abs_e)

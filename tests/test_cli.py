@@ -1,21 +1,29 @@
 """Command line interface: subcommands, exit codes, diagnostics."""
 
+import io
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
+from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import berncert
-from berncert import PositivityCertificate, nested, raising
+from berncert import BPoly, PositivityCertificate, nested, raising
 from berncert.cli import main
 from berncert.documents import (
     ParseError,
+    PolynomialDocument,
     parse_certificate_document,
     serialize_certificate_document,
+    serialize_polynomial_document,
 )
 
 WORKED = """\
@@ -512,6 +520,110 @@ class TestUsage:
         assert main(["--help"]) == 0
 
 
+def _document(p: BPoly) -> str:
+    return serialize_polynomial_document(PolynomialDocument.from_bpoly(p))
+
+
+def _exact(text: str) -> Fraction:
+    """The rational a printed ``num/den`` names, read through ``decimal``,
+    which takes digits past the interpreter's limit for int()."""
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+def _run(argv) -> tuple[int, str, str]:
+    """main(argv) in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Denominators of about 2200 digits, pairwise coprime: each is within the
+# interpreter's 4300-digit limit for str() and int(), a product of two is past it.
+TWO, THREE, FIVE, SEVEN = 2**7300, 3**4700, 5**3140, 7**2600
+NINES = 10**4300 - 1  # 4300 nines
+# Refuted with a value past the limit: at a corner, (1, 0), and at a grid
+# point, (1/2, 1), where p = 1/8 + 2^-7300 - x2/3^4700 - x1 + x1^2.
+PAST_LIMIT = {
+    "corner": (BPoly([[Fraction(1, TWO)], [Fraction(-(THREE + 1), THREE)]]), (1, 0)),
+    "grid": (
+        BPoly([[Fraction(TWO + 8, 8 * TWO), Fraction(-1, THREE)], [-1, 0], [1, 0]]),
+        (Fraction(1, 2), 1),
+    ),
+}
+
+
+class TestDigitLimit:
+    """Inputs within the digit limit whose diagnostics show values past it:
+    each ends in one record, the value printed in full."""
+
+    @pytest.mark.parametrize("method", ["raise", "nested"])
+    @pytest.mark.parametrize("name", sorted(PAST_LIMIT))
+    def test_refutation_prints_value_past_limit(self, poly_file, tmp_path, name, method):
+        p, witness = PAST_LIMIT[name]
+        out = tmp_path / "cert.txt"
+        code, stdout, err = _run(["certify", poly_file(_document(p)), str(out), "--method", method])
+        assert (code, stdout, err.count("\n")) == (2, "", 1)
+        status, point, value = err.split()
+        assert status == "status=not-positive"
+        assert point == "witness=" + ",".join(map(str, witness))
+        assert value.startswith("value=") and len(value) > len("value=") + 4300
+        assert _exact(value[len("value="):]) == p.eval(*witness) < 0
+        assert not out.exists()
+
+    def test_verify_prints_mismatch_past_limit(self, poly_file, tmp_path):
+        # p = N, and C's row N 1 ... 1 at (0, 10): its x2 term is 1 - 10 N.
+        cert = tmp_path / "nines.cert"
+        cert.write_text(
+            "method: raise\nq1: 0\nq2: 10\nconvention: plain\ntool_version: 0.1.0\nC:\n"
+            + " ".join([str(NINES)] + ["1"] * 10) + "\n"
+        )
+        code, stdout, err = _run(["verify", poly_file(f"variables: 2\ncoeffs:\n{NINES}\n"), str(cert)])
+        assert (code, stdout, err.count("\n")) == (2, "", 1)
+        head = "status=invalid reason=expansion_mismatch_at_monomial_x1^0_x2^1:_expansion_gives_"
+        assert err.startswith(head)
+        value, tail = err[len(head):].split(",", 1)
+        assert tail == "_polynomial_has_0\n"
+        assert _exact(value) == 1 - 10 * NINES
+
+
+@st.composite
+def past_limit_polys(draw):
+    """Bidegree at most (2, 2), each coefficient a small integer plus a small
+    numerator over one of the coprime denominators."""
+    coeff = st.builds(
+        lambda n, d, k: Fraction(n, d) + k,
+        st.integers(-10**6, 10**6), st.sampled_from([TWO, THREE, FIVE, SEVEN]), st.integers(-2, 2),
+    )
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return BPoly([[draw(coeff) for _ in range(cols)] for _ in range(rows)])
+
+
+# Nested is left out: its degrees on such inputs have no bound yet.
+@settings(max_examples=40, deadline=None)
+@given(past_limit_polys())
+def test_values_past_limit_end_in_records(p):
+    with tempfile.TemporaryDirectory() as tmp:
+        poly, cert = Path(tmp, "p.txt"), Path(tmp, "c.txt")
+        poly.write_text(_document(p))
+        code, out, err = _run(["certify", str(poly), str(cert), "--method", "raise", "--max-iter", "2"])
+        # A certificate that would hold a number past the limit is not
+        # written: status=too-large, exit 1.
+        assert code in (0, 2, 3) or err.startswith("status=too-large ")
+        assert err.count("\n") == (code != 0)
+        if code == 0:
+            assert _run(["verify", str(poly), str(cert)]) == (0, "ok\n", "")
+        code, out, err = _run(["enclose-min", str(poly), "--q1", "2", "--q2", "2"])
+        assert (code, err) == (0, "")
+        lo, hi, *degrees = out.split()
+        assert degrees == ["2", "2"]
+        assert _exact(lo) <= p.eval(0, 0) and _exact(lo) <= _exact(hi)
+        code, out, err = _run(["eval", str(poly), "--at", "1/3,2/7"])
+        assert (code, err) == (0, "")
+        assert _exact(out.strip()) == p.eval(Fraction(1, 3), Fraction(2, 7))
+
+
 # Every failure path of every command: argv (paths as {names}), exit code,
 # the one stderr record, and stdout.  Paths: {worked} WORKED, {sphere}
 # SPHERE, {uni} UNI, {negative} NEGATIVE, {bad} a document with a malformed
@@ -588,6 +700,9 @@ RECORDS = {
     "certify-io-error": (
         ["certify", "{missing}", "{out}", "--method", "raise"], 1,
         "status=io-error detail=[Errno_2]_No_such_file_or_directory:_'{missing}'", ""),
+    "certify-io-error-missing-dir": (
+        ["certify", "{sphere}", "{nodir}", "--method", "raise"], 1,
+        "status=io-error detail=[Errno_2]_No_such_file_or_directory:_'{nodir}'", ""),
     "verify-io-error": (
         ["verify", "{sphere}", "{missing}"], 1,
         "status=io-error detail=[Errno_2]_No_such_file_or_directory:_'{missing}'", ""),
@@ -626,6 +741,7 @@ def test_failure_record(poly_file, tmp_path, capsys, name):
         "capped": poly_file(CAPPED_NESTED, "capped.txt"),
         "huge": poly_file(TestUsage.HUGE, "huge.txt"),
         "missing": tmp_path / "missing.txt", "out": tmp_path / "cert.txt", "zero": zero,
+        "nodir": tmp_path / "missing-dir" / "cert.txt",
     }
     assert main([arg.format(**paths) for arg in argv]) == code
     captured = capsys.readouterr()

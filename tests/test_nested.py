@@ -272,6 +272,17 @@ class TestCertifyNested:
         assert len(cert.report.per_i_inf_lower) == cert.q1 + 1
 
 
+class TestNegativeCaps:
+    def test_negative_doubling_cap_rejected(self):
+        with pytest.raises(ValueError, match="^max_doublings must be nonnegative$"):
+            certify_nested(SPHERE, max_doublings=-1)
+
+    def test_negative_level_cap_rejected(self):
+        # Not a cap of 0: the first range enclosure refuses it.
+        with pytest.raises(ValueError, match="^max_levels must be nonnegative$"):
+            certify_nested(SPHERE, max_levels=-1)
+
+
 class TestQ2Inconclusive:
     """Stage 2's two ways to give up, each carrying the row's enclosure."""
 

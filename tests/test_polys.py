@@ -1,12 +1,16 @@
 """Core polynomial containers and exact arithmetic."""
 
+import ast
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import berncert
 from berncert import (
     BernsteinForm1D,
     BernsteinForm2D,
@@ -19,7 +23,7 @@ from berncert import (
     rat,
 )
 from berncert.documents import ParseError, PolynomialDocument
-from berncert.polys import Record
+from berncert.polys import Record, rat_text
 
 from corpus import random_fraction
 
@@ -60,6 +64,37 @@ class TestRational:
     def test_string_and_int(self):
         assert rat(3) == Fraction(3)
         assert rat("-7/3") == Fraction(-7, 3)
+
+    @pytest.mark.parametrize(
+        "value", [Fraction(-7, 3), Fraction(5), 0, "1/2", 10**4299, Fraction(-1, 10**4299)]
+    )
+    def test_text_is_str_within_the_digit_limit(self, value):
+        assert rat_text(value) == str(value)
+
+    def test_text_past_the_digit_limit(self):
+        # The same digits str() gives with the limit lifted.
+        n, d = -(3**9100), 2**14400  # 4342 and 4335 digits
+        assert rat_text(n) == "-" + format(Decimal(3**9100), "f")
+        assert rat_text(Fraction(n, d)) == f"{rat_text(n)}/{rat_text(d)}"
+        assert rat_text(Fraction(n, 3)) == rat_text(n // 3)
+        assert Fraction(int(Decimal(rat_text(n))), int(Decimal(rat_text(d)))) == Fraction(n, d)
+
+
+def test_only_polys_imports_decimal():
+    # Rationals become text in one place: no other module of the package
+    # imports decimal, under any spelling of the import.
+    importers = set()
+    for path in Path(berncert.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {node.module or ""}
+            else:
+                continue
+            if "decimal" in {name.partition(".")[0] for name in names}:
+                importers.add(path.stem)
+    assert importers == {"polys"}
 
 
 class TestUPoly:

@@ -1,5 +1,6 @@
 """Degree-raising machinery: coefficients, enclosures, delta, certification."""
 
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -467,6 +468,30 @@ REFUTED = {
 }
 
 
+class TestNegativeCaps:
+    # Every raising walk enters _doubled_degrees, which refuses the cap.
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: certify_raise(SPHERE, max_doublings=-1),
+            lambda: minimum_lower_bound(SPHERE, -1),
+            lambda: min_enclosure_to_width(SPHERE, 1, -1),
+        ],
+        ids=["certify_raise", "minimum_lower_bound", "min_enclosure_to_width"],
+    )
+    def test_negative_doubling_cap_rejected(self, run):
+        with pytest.raises(ValueError, match="^max_doublings must be nonnegative$"):
+            run()
+
+
+def test_degree_past_digit_limit_is_named_in_full():
+    # A doubling walk can reach degrees past the 4300-digit limit for str().
+    q1 = 10**5000
+    with pytest.raises(DegreeError) as info:
+        min_enclosure(WORKED, q1, 2)
+    assert str(info.value).startswith(f"degrees (1{'0' * 5000}, 2) are past the largest grid")
+
+
 class TestRefutationWitness:
     @pytest.mark.parametrize("name", list(REFUTED))
     def test_witness_is_first_grid_minimum(self, name):
@@ -479,7 +504,7 @@ class TestRefutationWitness:
         assert info.value.value == value
         hi = min_enclosure(p, q1, q2).hi
         assert str(info.value) == (
-            f"minimum over the box is at most {hi}; p{witness} = {value}"
+            f"minimum over the box is at most {hi}; p({witness[0]}, {witness[1]}) = {value}"
         )
 
     def test_tie_and_degree_zero_witnesses(self):
@@ -488,12 +513,20 @@ class TestRefutationWitness:
         assert info.value.witness == (0, Fraction(1, 2))
         assert str(info.value) == (
             "minimum over the box is at most -11/80; "
-            "p(Fraction(0, 1), Fraction(1, 2)) = -11/80"
+            "p(0, 1/2) = -11/80"
         )
         with pytest.raises(NotPositiveError) as info:
             minimum_lower_bound(REFUTED["n2=0"])
         assert info.value.witness == (Fraction(1, 2), 0)
         assert info.value.value == Fraction(-1, 8)
+
+    def test_refutation_holds_only_its_data(self):
+        with pytest.raises(NotPositiveError) as info:
+            certify_raise(REFUTED["tie"])
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert (copy.witness, copy.value, str(copy)) == (
+            info.value.witness, info.value.value, str(info.value)
+        )
 
     @pytest.mark.parametrize(
         "p, q",

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from berncert import (
     BPoly,
     BernsteinForm1D,
+    CertificationError,
     InconclusiveError,
     NotPositiveError,
     RangeEnclosure1D,
@@ -25,6 +26,7 @@ from berncert import (
     range_enclosure_1d,
     to_bernstein_plain,
 )
+from berncert import univariate
 from berncert.certificates import plain_coeffs
 from berncert.nested import _coefficient_rows, _q2_stop, coefficient_bernstein_polys
 from berncert.univariate import (
@@ -514,6 +516,23 @@ class TestCertifyPositive1D:
         p = (UPoly([0, 1]) - UPoly([Fraction(1, 3)])) ** 2
         with pytest.raises(InconclusiveError):
             certify_positive_1d(p, max_levels=6)
+
+    def test_negative_level_cap_rejected(self):
+        for run in (
+            lambda: certify_positive_1d(UPoly([1, 1]), max_levels=-1),
+            lambda: range_enclosure_1d(UPoly([1, 1]), 1, max_levels=-1),
+        ):
+            with pytest.raises(ValueError, match="^max_levels must be nonnegative$"):
+                run()
+
+    def test_insufficient_degree_is_certification_error(self, monkeypatch):
+        # (x - 1/2)^2 + 1/100 has plain coefficients 13/50, -12/25, 13/50 at
+        # degree 2, which a degree bound of 1 (q_star = 2) would give.
+        monkeypatch.setattr(univariate, "powers_reznick_degree", lambda *args: 1)
+        with pytest.raises(CertificationError) as info:
+            certify_positive_1d(UPoly([Fraction(26, 100), -1, 1]))
+        assert type(info.value) is CertificationError
+        assert str(info.value) == "certified lower bound produced a nonpositive coefficient at 1"
 
     def test_lambda_bound_is_valid(self):
         rng = random.Random(5)
