@@ -1,11 +1,12 @@
 """Command line front end.
 
-Exit codes are the machine contract: 0 success, 1 usage or I/O or parse
-errors or a certifier's internal error, 2 refuted positivity or invalid
-certificate, 3 inconclusive within the iteration caps.  Diagnostics go to
-standard error as one-line ``key=value`` records; rational values are
-printed in full as ``num/den`` (``polys.rat_text``), and spaces in a value
-as ``_``, so a record splits on spaces into its fields.
+Exit codes are the machine contract: 0 success, 1 usage, I/O or parse
+errors, a refused allocation or a certifier's internal error, 2 refuted
+positivity or invalid certificate, 3 inconclusive within the iteration
+caps.  Diagnostics go to standard error as one-line ``key=value`` records;
+rational values are printed in full as ``num/den`` (``polys.rat_text``),
+and spaces in a value as ``_``, so a record splits on spaces into its
+fields.
 The commands raise their failures; ``main`` alone turns each into its
 record and exit code.
 """
@@ -269,6 +270,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         _diag(status="io-error", detail=str(exc))
+        return 1
+    except MemoryError:  # an allocation the machine refused, such as a 10**15-point grid
+        _diag(status="out-of-memory")
         return 1
 
 

@@ -8,7 +8,7 @@ certificates can be re-verified from the file alone.  Lines end where
 ignored.  Tokens follow the ASCII grammar ``-?[0-9]+(/[0-9]+)?`` with a
 nonzero denominator; anything else, including an integer over the
 interpreter's 4300-digit conversion limit, is a ``ParseError``, and a
-certificate number over that limit is not written: ``TooLargeError``.
+number over that limit is not written: ``TooLargeError``.
 
 A certificate is a stream of rows, written by one line writer (``_lines``,
 of a ``CertificateRows`` or of a document) and read by one row reader
@@ -77,8 +77,8 @@ class ParseError(ValueError):
 
 
 class TooLargeError(ValueError):
-    """A certificate number past the interpreter's digit limit for str(),
-    which the writer refuses, as the reader refuses one with ParseError."""
+    """A number past the interpreter's digit limit for str(), which the
+    writers refuse, as the readers refuse one with ParseError."""
 
 
 def _int(digits: str, error: str) -> int:
@@ -91,7 +91,7 @@ def _int(digits: str, error: str) -> int:
 
 
 def _written(write, *args):
-    """write(*args), the text of certificate numbers, else TooLargeError:
+    """write(*args), the text of document numbers, else TooLargeError:
     there str() raises ValueError only over the interpreter's digit limit."""
     try:
         return write(*args)
@@ -224,9 +224,12 @@ def parse_polynomial_document(text: str) -> PolynomialDocument:
 
 
 def serialize_polynomial_document(doc: PolynomialDocument) -> str:
+    """The document's text, its rows by ``_format_row`` as a certificate's
+    are; a number past str()'s digit limit raises TooLargeError."""
     out = [f"variables: {doc.variables}", "coeffs:"]
     for row in doc.coeffs:
-        out.append(" ".join(map(str, row)))
+        nums, dens = [c.numerator for c in row], [c.denominator for c in row]
+        out.append(_written(_format_row, nums, dens))
     return "\n".join(out) + "\n"
 
 

@@ -133,15 +133,15 @@ def binom(m: int, v: int) -> int:
     return math.comb(m, v)
 
 
-def binomial_row(m: int, sign: int = 1) -> list[int]:
-    """[sign**t * C(m, t) for t in 0..m], by C(m, t+1) = C(m, t) (m-t) / (t+1).
+def binomial_row(m: int) -> list[int]:
+    """[C(m, t) for t in 0..m], by C(m, t+1) = C(m, t) (m-t) / (t+1).
 
     One multiplication and one exact division per entry, where ``binom``
     computes each coefficient on its own.
     """
     row = [1]
     for t in range(m):
-        row.append(sign * row[-1] * (m - t) // (t + 1))
+        row.append(row[-1] * (m - t) // (t + 1))
     return row
 
 

@@ -18,11 +18,13 @@ give a certified enclosure of the minimum that converges as the degrees grow.
 Neither search of this module needs that matrix.  As a function of the grid
 index, c[k][l] is a polynomial of bidegree (n1, n2) in the binomial basis
 C(k,i) C(l,j) (``univariate._weights``); the values of p on the grid
-(k/q1, l/q2) are another such polynomial, moved from the monomial basis by
-Stirling numbers.  Both are cleared to small integers and searched by
-``_grid_min``, which walks the grid by prefix sums (``univariate._values``,
-the table that also gives the certificate), so the minimum coefficient and
-the refutation witness cost O(q1*q2*(n1+n2)) additions of integers of about
+(k/q1, l/q2) are another such polynomial, whose binomial-basis coefficients
+are the forward differences at 0 (``univariate._differences``) of its
+values at k <= n1, l <= n2.  Both are cleared to small integers and searched
+by ``_grid_min``, which walks the grid by prefix sums (``univariate._values``,
+the table that also gives the certificate, run forwards where
+``_differences`` runs it backwards), so the minimum coefficient and the
+refutation witness cost O(q1*q2*(n1+n2)) additions of integers of about
 (n1+n2) log q bits.  The plain matrix is built only at the certifying degrees.
 """
 
@@ -43,9 +45,10 @@ from .certificates import (
 )
 from .errors import DegreeError, InconclusiveError, NotPositiveError
 from .polys import BPoly, RationalLike, Record, binom, binomial_row, rat, rat_text
-from .univariate import _cleared, _values, _weights
+from .univariate import _cleared, _differences, _values, _weights
 
 DEFAULT_DOUBLING_CAP = 20  # degree doublings before a raising loop gives up
+MAX_GRID_DEGREE = sys.maxsize - 1  # the largest q whose q + 1 grid points a list holds
 
 
 class BernsteinForm2D(Record):
@@ -125,12 +128,12 @@ def _c_min(p: BPoly, q1: int, q2: int) -> Fraction:
     """The smallest normalized Bernstein coefficient of p at (q1, q2): with
     the weights w of ``_weights``, c[k][l] times D q1^(n1) q2^(n2) has the
     binomial-basis coefficients D a[i][j] w1[i] w2[j], all integers.
-    Every grid search enters here, so this is where a degree whose q + 1
-    grid points no list can hold is refused, with DegreeError."""
-    if max(q1, q2) >= sys.maxsize:
+    Every grid search enters here, so this is where a degree past
+    ``MAX_GRID_DEGREE`` is refused, with DegreeError."""
+    if max(q1, q2) > MAX_GRID_DEGREE:
         raise DegreeError(
             f"degrees ({rat_text(q1)}, {rat_text(q2)}) are past the largest grid degree"
-            f" {sys.maxsize - 1}"
+            f" {MAX_GRID_DEGREE}"
         )
     n1, n2 = p.n1, p.n2
     a, den = _cleared(p.coeffs)
@@ -190,7 +193,9 @@ def _doubled_degrees(
     """The degrees every raising loop walks, in order.
 
     Starts at q_start (default the floors (max(n1, 2), max(n2, 2))) and
-    doubles both degrees together, max_doublings times.  q_start and a
+    doubles both degrees together, max_doublings times, or until the first
+    pair past ``MAX_GRID_DEGREE``, which ends the walk: ``_c_min`` refuses
+    it, and no pair after it could be searched either.  q_start and a
     negative max_doublings are refused on the call; the pairs are generated
     as the loop asks for them, so a loop that stops early never builds the
     degrees it does not reach.
@@ -201,7 +206,8 @@ def _doubled_degrees(
     q1, q2 = (f1, f2) if q_start is None else q_start
     if q1 < f1 or q2 < f2:
         raise DegreeError(f"q_start {q_start} is below the floors ({f1}, {f2})")
-    return ((q1 << d, q2 << d) for d in range(max_doublings + 1))
+    past = (MAX_GRID_DEGREE // max(q1, q2)).bit_length()  # doublings to pass the grid
+    return ((q1 << d, q2 << d) for d in range(min(max_doublings, past) + 1))
 
 
 def min_enclosure(p: BPoly, q1: int, q2: int) -> MinEnclosure:
@@ -228,7 +234,8 @@ def min_enclosure_to_width(
 
     Only the bound decides the degrees, so the minimum search runs once.
     When the cap is reached first, the enclosure at the last degrees is
-    returned and its bound exceeds width.
+    returned and its bound exceeds width; when the walk passes the grid
+    first, its last pair is refused with DegreeError.
     """
     width = rat(width)
     g1, g2 = gamma_bounds(p)
@@ -281,39 +288,27 @@ def _corner_check(p: BPoly) -> None:
             raise NotPositiveError((Fraction(x1), Fraction(x2)), value)
 
 
-def _surjections(n: int) -> list[list[int]]:
-    """t[i][m] = m! S(i, m) for i, m <= n (S the Stirling numbers of the
-    second kind), so that k**i = sum_m t[i][m] C(k, m)."""
-    t = [[1] + [0] * n]
-    for _ in range(n):
-        prev = t[-1]
-        t.append([0] + [m * (prev[m] + prev[m - 1]) for m in range(1, n + 1)])
-    return t
+def _scaled_values(coeffs: Sequence[int], q: int) -> list[int]:
+    """[q**n f(k/q) for k <= n], f = sum_i coeffs[i] x**i and
+    n = len(coeffs) - 1: sum_i coeffs[i] k**i q**(n-i), on integers."""
+    n = len(coeffs) - 1
+    return [sum(c * k**i * q ** (n - i) for i, c in enumerate(coeffs)) for k in range(n + 1)]
 
 
 def _refute(p: BPoly, enc: MinEnclosure) -> None:
     """Raise NotPositiveError at the grid point (k/q1, l/q2) minimizing p.
 
-    With D clearing p's denominators, D q1**n1 q2**n2 p(k/q1, l/q2) is the
-    integer polynomial sum of A[i][j] k**i l**j with A[i][j] = D a[i][j]
-    q1**(n1-i) q2**(n2-j).  Stirling numbers move it to the binomial basis,
-    and ``_grid_min`` finds its first minimum in row-major order, the
-    witness; only it and its value become Fractions.
+    With D clearing p's denominators, D q1**n1 q2**n2 p(k/q1, l/q2) is an
+    integer polynomial f(k, l) of bidegree (n1, n2).  Its values at k <= n1,
+    l <= n2, differenced along both axes (``_differences``), are its
+    binomial-basis coefficients, and ``_grid_min`` finds its first minimum
+    in row-major order, the witness; only it and its value become Fractions.
     """
     q1, q2, n1, n2 = enc.q1, enc.q2, p.n1, p.n2
     a, den = _cleared(p.coeffs)
-    # u[i][m] = q**(n-i) m! S(i, m), so q**(n-i) k**i = sum_m u[i][m] C(k, m).
-    u1, u2 = (
-        [[q ** (n - i) * s for s in row] for i, row in enumerate(_surjections(n))]
-        for q, n in ((q1, n1), (q2, n2))
-    )
-    b = [
-        [
-            sum(u1[i][m] * v * u2[j][c] for i, row in enumerate(a) for j, v in enumerate(row))
-            for c in range(n2 + 1)
-        ]
-        for m in range(n1 + 1)
-    ]
+    # Along x1 on each column of a (the x2**j coefficients), then along x2.
+    cols = [_differences(_scaled_values(col, q1)) for col in zip(*a)]
+    b = [_differences(_scaled_values(row, q2)) for row in zip(*cols)]
     num, k, l = _grid_min(b, q1, q2)
     value = Fraction(num, den * q1**n1 * q2**n2)
     raise NotPositiveError((Fraction(k, q1), Fraction(l, q2)), value, at_most=enc.hi)

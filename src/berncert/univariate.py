@@ -10,8 +10,10 @@ positivity certifier that combines all of the above.  The forward map to
 plain Bernstein form is a difference table (``_values`` over ``_weights``):
 ``_plain_pass`` on integers, once for ``to_bernstein_plain`` and along x1
 and x2 in the bivariate modules; the range enclosure reads its control
-points off the table.  ``_plain_kernel`` is the inverse map, for
-``from_bernstein`` and the Goursat transform (``_goursat``).
+points off the table.  The inverse map is the same table run backwards
+(``_differences``, the forward differences at 0): ``_plain_kernel``, for
+``from_bernstein``, the Goursat transform (``_goursat``) and
+``certificates.expand_plain_2d``.
 """
 
 from __future__ import annotations
@@ -67,28 +69,6 @@ def _cleared(vectors: Sequence[Vector]) -> tuple[list[list[int]], int]:
     return [[c.numerator * (den // c.denominator) for c in v] for v in vectors], den
 
 
-def _plain_kernel(vectors: Sequence[Vector], q: int) -> tuple[list[list[int]], int]:
-    """The inverse map at degree q, plain Bernstein to monomial, on integers.
-
-    With D the common denominator, a vector a of length n + 1 <= q + 1 maps
-    to out[k] = sum over i <= min(n, k) of (-1)**(k-i) C(q-i, k-i) D a[i],
-    as x**i (1-x)**(q-i) expands to sum_k (-1)**(k-i) C(q-i, k-i) x**k.
-    Returns (outputs, D).
-    """
-    vectors, den = _cleared(vectors)
-    # shifted[i][t] = (-1)**t * C(q-i, t), the weights of input i on outputs
-    # k = i + t.
-    shifted = [binomial_row(q - i, -1) for i in range(max(len(v) for v in vectors))]
-    out = []
-    for v in vectors:
-        acc = [0] * (q + 1)
-        for i, a in enumerate(v):
-            if a:
-                acc[i:] = [s + a * w for s, w in zip(acc[i:], shifted[i])]
-        out.append(acc)
-    return out, den
-
-
 def _values(coeffs: Sequence[int], q: int) -> list[int]:
     """[f(0), ..., f(q)] for f(k) = sum_i coeffs[i] C(k, i), by prefix sums:
     f_t(k) = sum_{i >= t} coeffs[i] C(k, i-t) is coeffs[t] plus the sum of
@@ -100,10 +80,38 @@ def _values(coeffs: Sequence[int], q: int) -> list[int]:
     return vals
 
 
+def _differences(values: Sequence[int]) -> list[int]:
+    """The forward differences at 0 of [f(0), ..., f(q)]: the coefficients
+    c of f(k) = sum_i c[i] C(k, i) (Newton's forward-difference formula),
+    by rounds of differences in place.  The inverse of ``_values``, which
+    is the same table run the other way."""
+    out = list(values)
+    for t in range(1, len(out)):  # out[k] for k >= t becomes the t-th difference at k - t
+        for k in range(len(out) - 1, t - 1, -1):
+            out[k] -= out[k - 1]
+    return out
+
+
 def _weights(n: int, q: int) -> list[int]:
     """[i! (q-i)^(n-i) for i <= n], falling factorials, for q >= n: the
     normalized coefficient C(k, i) / C(q, i) of x**i is C(k, i) w[i] / q^(n)."""
     return [math.factorial(i) * math.perm(q - i, n - i) for i in range(n + 1)]
+
+
+def _plain_kernel(vectors: Sequence[Vector], q: int) -> tuple[list[list[int]], int]:
+    """The inverse map at degree q, plain Bernstein to monomial, on integers:
+    the forward map at n = q read backwards.  With w = ``_weights(q, q)``,
+    w[i] = i! (q-i)!, the forward map sends monomial coefficients a to plain
+    ones b with b[k] w[k] = ``_values``([a[i] w[i]], q)[k] (``_plain_pass``'s
+    C(q, k) / q! is 1 / w[k]).  So, with D the common denominator, a vector
+    b of length at most q + 1, zero-padded to q + 1 entries, maps to
+    a[i] = ``_differences``([D b[k] w[k]])[i] / w[i], the division exact.
+    Returns (outputs, D).
+    """
+    vectors, den = _cleared(vectors)
+    w = _weights(q, q)
+    padded = ([b * u for b, u in zip(v, w)] + [0] * (q + 1 - len(v)) for v in vectors)
+    return [[d // u for d, u in zip(_differences(f), w)] for f in padded], den
 
 
 def _plain_pass(vectors: Sequence[Vector], q: int) -> tuple[Iterator[tuple[int, ...]], int]:
@@ -162,7 +170,8 @@ def to_bernstein_plain(p: UPoly, m: int) -> BernsteinForm1D:
 def from_bernstein(b: BernsteinForm1D) -> UPoly:
     """Exact monomial form of a plain Bernstein representation.
 
-    One inverse kernel call.
+    One ``_plain_kernel`` call: the difference table of ``to_bernstein_plain``
+    at n = degree, run backwards by ``_differences``.
     """
     (nums,), den = _plain_kernel([b.coeffs], b.degree)
     return UPoly([Fraction(v, den) for v in nums])

@@ -1,0 +1,150 @@
+"""The standing mutant gate: every recorded mutant of ``src/`` must be killed.
+
+Run it with the interpreter that runs the tests (stdlib only, besides the
+tests' own pytest and hypothesis):
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+It copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory and first runs the chosen mutants' killer tests there on the
+unchanged source: they must pass.  Then, for each mutant, it replaces the
+mutant's old text, which must occur exactly once in its file, with the new
+text and runs that mutant's killer tests: the mutant is killed when they
+fail.  The file is restored before the next mutant.  The script exits 1 when
+a mutant survives, when an old text is not found once, or when the killer
+tests do not run cleanly.  pytest does not collect this file, whose name
+does not start with ``test_``.
+
+A change to a mutated line updates its entry here; a new kernel or search
+adds its mutants, each with the tests that kill it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+UNIVARIATE = "tests/test_univariate.py"
+RAISING = "tests/test_raising.py"
+
+# (name, file under src/berncert, old text, new text, killer tests)
+MUTANTS = [
+    (
+        "differences-add",
+        "univariate.py",
+        "out[k] -= out[k - 1]",
+        "out[k] += out[k - 1]",
+        [f"{UNIVARIATE}::test_differences_invert_values"],
+    ),
+    (
+        "inverse-no-zero-pad",
+        "univariate.py",
+        " + [0] * (q + 1 - len(v))",
+        "",
+        [f"{UNIVARIATE}::test_inverse_kernel_matches_signed_binomial_loop"],
+    ),
+    (
+        "refute-x2-undifferenced",
+        "raising.py",
+        "b = [_differences(_scaled_values(row, q2)) for row in zip(*cols)]",
+        "b = [_scaled_values(row, q2) for row in zip(*cols)]",
+        [f"{RAISING}::TestMinimumScan::test_min_enclosure_matches_bern_coeffs"],
+    ),
+    (
+        "walk-past-grid",
+        "raising.py",
+        "range(min(max_doublings, past) + 1)",
+        "range(max_doublings + 1)",
+        ["tests/test_cli.py::test_width_walk_stops_at_first_pair_past_grid"],
+    ),
+    (
+        "grid-min-last-tie",
+        "raising.py",
+        "if best is None or m < best[0]:",
+        "if best is None or m <= best[0]:",
+        [f"{RAISING}::TestRefutationWitness::test_tie_and_degree_zero_witnesses"],
+    ),
+    (
+        "binomial-row-off-by-one",
+        "polys.py",
+        "row.append(row[-1] * (m - t) // (t + 1))",
+        "row.append(row[-1] * (m - t + 1) // (t + 1))",
+        [f"{UNIVARIATE}::test_forward_pass_matches_kernel_loop"],
+    ),
+    (
+        "plain-rows-no-degree-check",
+        "certificates.py",
+        "    if q1 < n1 or q2 < n2:\n        raise DegreeError(",
+        "    if False:\n        raise DegreeError(",
+        [f"{RAISING}::TestBernCoeffs::test_degree_error"],
+    ),
+]
+
+
+def _pytest(copy: Path, tests: list[str]) -> subprocess.CompletedProcess:
+    """pytest on the given tests of the copy, with the copy's ``src`` first
+    on the path of pytest and of any child it starts, and no bytecode
+    written, so a mutated file is never read from a stale cache."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=copy, env=env, capture_output=True, text=True,
+    )
+
+
+def _tail(result: subprocess.CompletedProcess) -> str:
+    return "\n".join((result.stdout + result.stderr).strip().splitlines()[-15:])
+
+
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - {m[0] for m in MUTANTS})
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}")
+        return 1
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    with tempfile.TemporaryDirectory(prefix="berncert-mutants-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", copy)
+        killers = sorted({test for m in chosen for test in m[4]})
+        baseline = _pytest(copy, killers)
+        if baseline.returncode != 0:
+            print(f"the killer tests fail on the unchanged source:\n{_tail(baseline)}")
+            return 1
+        bad = 0
+        for name, file, old, new, tests in chosen:
+            path = copy / "src" / "berncert" / file
+            original = path.read_text()
+            count = original.count(old)
+            if count != 1:
+                print(f"{name}: old text occurs {count} times in {file}, not once")
+                bad += 1
+                continue
+            path.write_text(original.replace(old, new))
+            try:
+                result = _pytest(copy, tests)
+            finally:
+                path.write_text(original)
+            if result.returncode == 1:
+                print(f"{name}: killed")
+            elif result.returncode == 0:
+                print(f"{name}: SURVIVED {' '.join(tests)}")
+                bad += 1
+            else:
+                print(f"{name}: killer tests did not run (pytest exit {result.returncode}):")
+                print(_tail(result))
+                bad += 1
+        print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+        return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
@@ -808,3 +809,36 @@ def test_import_leaves_out_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "set()\n"
+
+
+def test_width_walk_stops_at_first_pair_past_grid(poly_file, tmp_path):
+    # 1 + x1^2 at width 10^-4000: the bound would need degrees of about 4000
+    # digits; the walk stops at the first doubled pair the grid cannot hold.
+    path = poly_file("variables: 2\ncoeffs:\n1\n0\n1\n", "walk.txt")
+    q = 2
+    while q <= sys.maxsize - 1:
+        q *= 2
+    start = time.perf_counter()
+    code, out, err = _run(
+        ["enclose-min", path, "--target-width", f"1/{10**4000}", "--max-iter", "100000"]
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == f"status=usage-error detail=degrees_({q},_{q}){PAST_GRID}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enclose-min", "{worked}", "--q1", "1000000000000000", "--q2", "2"],
+        ["certify", "{worked}", "{out}", "--method", "raise", "--q-start", "1000000000000000,2"],
+    ],
+    ids=["enclose-min", "certify-raise"],
+)
+def test_refused_allocation_is_out_of_memory(poly_file, tmp_path, argv):
+    # A 10**15-point grid row asks for 8 PB at once, which the allocator
+    # refuses before touching any memory.
+    paths = {"worked": poly_file(WORKED, "worked.txt"), "out": tmp_path / "cert.txt"}
+    code, out, err = _run([arg.format(**paths) for arg in argv])
+    assert (code, out, err) == (1, "", "status=out-of-memory\n")
+    assert not paths["out"].exists()

@@ -22,6 +22,7 @@ from berncert import documents as docs
 from berncert.documents import (
     CertificateDocument,
     ParseError,
+    TooLargeError,
     PolynomialDocument,
     parse_certificate_document,
     parse_polynomial_document,
@@ -421,3 +422,22 @@ def test_documents_imports_no_certifier():
     names = {module.rpartition(".")[2] for module in modules}
     assert "__version__" in names and "certificates" in names  # the walk sees both forms
     assert not names & {"raising", "nested"}, sorted(modules)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.fractions(max_denominator=10**6), min_size=1, max_size=5),
+                min_size=1, max_size=5))
+def test_polynomial_rows_written_as_str_gives_them(rows):
+    p = BPoly(rows)
+    text = serialize_polynomial_document(PolynomialDocument.from_bpoly(p))
+    expected = "variables: 2\ncoeffs:\n" + "".join(" ".join(map(str, r)) + "\n" for r in p.coeffs)
+    assert text == expected
+    assert parse_polynomial_document(text).to_bpoly() == p
+
+
+def test_polynomial_number_past_digit_limit_is_too_large():
+    # 3**9100 has 4342 digits: the polynomial writer refuses it as the
+    # certificate writer does, not with a bare ValueError from str().
+    doc = PolynomialDocument.from_bpoly(BPoly([[Fraction(1, 3**9100), 1]]))
+    with pytest.raises(TooLargeError, match="has over 4300 digits"):
+        serialize_polynomial_document(doc)

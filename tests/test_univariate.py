@@ -32,7 +32,9 @@ from berncert.nested import _coefficient_rows, _q2_stop, coefficient_bernstein_p
 from berncert.univariate import (
     _cleared,
     _decasteljau_halves,
+    _differences,
     _goursat,
+    _plain_kernel,
     _plain_pass,
     _range_enclosure,
     _values,
@@ -541,3 +543,52 @@ class TestCertifyPositive1D:
         for _ in range(50):
             x = random_unit_fraction(rng)
             assert p.eval(x) >= cert.lambda_lower
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=24), st.integers(0, 6))
+@example([0], 0)
+@example([5], 3)
+def test_differences_invert_values(c, extra):
+    # One table, run forwards by _values and backwards by _differences; past
+    # n the binomial-basis coefficients of a degree-n table are zeros.
+    n = len(c) - 1
+    assert _differences(_values(c, n)) == c
+    assert _values(_differences(c), n) == c
+    assert _differences(_values(c, n + extra)) == c + [0] * extra
+
+
+def _signed_kernel(vectors, q):
+    """The signed-binomial loop that the backwards table replaced, kept as
+    the oracle for ``_plain_kernel``: with D clearing every denominator,
+    out[k] = sum over i <= min(n, k) of (-1)**(k-i) C(q-i, k-i) D a[i]."""
+    den = math.lcm(*(c.denominator for v in vectors for c in v))
+    out = []
+    for v in vectors:
+        acc = [0] * (q + 1)
+        for i, c in enumerate(v):
+            a = c.numerator * (den // c.denominator)
+            if a:
+                acc[i:] = [s + a * (-1) ** t * math.comb(q - i, t) for t, s in enumerate(acc[i:])]
+        out.append(acc)
+    return out, den
+
+
+@st.composite
+def inverse_inputs(draw):
+    """One to three vectors of 1..q+1 entries each, at q = 0..14."""
+    q = draw(st.integers(0, 14))
+    vector = st.lists(forward_entries, min_size=1, max_size=q + 1)
+    return draw(st.lists(vector, min_size=1, max_size=3)), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(inverse_inputs())
+@example(([[Fraction(0)]], 0))
+@example(([[Fraction(-3, 7)]], 0))  # q = 0
+@example(([[Fraction(1, 6)], [Fraction(2, 9), Fraction(3), Fraction(0)]], 5))  # shorter than q + 1
+@example(([[Fraction(1, 8), Fraction(0), Fraction(1)]], 2))
+def test_inverse_kernel_matches_signed_binomial_loop(case):
+    # The same integers (N, D), not only the same values.
+    vectors, q = case
+    assert _plain_kernel(vectors, q) == _signed_kernel(vectors, q)
