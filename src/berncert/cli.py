@@ -29,7 +29,7 @@ from .documents import (
     parse_rational,
 )
 from .errors import CertificationError, DegreeError, InconclusiveError, NotPositiveError
-from .certificates import verify_rows
+from .certificates import Method, verify_rows
 from .nested import nested_rows
 from .polys import BPoly, rat_text
 from .raising import (
@@ -114,7 +114,7 @@ def cmd_certify(args) -> int:
     p = _read_bivariate(args.input, "certify")
     doublings = args.max_iter if args.max_iter is not None else DEFAULT_DOUBLING_CAP
     levels = args.max_iter if args.max_iter is not None else DEFAULT_REFINEMENT_CAP
-    if args.method == "nested":
+    if Method(args.method) is Method.NESTED:
         if args.q_start is not None:
             raise _UsageError("--q-start applies to --method raise")
         cert = nested_rows(p, max_doublings=doublings, max_levels=levels)
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument("input", help="polynomial document")
     certify.add_argument("output", help="certificate document to write")
     certify.add_argument(
-        "--method", choices=("nested", "raise"), required=True,
+        "--method", choices=[m.value for m in Method], required=True,
         help="certification pipeline to run",
     )
     certify.add_argument(

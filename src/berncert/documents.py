@@ -90,14 +90,15 @@ def _int(digits: str, error: str) -> int:
         raise ParseError(error) from exc
 
 
-def _written(write, *args):
-    """write(*args), the text of document numbers, else TooLargeError:
-    there str() raises ValueError only over the interpreter's digit limit."""
+def _written(what: str, write, *args):
+    """write(*args), the text of document numbers, else TooLargeError naming
+    what the numbers are: there str() raises ValueError only over the
+    interpreter's digit limit."""
     try:
         return write(*args)
     except ValueError as exc:
         limit = sys.get_int_max_str_digits()
-        raise TooLargeError(f"a certificate number has over {limit} digits") from exc
+        raise TooLargeError(f"{what} has over {limit} digits") from exc
 
 
 def _parse_pair(token: str) -> tuple[int, int]:
@@ -229,7 +230,7 @@ def serialize_polynomial_document(doc: PolynomialDocument) -> str:
     out = [f"variables: {doc.variables}", "coeffs:"]
     for row in doc.coeffs:
         nums, dens = [c.numerator for c in row], [c.denominator for c in row]
-        out.append(_written(_format_row, nums, dens))
+        out.append(_written("a polynomial coefficient", _format_row, nums, dens))
     return "\n".join(out) + "\n"
 
 
@@ -254,7 +255,8 @@ class CertificateDocument(Record):
         bare = PositivityCertificate.from_integers(
             cert.q1, cert.q2, cert.numerators, cert.denominators, cert.method
         )
-        return cls(bare, _written(_report_pairs, cert.report), __version__)
+        report = _written("a certificate number", _report_pairs, cert.report)
+        return cls(bare, report, __version__)
 
     def to_certificate(self) -> PositivityCertificate:
         return self.certificate
@@ -268,7 +270,7 @@ def _lines(method: Method, q1: int, q2: int, tool_version: str, rows, report) ->
         f"tool_version: {tool_version}\nC:\n"
     )
     for nums, dens in rows:
-        yield _written(_format_row, nums, dens) + "\n"
+        yield _written("a certificate number", _format_row, nums, dens) + "\n"
     if report:
         yield "report:\n" + "".join(f"{key}: {value}\n" for key, value in report)
 
@@ -277,7 +279,7 @@ def certificate_lines(cert: CertificateRows) -> Iterator[str]:
     """The document's lines, each row made as it is written.  A value past
     str()'s digit limit raises TooLargeError: in the report, on the call; in
     a row, when that row is reached."""
-    report = _written(_report_pairs, cert.report)
+    report = _written("a certificate number", _report_pairs, cert.report)
     rows = ((nums, [cert.den] * len(nums)) for nums in cert.rows)
     return _lines(cert.method, cert.q1, cert.q2, __version__, rows, report)
 

@@ -1,12 +1,14 @@
-"""Exact dense polynomial arithmetic over the rationals.
+"""Polynomials as canonical coefficient matrices over the rationals.
 
-Coefficients are ``fractions.Fraction`` values throughout, so every operation
-in this package is exact: no rounding ever occurs.  Univariate polynomials are
-dense coefficient vectors indexed by the power of x; bivariate polynomials are
-dense coefficient matrices with entry (i, j) multiplying x1**i * x2**j.  Both
-are canonicalized on construction (trailing zero coefficients trimmed, the
-zero polynomial kept as a single zero entry) so that the stored length always
-matches the degree.
+A univariate polynomial is a dense coefficient vector indexed by the power
+of x; a bivariate one is a dense coefficient matrix with entry (i, j)
+multiplying x1**i * x2**j.  Coefficients are ``fractions.Fraction`` values,
+so evaluation (``eval``, ``grid_values``) is exact.  Both are canonicalized
+on construction (trailing zero coefficients trimmed, the zero polynomial
+kept as a single zero entry) so that the stored length always matches the
+degree.  They hold data only: every basis change, search and certificate
+runs on the integer tables of ``univariate``, ``raising`` and
+``certificates``.
 
 ``rat`` reads a rational and ``rat_text`` writes one as free text, for every
 message and diagnostic record, including values past the interpreter's
@@ -162,9 +164,6 @@ class UPoly(Record):
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return self.coeffs == (Fraction(0),)
-
     def eval(self, x: RationalLike) -> Fraction:
         """Exact value at x (Horner scheme)."""
         xv = rat(x)
@@ -172,45 +171,6 @@ class UPoly(Record):
         for c in reversed(self.coeffs):
             acc = acc * xv + c
         return acc
-
-    def __add__(self, other: "UPoly") -> "UPoly":
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UPoly(out)
-
-    def __neg__(self) -> "UPoly":
-        return UPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "UPoly") -> "UPoly":
-        return self + (-other)
-
-    def __mul__(self, other: Union["UPoly", RationalLike]) -> "UPoly":
-        if isinstance(other, UPoly):
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UPoly(out)
-        return UPoly([c * rat(other) for c in self.coeffs])
-
-    def __rmul__(self, other: RationalLike) -> "UPoly":
-        return self * other
-
-    def __pow__(self, n: int) -> "UPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = UPoly([1])
-        for _ in range(n):
-            out = out * self
-        return out
 
 
 class BPoly(Record):
@@ -232,18 +192,6 @@ class BPoly(Record):
             self, "coeffs", tuple(tuple(r[:ncols]) for r in rows)
         )
 
-    @classmethod
-    def constant(cls, value: RationalLike) -> "BPoly":
-        return cls([[value]])
-
-    @classmethod
-    def x1(cls) -> "BPoly":
-        return cls([[0], [1]])
-
-    @classmethod
-    def x2(cls) -> "BPoly":
-        return cls([[0, 1]])
-
     @property
     def n1(self) -> int:
         return len(self.coeffs) - 1
@@ -251,9 +199,6 @@ class BPoly(Record):
     @property
     def n2(self) -> int:
         return len(self.coeffs[0]) - 1
-
-    def is_zero(self) -> bool:
-        return self.coeffs == ((Fraction(0),),)
 
     def eval(self, x1: RationalLike, x2: RationalLike) -> Fraction:
         """Exact value at (x1, x2); Horner in x1 over row values at x2."""
@@ -266,51 +211,6 @@ class BPoly(Record):
             acc = acc * x1v + row_val
         return acc
 
-    def coefficient_rows(self) -> tuple[UPoly, ...]:
-        """The vector (a_0(x2), ..., a_n1(x2)) of row polynomials in x2."""
-        return tuple(UPoly(row) for row in self.coeffs)
-
-    def coefficient_cols(self) -> tuple[UPoly, ...]:
-        """The vector of column polynomials in x1, one per power of x2."""
-        return tuple(
-            UPoly([row[j] for row in self.coeffs])
-            for j in range(self.n2 + 1)
-        )
-
-    def __add__(self, other: "BPoly") -> "BPoly":
-        if not isinstance(other, BPoly):
-            return NotImplemented
-        n1 = max(self.n1, other.n1)
-        n2 = max(self.n2, other.n2)
-        out = [[Fraction(0)] * (n2 + 1) for _ in range(n1 + 1)]
-        for src in (self, other):
-            for i, row in enumerate(src.coeffs):
-                for j, c in enumerate(row):
-                    out[i][j] += c
-        return BPoly(out)
-
-    def __neg__(self) -> "BPoly":
-        return BPoly([[-c for c in row] for row in self.coeffs])
-
-    def __sub__(self, other: "BPoly") -> "BPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "BPoly") -> "BPoly":
-        if not isinstance(other, BPoly):
-            return NotImplemented
-        out = [
-            [Fraction(0)] * (self.n2 + other.n2 + 1)
-            for _ in range(self.n1 + other.n1 + 1)
-        ]
-        for i1, row1 in enumerate(self.coeffs):
-            for j1, a in enumerate(row1):
-                if a == 0:
-                    continue
-                for i2, row2 in enumerate(other.coeffs):
-                    for j2, b in enumerate(row2):
-                        out[i1 + i2][j1 + j2] += a * b
-        return BPoly(out)
-
 
 def grid_values(p: BPoly, points1: Sequence[Fraction], points2: Sequence[Fraction]):
     """Evaluate p on the cartesian grid points1 x points2.
@@ -318,7 +218,7 @@ def grid_values(p: BPoly, points1: Sequence[Fraction], points2: Sequence[Fractio
     Yields ((x1, x2), value).  Each x1 collapses the matrix to a univariate
     polynomial in x2 once, which is much cheaper than independent evaluations.
     """
-    cols = p.coefficient_cols()
+    cols = [UPoly(col) for col in zip(*p.coeffs)]
     for x1 in points1:
         slice_coeffs = UPoly([col.eval(x1) for col in cols])
         for x2 in points2:

@@ -51,18 +51,13 @@ UNIVARIATE_CORPUS: list[tuple[str, UPoly]] = [
     ("2-x^3", _u(2, 0, 0, -1)),
     ("1+x^2+x^3", _u(1, 0, 1, 1)),
     ("4+6x+4x^2+x^3", _HOCKEY3),
-    ("2+3x+2x^2+x^3/2", F(1, 2) * _HOCKEY3),
+    ("2+3x+2x^2+x^3/2", _u(2, 3, 2, F(1, 2))),
     ("5+10x+10x^2+5x^3+x^4", _HOCKEY4),
-    ("5+11x+10x^2+5x^3+x^4", _HOCKEY4 + _u(0, 1)),
+    ("5+11x+10x^2+5x^3+x^4", _u(5, 11, 10, 5, 1)),
     ("4+x^4/4", _u(4, 0, 0, 0, F(1, 4))),
     ("6+15x+20x^2+15x^3+6x^4+x^5", _HOCKEY5),
     ("7+21x+35x^2+35x^3+21x^4+7x^5+x^6", _HOCKEY6),
 ]
-
-_H3X1 = _b([[2], [3], [2], [F(1, 2)]])          # hockey3 / 2 in x1
-_H3X2 = _b([[2, 3, 2, F(1, 2)]])                # hockey3 / 2 in x2
-_H4X1 = _b([[F(5, 2)], [5], [5], [F(5, 2)], [F(1, 2)]])
-_H4X2 = _b([[F(5, 2), 5, 5, F(5, 2), F(1, 2)]])
 
 BIVARIATE_CORPUS: list[tuple[str, BPoly]] = [
     ("1", _b([[1]])),
@@ -94,12 +89,12 @@ BIVARIATE_CORPUS: list[tuple[str, BPoly]] = [
     ("2+(x1-x2/2)^2/4", _b([[2, 0, F(1, 16)], [0, F(-1, 4), 0], [F(1, 4), 0, 0]])),
     ("3+(x1/2-x2)^2/8", _b([[3, 0, F(1, 8)], [0, F(-1, 8), 0], [F(1, 32), 0, 0]])),
     ("2-x1x2+x2^2", _b([[2, 0, 1], [0, -1, 0]])),
-    ("h3(x1)/2+x2/8", _H3X1 + _b([[0, F(1, 8)]])),
-    ("h3(x2)/2+x1/8", _H3X2 + _b([[0], [F(1, 8)]])),
+    ("h3(x1)/2+x2/8", _b([[2, F(1, 8)], [3, 0], [2, 0], [F(1, 2), 0]])),
+    ("h3(x2)/2+x1/8", _b([[2, 3, 2, F(1, 2)], [F(1, 8), 0, 0, 0]])),
     ("1+x1^3x2/8", _b([[1, 0], [0, 0], [0, 0], [0, F(1, 8)]])),
-    ("h4(x1)/2", _H4X1),
-    ("h4(x2)/2", _H4X2),
-    ("h4(x1)/2+x2/5", _H4X1 + _b([[0, F(1, 5)]])),
+    ("h4(x1)/2", _b([[F(5, 2)], [5], [5], [F(5, 2)], [F(1, 2)]])),
+    ("h4(x2)/2", _b([[F(5, 2), 5, 5, F(5, 2), F(1, 2)]])),
+    ("h4(x1)/2+x2/5", _b([[F(5, 2), F(1, 5)], [5, 0], [5, 0], [F(5, 2), 0], [F(1, 2), 0]])),
 ]
 
 

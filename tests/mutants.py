@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 UNIVARIATE = "tests/test_univariate.py"
 RAISING = "tests/test_raising.py"
+POLYS = "tests/test_polys.py"
 
 # (name, file under src/berncert, old text, new text, killer tests)
 MUTANTS = [
@@ -84,6 +85,44 @@ MUTANTS = [
         "    if q1 < n1 or q2 < n2:\n        raise DegreeError(",
         "    if False:\n        raise DegreeError(",
         [f"{RAISING}::TestBernCoeffs::test_degree_error"],
+    ),
+    (
+        "bpoly-trim-keeps-last-zero-row",
+        "polys.py",
+        "while len(rows) > 1 and",
+        "while len(rows) > 2 and",
+        [f"{POLYS}::TestBPoly::test_canonical_trim"],
+    ),
+    (
+        "bpoly-no-empty-matrix",
+        "polys.py",
+        "for row in coeffs] or [[]]",
+        "for row in coeffs]",
+        [f"{POLYS}::TestBPoly::test_empty_first_row_is_padded"],
+    ),
+    (
+        "enclosure-lo-of-live-segments",
+        "univariate.py",
+        "lo, hi = min(min_value, *lows),",
+        "lo, hi = min(lows),",
+        [f"{UNIVARIATE}::TestRangeEnclosure::test_soundness_on_random_polynomials"],
+    ),
+    (
+        "reader-skips-last-row",
+        "documents.py",
+        "count <= self.q1 + 1",
+        "count <= self.q1",
+        [
+            "tests/test_documents.py::TestCertificateDocument::test_round_trip_raise",
+            "tests/test_cli.py::TestVerifyCommand::test_tampered_certificate",
+        ],
+    ),
+    (
+        "rat-text-no-decimal-fallback",
+        "polys.py",
+        "    except ValueError:\n        num, den",
+        "    except TypeError:\n        num, den",
+        [f"{POLYS}::TestRational::test_text_past_the_digit_limit"],
     ),
 ]
 

@@ -779,20 +779,33 @@ def test_nonpositive_row_is_internal_error(poly_file, tmp_path, capsys, monkeypa
     assert os.listdir(tmp_path) == ["poly.txt"]  # no certificate, no .tmp file
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point(tmp_path, capsys):
+    # `python -m berncert` gives what main gives: the exit code, the output
+    # and at most one stderr record, never a traceback.
     poly = tmp_path / "p.txt"
     poly.write_text(SPHERE)
+    missing = str(tmp_path / "missing.txt")
     # The child imports the same berncert as this process, installed or not.
     src = os.path.dirname(os.path.dirname(berncert.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "berncert", "eval", str(poly), "--at", "1/2,1/2"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "3/2"
+    runs = [
+        (["--version"], 0, f"{berncert.__version__}\n", ""),
+        (["eval", str(poly), "--at", "1/2,1/2"], 0, "3/2\n", ""),
+        (["certify", missing, str(tmp_path / "c.txt"), "--method", "raise"], 1, "",
+         "status=io-error "),
+    ]
+    for argv, code, out, record in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "berncert", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert main(argv) == proc.returncode == code
+        assert (proc.stdout, proc.stderr) == capsys.readouterr()
+        assert proc.stdout == out and proc.stderr.startswith(record)
+        assert proc.stderr.count("\n") <= 1 and "Traceback" not in proc.stderr
+    assert os.listdir(tmp_path) == ["p.txt"]
 
 
 def test_import_leaves_out_dataclasses():

@@ -439,5 +439,6 @@ def test_polynomial_number_past_digit_limit_is_too_large():
     # 3**9100 has 4342 digits: the polynomial writer refuses it as the
     # certificate writer does, not with a bare ValueError from str().
     doc = PolynomialDocument.from_bpoly(BPoly([[Fraction(1, 3**9100), 1]]))
-    with pytest.raises(TooLargeError, match="has over 4300 digits"):
+    with pytest.raises(TooLargeError) as info:
         serialize_polynomial_document(doc)
+    assert str(info.value) == "a polynomial coefficient has over 4300 digits"

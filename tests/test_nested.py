@@ -96,7 +96,7 @@ class TestNestedQ1:
             x1, x2 = random_unit_fraction(rng), random_unit_fraction(rng)
             assert PLANE.eval(x1, x2) >= report.lambda_lower
         # l_upper dominates |B_0| = |2 a_1| = 2 and |B_1| = |2 x2| on a grid
-        rows = PLANE.coefficient_rows()
+        rows = [UPoly(row) for row in PLANE.coeffs]
         for k in range(51):
             x2 = Fraction(k, 50)
             b0 = 2 * rows[1].eval(x2)
@@ -119,7 +119,7 @@ def _fraction_q1(p, lam, max_levels):
     """The Fraction first stage that nested_q1 replaced, kept as its oracle:
     one Goursat transform per column of p, then a range enclosure of each
     coefficient polynomial B_k(x2) as a UPoly.  Returns (q1, L)."""
-    cols = [goursat_coefficients(c, n=p.n1) for c in p.coefficient_cols()]
+    cols = [goursat_coefficients(UPoly(c), n=p.n1) for c in zip(*p.coeffs)]
     bound = Fraction(0)
     for row in zip(*cols):
         enc = range_enclosure_1d(UPoly(row), max_width=lam, max_levels=max_levels)
@@ -180,7 +180,8 @@ class TestNestedQ1Oracle:
         if certified_lambda:
             # Lifting p by the sum of its coefficient magnitudes plus one
             # makes it positive on the box, so it usually has a lambda.
-            p = p + BPoly([[sum(abs(a) for row in p.coeffs for a in row) + 1]])
+            lift = sum(abs(a) for row in p.coeffs for a in row) + 1
+            p = BPoly([[p.coeffs[0][0] + lift, *p.coeffs[0][1:]], *p.coeffs[1:]])
             try:
                 lam, _ = minimum_lower_bound(p, max_doublings=4)
             except InconclusiveError:

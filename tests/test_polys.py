@@ -1,4 +1,4 @@
-"""Core polynomial containers and exact arithmetic."""
+"""Canonical polynomial containers, exact evaluation, rationals and records."""
 
 import ast
 import pickle
@@ -8,7 +8,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import berncert
 from berncert import (
@@ -26,18 +25,6 @@ from berncert.documents import ParseError, PolynomialDocument
 from berncert.polys import Record, rat_text
 
 from corpus import random_fraction
-
-fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=12)
-upolys_st = st.lists(fractions_st, min_size=1, max_size=9).map(UPoly)
-
-
-@st.composite
-def bpolys_st(draw):
-    rows = draw(st.integers(1, 4))
-    cols = draw(st.integers(1, 4))
-    return BPoly(
-        [[draw(fractions_st) for _ in range(cols)] for _ in range(rows)]
-    )
 
 
 class TestBinom:
@@ -107,28 +94,9 @@ class TestUPoly:
         z = UPoly([0, 0, 0])
         assert z.coeffs == (Fraction(0),)
         assert z.degree == 0
-        assert z.is_zero()
 
     def test_trailing_zero_trim(self):
         assert UPoly([1, 2, 0, 0]).coeffs == (1, 2)
-
-    def test_product_example(self):
-        assert UPoly([1, 1]) * UPoly([1, -1]) == UPoly([1, 0, -1])
-
-    def test_power(self):
-        assert UPoly([0, 1]) ** 3 == UPoly([0, 0, 0, 1])
-
-    @given(upolys_st, upolys_st, fractions_st)
-    @settings(deadline=None)
-    def test_eval_is_ring_homomorphism(self, p, q, x):
-        assert (p + q).eval(x) == p.eval(x) + q.eval(x)
-        assert (p * q).eval(x) == p.eval(x) * q.eval(x)
-
-    @given(upolys_st, fractions_st)
-    @settings(deadline=None)
-    def test_sub_neg_consistent(self, p, x):
-        assert (p - p).is_zero()
-        assert (-p).eval(x) == -p.eval(x)
 
 
 class TestBPoly:
@@ -145,42 +113,10 @@ class TestBPoly:
 
     def test_empty_first_row_is_padded(self):
         # A short first row is padded like any other, even an empty one.
-        assert BPoly([[], [1]]) == BPoly.x1()
+        assert BPoly([[], [1]]).coeffs == ((0,), (1,))
         assert BPoly([[], [0, 2]]) == BPoly([[0, 0], [0, 2]])
-        assert BPoly([[]]).is_zero()
-        assert BPoly([]).is_zero()
-
-    def test_rows_example(self):
-        rows = BPoly([[1, 0, 1], [0], [1]]).coefficient_rows()
-        assert rows == (UPoly([1, 0, 1]), UPoly([0]), UPoly([1]))
-
-    def test_rows_of_constant(self):
-        assert BPoly([[1]]).coefficient_rows() == (UPoly([1]),)
-
-    def test_cols(self):
-        p = BPoly([[1, 2], [3, 4]])
-        assert p.coefficient_cols() == (UPoly([1, 3]), UPoly([2, 4]))
-
-    def test_operator_construction(self):
-        x1, x2 = BPoly.x1(), BPoly.x2()
-        w = (x1 - x2) * (x1 - x2) + BPoly.constant(Fraction(1, 8))
-        assert w == BPoly([[Fraction(1, 8), 0, 1], [0, -2, 0], [1, 0, 0]])
-
-    @given(bpolys_st(), fractions_st, fractions_st)
-    @settings(deadline=None)
-    def test_row_extraction_commutes_with_eval(self, p, x1, x2):
-        rows = p.coefficient_rows()
-        total = sum(
-            (row.eval(x2) * x1**i for i, row in enumerate(rows)),
-            Fraction(0),
-        )
-        assert total == p.eval(x1, x2)
-
-    @given(bpolys_st(), bpolys_st(), fractions_st, fractions_st)
-    @settings(deadline=None, max_examples=50)
-    def test_eval_is_ring_homomorphism(self, p, q, x1, x2):
-        assert (p + q).eval(x1, x2) == p.eval(x1, x2) + q.eval(x1, x2)
-        assert (p * q).eval(x1, x2) == p.eval(x1, x2) * q.eval(x1, x2)
+        assert BPoly([[]]).coeffs == ((Fraction(0),),)
+        assert BPoly([]).coeffs == ((Fraction(0),),)
 
 
 def test_grid_values_match_eval():

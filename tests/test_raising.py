@@ -199,8 +199,9 @@ class TestBernsteinApproximation:
         i, j, q1, q2 = 2, 1, 3, 2
         mono = BPoly([[0] * (j) + [1] if r == i else [0] for r in range(i + 1)])
         assert mono.coeffs[i][j] == 1
-        diff = bernstein_approximation(mono, q1, q2) - mono
-        d = bern_coeffs(diff, q1, q2)
+        rows = [list(row) for row in bernstein_approximation(mono, q1, q2).coeffs]
+        rows[i][j] -= 1  # the approximation minus mono = x1**i * x2**j
+        d = bern_coeffs(BPoly(rows), q1, q2)
         for k in range(q1 + 1):
             for l in range(q2 + 1):
                 assert d.coeffs[k][l] == delta(i, j, k, l, q1, q2)

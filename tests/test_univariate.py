@@ -254,8 +254,8 @@ class TestRangeEnclosure:
         assert all(a >= b for a, b in zip(widths, widths[1:]))
 
     def test_inconclusive_reports_best(self):
-        p = UPoly([0, 1]) - UPoly([Fraction(1, 3)])  # x - 1/3
-        p = p * p  # zero exactly at 1/3, strictly positive nowhere certified
+        p = UPoly([Fraction(1, 9), Fraction(-2, 3), 1])  # (x - 1/3)**2
+        # zero exactly at 1/3, strictly positive nowhere certified
         with pytest.raises(InconclusiveError) as info:
             range_enclosure_1d(p, predicate=lambda e: e.lo > 0, max_levels=6)
         assert info.value.best is not None
@@ -515,7 +515,7 @@ class TestCertifyPositive1D:
         assert p.eval(w) <= 0
 
     def test_nondyadic_zero_is_inconclusive(self):
-        p = (UPoly([0, 1]) - UPoly([Fraction(1, 3)])) ** 2
+        p = UPoly([Fraction(1, 9), Fraction(-2, 3), 1])  # (x - 1/3)**2
         with pytest.raises(InconclusiveError):
             certify_positive_1d(p, max_levels=6)
 
