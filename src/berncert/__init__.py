@@ -28,7 +28,7 @@ from .nested import (
     nested_q1,
     nested_q2,
 )
-from .polys import BPoly, UPoly, binom, rat
+from .polys import BPoly, UPoly, rat
 from .raising import (
     BernsteinForm2D,
     MinEnclosure,
@@ -76,7 +76,6 @@ __all__ = [
     "VerificationResult",
     "bern_coeffs",
     "bernstein_approximation",
-    "binom",
     "certify_nested",
     "certify_positive_1d",
     "certify_raise",

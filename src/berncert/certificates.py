@@ -12,7 +12,7 @@ made one row at a time by the forward pass of ``univariate`` along x1
 (``_plain_pass``) and then along x2 (``_plain_rows``): ``plain_rows``.  A
 certificate holds C as integer numerators over integer denominators: the
 certifiers store (N, D) as ``plain_rows`` gave them, a parsed document
-its tokens as written, and ``coefficients`` is a derived Fraction view.
+its tokens as written, and ``coefficients`` is the Fraction matrix they give.
 ``CertificateRows`` is a certificate before its matrix is held, the rows
 still to be read, which the CLI writes as they are made; it checks each row
 strictly positive as the row is read, whichever method made it, and a
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
@@ -51,15 +50,6 @@ class Method(Enum):
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def same_values(an: Matrix, ad: Matrix, bn: Matrix, bd: Matrix) -> bool:
-    """Whether the matrices an/ad and bn/bd of integer numerators over
-    denominators have equal shapes and equal values (by cross-multiplication)."""
-    return len(an) == len(bn) and all(
-        len(rn) == len(sn) and all(n * e == m * d for n, d, m, e in zip(rn, rd, sn, sd))
-        for rn, rd, sn, sd in zip(an, ad, bn, bd)
-    )
-
-
 class PositivityCertificate(Record):
     """Degrees plus a strictly positive plain Bernstein coefficient matrix.
 
@@ -70,13 +60,12 @@ class PositivityCertificate(Record):
     matrix as Fractions.  Equality compares values, not representations.
     """
 
-    _fields = ("q1", "q2", "numerators", "denominators", "method", "report")
-    __slots__ = _fields + ("__dict__",)  # the dict holds ``coefficients`` once built
+    __slots__ = _fields = ("q1", "q2", "numerators", "denominators", "method", "report")
 
     def __init__(self, q1: int, q2: int, coefficients, method: Method, report=None):
         """Certificate from rows of rationals (Fraction, int or str)."""
         rows = [list(map(rat, row)) for row in coefficients]
-        self._fill(
+        super().__init__(
             q1,
             q2,
             tuple(tuple(c.numerator for c in row) for row in rows),
@@ -97,29 +86,25 @@ class PositivityCertificate(Record):
         if isinstance(denominators, int):
             denominators = ((denominators,) * (q2 + 1),) * (q1 + 1)
         cert = object.__new__(cls)
-        cert._fill(
-            q1, q2, tuple(map(tuple, numerators)), tuple(map(tuple, denominators)), method, report
+        Record.__init__(
+            cert, q1, q2, tuple(map(tuple, numerators)), tuple(map(tuple, denominators)),
+            method, report,
         )
         return cert
 
-    def _fill(self, q1, q2, numerators, denominators, method, report) -> None:
-        for matrix in (numerators, denominators):
-            if len(matrix) != q1 + 1:
-                raise ValueError(f"expected {q1 + 1} rows, got {len(matrix)}")
+    def __post_init__(self) -> None:
+        for matrix in (self.numerators, self.denominators):
+            if len(matrix) != self.q1 + 1:
+                raise ValueError(f"expected {self.q1 + 1} rows, got {len(matrix)}")
             for row in matrix:
-                if len(row) != q2 + 1:
-                    raise ValueError(f"expected {q2 + 1} columns, got {len(row)}")
-        if min(map(min, denominators)) <= 0:
+                if len(row) != self.q2 + 1:
+                    raise ValueError(f"expected {self.q2 + 1} columns, got {len(row)}")
+        if min(map(min, self.denominators)) <= 0:
             raise ValueError("denominators must be positive")
-        for name, value in zip(
-            ("q1", "q2", "numerators", "denominators", "method", "report"),
-            (q1, q2, numerators, denominators, method, report),
-        ):
-            object.__setattr__(self, name, value)
 
-    @cached_property
+    @property
     def coefficients(self) -> tuple[tuple[Fraction, ...], ...]:
-        """C as Fractions, built on first use."""
+        """C as Fractions."""
         return tuple(
             tuple(map(Fraction, nrow, drow))
             for nrow, drow in zip(self.numerators, self.denominators)
@@ -128,9 +113,11 @@ class PositivityCertificate(Record):
     def __eq__(self, other):
         if not isinstance(other, PositivityCertificate):
             return NotImplemented
+        # Equal degrees mean equal shapes, which __post_init__ checked.
+        rows = zip(self.numerators, self.denominators, other.numerators, other.denominators)
         return (self.q1, self.q2, self.method, self.report) == (
             other.q1, other.q2, other.method, other.report
-        ) and same_values(self.numerators, self.denominators, other.numerators, other.denominators)
+        ) and all(n * e == m * d for row in rows for n, d, m, e in zip(*row))
 
     def __hash__(self):
         return hash((self.q1, self.q2, self.method))
@@ -140,7 +127,6 @@ class VerificationResult(Record):
     """Outcome of a certificate check; falsy when invalid, with reasons."""
 
     __slots__ = _fields = ("ok", "reasons")
-    _defaults = {"reasons": ()}
 
     def __bool__(self) -> bool:
         return self.ok

@@ -152,14 +152,15 @@ def cmd_verify(args) -> int:
 
 def cmd_enclose_min(args) -> int:
     p = _read_bivariate(args.input, "enclose-min")
+    # Both degrees without a width, or a width without degrees.
+    if (args.q1, args.q2).count(None) != (0 if args.target_width is None else 2):
+        raise _UsageError("provide --q1 and --q2, or --target-width")
     if args.target_width is not None:
         width = parse_rational(args.target_width)
         if width <= 0:
             raise _UsageError("--target-width must be positive")
         cap = args.max_iter if args.max_iter is not None else DEFAULT_DOUBLING_CAP
         enc = min_enclosure_to_width(p, width, cap)
-    elif args.q1 is None or args.q2 is None:
-        raise _UsageError("provide --q1 and --q2, or --target-width")
     else:
         enc = min_enclosure(p, args.q1, args.q2)
     print(f"{rat_text(enc.lo)} {rat_text(enc.hi)} {enc.q1} {enc.q2}")

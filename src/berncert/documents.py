@@ -190,14 +190,6 @@ class PolynomialDocument(Record):
         if self.variables == 1 and len(self.coeffs) != 1:
             raise ParseError("a univariate document has exactly one coefficient row")
 
-    @classmethod
-    def from_upoly(cls, p: UPoly) -> "PolynomialDocument":
-        return cls(1, (p.coeffs,))
-
-    @classmethod
-    def from_bpoly(cls, p: BPoly) -> "PolynomialDocument":
-        return cls(2, p.coeffs)
-
     def to_upoly(self) -> UPoly:
         if self.variables != 1:
             raise ParseError("document is not univariate")

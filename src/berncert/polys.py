@@ -23,7 +23,6 @@ more than most commands' exact arithmetic.
 
 from __future__ import annotations
 
-import math
 from decimal import Decimal  # already loaded by fractions, so free at startup
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -123,23 +122,11 @@ def rat_text(value) -> str:
         return num if den == "1" else f"{num}/{den}"
 
 
-def binom(m: int, v: int) -> int:
-    """Binomial coefficient C(m, v), with C(m, v) = 0 when v < 0 or v > m.
-
-    Raises ValueError for m < 0.
-    """
-    if m < 0:
-        raise ValueError(f"binom requires m >= 0, got m={m}")
-    if v < 0 or v > m:
-        return 0
-    return math.comb(m, v)
-
-
 def binomial_row(m: int) -> list[int]:
     """[C(m, t) for t in 0..m], by C(m, t+1) = C(m, t) (m-t) / (t+1).
 
-    One multiplication and one exact division per entry, where ``binom``
-    computes each coefficient on its own.
+    One multiplication and one exact division per entry, where
+    ``math.comb`` computes each coefficient on its own.
     """
     row = [1]
     for t in range(m):

@@ -44,7 +44,7 @@ from .certificates import (
     plain_rows,
 )
 from .errors import DegreeError, InconclusiveError, NotPositiveError
-from .polys import BPoly, RationalLike, Record, binom, binomial_row, rat, rat_text
+from .polys import BPoly, RationalLike, Record, binomial_row, rat, rat_text
 from .univariate import _cleared, _differences, _values, _weights
 
 DEFAULT_DOUBLING_CAP = 20  # degree doublings before a raising loop gives up
@@ -259,7 +259,7 @@ def delta(i: int, j: int, k: int, l: int, q1: int, q2: int) -> Fraction:
     if not (0 <= k <= q1 and 0 <= l <= q2):
         raise ValueError("grid indices must satisfy 0 <= k <= q1 and 0 <= l <= q2")
     sample = Fraction(k, q1) ** i * Fraction(l, q2) ** j
-    ratio = Fraction(binom(k, i) * binom(l, j), binom(q1, i) * binom(q2, j))
+    ratio = Fraction(math.comb(k, i) * math.comb(l, j), math.comb(q1, i) * math.comb(q2, j))
     return sample - ratio
 
 
@@ -273,7 +273,7 @@ def bernstein_approximation(p: BPoly, q1: int, q2: int) -> BPoly:
         raise ValueError("degrees must be at least 1")
     plain = [
         [
-            p.eval(Fraction(k, q1), Fraction(l, q2)) * (binom(q1, k) * binom(q2, l))
+            p.eval(Fraction(k, q1), Fraction(l, q2)) * (math.comb(q1, k) * math.comb(q2, l))
             for l in range(q2 + 1)
         ]
         for k in range(q1 + 1)

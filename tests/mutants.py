@@ -124,6 +124,20 @@ MUTANTS = [
         "    except TypeError:\n        num, den",
         [f"{POLYS}::TestRational::test_text_past_the_digit_limit"],
     ),
+    (
+        "certificate-zero-denominator",
+        "certificates.py",
+        "if min(map(min, self.denominators)) <= 0:",
+        "if min(map(min, self.denominators)) < 0:",
+        ["tests/test_verify.py::test_malformed_certificate_message"],
+    ),
+    (
+        "certificate-eq-uncrossed",
+        "certificates.py",
+        "n * e == m * d",
+        "n * d == m * e",
+        ["tests/test_documents.py::TestCertificateDocument::test_round_trip_raise"],
+    ),
 ]
 
 

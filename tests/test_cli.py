@@ -522,7 +522,7 @@ class TestUsage:
 
 
 def _document(p: BPoly) -> str:
-    return serialize_polynomial_document(PolynomialDocument.from_bpoly(p))
+    return serialize_polynomial_document(PolynomialDocument(2, p.coeffs))
 
 
 def _exact(text: str) -> Fraction:
@@ -658,6 +658,12 @@ RECORDS = {
         "status=usage-error detail=--target-width_must_be_positive", ""),
     "enclose-without-degrees": (
         ["enclose-min", "{worked}", "--q1", "2"], 1,
+        "status=usage-error detail=provide_--q1_and_--q2,_or_--target-width", ""),
+    "enclose-degrees-with-width": (
+        ["enclose-min", "{worked}", "--q1", "4", "--q2", "4", "--target-width", "1/2"], 1,
+        "status=usage-error detail=provide_--q1_and_--q2,_or_--target-width", ""),
+    "enclose-q1-with-width": (
+        ["enclose-min", "{worked}", "--q1", "4", "--target-width", "1/2"], 1,
         "status=usage-error detail=provide_--q1_and_--q2,_or_--target-width", ""),
     "eval-arity": (
         ["eval", "{worked}", "--at", "1/7"], 1,

@@ -83,7 +83,7 @@ class TestPolynomialDocument:
         assert parse_polynomial_document(serialize_polynomial_document(doc)) == doc
 
     def test_univariate_round_trip(self):
-        doc = PolynomialDocument.from_upoly(UPoly([1, Fraction(-2, 3), 5]))
+        doc = PolynomialDocument(1, (UPoly([1, Fraction(-2, 3), 5]).coeffs,))
         again = parse_polynomial_document(serialize_polynomial_document(doc))
         assert again == doc
         assert again.to_upoly() == UPoly([1, Fraction(-2, 3), 5])
@@ -429,7 +429,7 @@ def test_documents_imports_no_certifier():
                 min_size=1, max_size=5))
 def test_polynomial_rows_written_as_str_gives_them(rows):
     p = BPoly(rows)
-    text = serialize_polynomial_document(PolynomialDocument.from_bpoly(p))
+    text = serialize_polynomial_document(PolynomialDocument(2, p.coeffs))
     expected = "variables: 2\ncoeffs:\n" + "".join(" ".join(map(str, r)) + "\n" for r in p.coeffs)
     assert text == expected
     assert parse_polynomial_document(text).to_bpoly() == p
@@ -438,7 +438,7 @@ def test_polynomial_rows_written_as_str_gives_them(rows):
 def test_polynomial_number_past_digit_limit_is_too_large():
     # 3**9100 has 4342 digits: the polynomial writer refuses it as the
     # certificate writer does, not with a bare ValueError from str().
-    doc = PolynomialDocument.from_bpoly(BPoly([[Fraction(1, 3**9100), 1]]))
+    doc = PolynomialDocument(2, BPoly([[Fraction(1, 3**9100), 1]]).coeffs)
     with pytest.raises(TooLargeError) as info:
         serialize_polynomial_document(doc)
     assert str(info.value) == "a polynomial coefficient has over 4300 digits"

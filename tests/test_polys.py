@@ -18,29 +18,12 @@ from berncert import (
     MinEnclosure,
     NestedDegreeReport,
     UPoly,
-    binom,
     rat,
 )
 from berncert.documents import ParseError, PolynomialDocument
 from berncert.polys import Record, rat_text
 
 from corpus import random_fraction
-
-
-class TestBinom:
-    def test_standard(self):
-        assert binom(5, 2) == 10
-
-    def test_out_of_range_is_zero(self):
-        assert binom(3, 5) == 0
-        assert binom(3, -1) == 0
-
-    def test_identity(self):
-        assert binom(4, 0) == 1
-
-    def test_negative_m_rejected(self):
-        with pytest.raises(ValueError):
-            binom(-1, 0)
 
 
 class TestRational:

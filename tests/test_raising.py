@@ -1,5 +1,6 @@
 """Degree-raising machinery: coefficients, enclosures, delta, certification."""
 
+import math
 import pickle
 import random
 import tracemalloc
@@ -18,7 +19,6 @@ from berncert import (
     PositivityCertificate,
     bern_coeffs,
     bernstein_approximation,
-    binom,
     certify_raise,
     delta,
     enclosure_bound,
@@ -75,7 +75,7 @@ class TestBernCoeffs:
         b = bern_coeffs(SPHERE, 2, 2)
         for k in range(3):
             for l in range(3):
-                assert b.coeffs[k][l] == binom(k, 2) + binom(l, 2) + 1
+                assert b.coeffs[k][l] == math.comb(k, 2) + math.comb(l, 2) + 1
         assert b.coeffs[1][1] == 1
         assert b.coeffs[2][2] == 3
 
@@ -96,7 +96,7 @@ class TestBernCoeffs:
         b = bern_coeffs(WORKED, 3, 4)
         for k in range(4):
             for l in range(5):
-                plain = b.coeffs[k][l] * (binom(3, k) * binom(4, l))
+                plain = b.coeffs[k][l] * (math.comb(3, k) * math.comb(4, l))
                 assert plain == Fraction(nums[k][l], den)
 
 
@@ -268,7 +268,7 @@ class TestCertifyRaise:
         assert cert.method is Method.RAISE
         for k, row in enumerate(cert.coefficients):
             for l, c in enumerate(row):
-                assert c == binom(cert.q1, k) * binom(cert.q2, l)
+                assert c == math.comb(cert.q1, k) * math.comb(cert.q2, l)
         assert verify(one, cert)
 
     def test_worked_example_needs_doubling(self):

@@ -16,7 +16,6 @@ from berncert import (
     NotPositiveError,
     RangeEnclosure1D,
     UPoly,
-    binom,
     certify_positive_1d,
     elevate,
     from_bernstein,
@@ -280,7 +279,7 @@ def _fraction_range_enclosure(p, predicate, max_levels):
         return tuple(left), tuple(reversed(right))
 
     m = p.degree
-    control = [c / binom(m, i) for i, c in enumerate(to_bernstein_plain(p, m).coeffs)]
+    control = [c / math.comb(m, i) for i, c in enumerate(to_bernstein_plain(p, m).coeffs)]
     zero, one = Fraction(0), Fraction(1)
     segments = [(zero, one, control)]
     samples = [(zero, control[0]), (one, control[-1])]

@@ -111,7 +111,7 @@ def test_reject_reason_pinned(name):
 def test_cli_reject_line_pinned(name, tmp_path, capsys):
     p, build, reason = CASES[name]
     poly = tmp_path / "poly.txt"
-    poly.write_text(serialize_polynomial_document(PolynomialDocument.from_bpoly(p)))
+    poly.write_text(serialize_polynomial_document(PolynomialDocument(2, p.coeffs)))
     cert = tmp_path / "cert.txt"
     cert.write_text(
         serialize_certificate_document(CertificateDocument.from_certificate(build()))
@@ -305,3 +305,64 @@ def test_verify_stops_at_the_first_bad_row(tmp_path, capsys):
     assert peak < 2 * 2**20
     assert main(["verify", str(poly), str(cert)]) == 2
     assert capsys.readouterr().err == f"status=invalid reason={reason.replace(' ', '_')}\n"
+
+
+def test_x1_pass_is_made_row_by_row(tmp_path, capsys):
+    # p = 1 + x1 against a document that claims q1 = 10^8 and holds 2 rows.
+    # The x1 table of p is not one constant, so a pass that built its
+    # q1 + 1 columns up front would take gigabytes; the rows are made one
+    # at a time, and the file ends after row 1.
+    poly = tmp_path / "poly.txt"
+    poly.write_text("variables: 2\ncoeffs:\n1\n1\n")
+    cert = tmp_path / "cert.txt"
+    cert.write_text(
+        "method: raise\nq1: 100000000\nq2: 0\nconvention: plain\ntool_version: 0.1.0\nC:\n1\n2\n"
+    )
+    tracemalloc.start()
+    try:
+        code = main(["verify", str(poly), str(cert)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "status=parse-error detail=coefficient_matrix_must_be_100000001_x_1\n"
+    )
+    assert peak < 2**20
+
+
+def _from_integers(q1, q2, numerators, denominators):
+    return PositivityCertificate.from_integers(q1, q2, numerators, denominators, Method.RAISE)
+
+
+# Malformed certificates from both constructors, each with its exact message;
+# only the integer form can give a denominator that is not positive.
+MALFORMED = {
+    "rows": (lambda: _matrix(1, 1, [[1, 1]]), "expected 2 rows, got 1"),
+    "columns": (lambda: _matrix(1, 1, [[1, 1], [1, 1, 1]]), "expected 2 columns, got 3"),
+    "integer-rows": (
+        lambda: _from_integers(1, 1, [[1, 1]], [[1, 1]]), "expected 2 rows, got 1"),
+    "integer-columns": (
+        lambda: _from_integers(1, 1, [[1, 1], [1, 1]], [[1, 1], [1]]),
+        "expected 2 columns, got 1"),
+    "zero-denominator": (
+        lambda: _from_integers(1, 1, [[1, 1], [1, 1]], [[1, 1], [0, 1]]),
+        "denominators must be positive"),
+    "negative-denominator": (
+        lambda: _from_integers(1, 1, [[1, 1], [1, 1]], [[1, -2], [1, 1]]),
+        "denominators must be positive"),
+    "int-denominator-rows": (
+        lambda: _from_integers(2, 1, [[1, 1], [1, 1]], 3), "expected 3 rows, got 2"),
+    "int-denominator-columns": (
+        lambda: _from_integers(1, 1, [[1, 1, 1], [1, 1, 1]], 3), "expected 2 columns, got 3"),
+    "int-zero-denominator": (
+        lambda: _from_integers(1, 1, [[1, 1], [1, 1]], 0), "denominators must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_certificate_message(name):
+    build, message = MALFORMED[name]
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
