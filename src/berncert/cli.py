@@ -155,6 +155,8 @@ def cmd_enclose_min(args) -> int:
     # Both degrees without a width, or a width without degrees.
     if (args.q1, args.q2).count(None) != (0 if args.target_width is None else 2):
         raise _UsageError("provide --q1 and --q2, or --target-width")
+    if args.target_width is None and args.max_iter is not None:
+        raise _UsageError("--max-iter applies to --target-width")
     if args.target_width is not None:
         width = parse_rational(args.target_width)
         if width <= 0:
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="double degrees until the error bound is at most this rational",
     )
     enclose.add_argument("--max-iter", type=int, default=None,
-                         help=f"doubling cap (default {DEFAULT_DOUBLING_CAP})")
+                         help=f"doubling cap for --target-width (default {DEFAULT_DOUBLING_CAP})")
     enclose.set_defaults(func=cmd_enclose_min)
 
     eval_p = sub.add_parser("eval", help="evaluate a polynomial exactly")

@@ -53,14 +53,13 @@ class NestedDegreeReport(Record):
     dominates sup over x2 of the largest row Goursat coefficient magnitude.
     The per-row vectors are filled by the second stage: positive lower bounds
     on each coefficient polynomial over [0, 1] and the exact maxima of their
-    Goursat coefficient magnitudes.  The second stage's fields default to
-    None.
+    Goursat coefficient magnitudes.  The first stage's report has None in
+    the second stage's three fields.
     """
 
     __slots__ = _fields = (
         "q1", "lambda_lower", "l_upper", "q2", "per_i_inf_lower", "per_i_maxb_upper"
     )
-    _defaults = dict.fromkeys(("q2", "per_i_inf_lower", "per_i_maxb_upper"))
 
     def pairs(self) -> tuple[tuple[str, Fraction], ...]:
         """The certificate document's ``report:`` keys and values."""
@@ -117,7 +116,7 @@ def nested_q1(
     encs = [_range_enclosure(row, den, _within(lam), max_levels) for row in zip(*cols)]
     bound = max(max(-enc.lo, enc.hi) for enc in encs)
     q1 = 2 * powers_reznick_degree(p.n1, bound, lam)
-    return q1, NestedDegreeReport(q1=q1, lambda_lower=lam, l_upper=bound)
+    return q1, NestedDegreeReport(q1, lam, bound, None, None, None)
 
 
 def _q2_stop(enc: RangeEnclosure1D) -> bool:
@@ -170,7 +169,9 @@ def _q2_of_rows(rows, den, n2, report, max_levels) -> tuple[int, NestedDegreeRep
     # The degree grows with maxB_i / inf_i, so the worst row sets it.
     maxb, inf = max(zip(maxbs, infs), key=lambda row: row[0] / row[1])
     q2 = 2 * powers_reznick_degree(n2, maxb, inf)
-    return q2, report._replace(q2=q2, per_i_inf_lower=tuple(infs), per_i_maxb_upper=tuple(maxbs))
+    return q2, NestedDegreeReport(
+        report.q1, report.lambda_lower, report.l_upper, q2, tuple(infs), tuple(maxbs)
+    )
 
 
 def nested_rows(

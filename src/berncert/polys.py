@@ -32,34 +32,22 @@ RationalLike = Union[Fraction, int, str]
 
 class Record:
     """A frozen value record.  A subclass names its fields once, as
-    ``__slots__ = _fields = (...)``, and may give ``_defaults`` for fields
-    that can be left out and a ``__post_init__`` hook that checks or
-    coerces them (with ``object.__setattr__``).  Records of one class are
-    equal when their field values are, and hash by those values; a record
-    is never equal to another class's.
+    ``__slots__ = _fields = (...)``, and may give a ``__post_init__`` hook
+    that checks or coerces them (with ``object.__setattr__``).  Records of
+    one class are equal when their field values are, and hash by those
+    values; a record is never equal to another class's.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _defaults: dict = {}
 
-    def __init__(self, *args, **kwargs):
-        """Fields by position, then by keyword, then from ``_defaults``."""
-        cls, names = type(self), self._fields
-        if len(args) > len(names):
-            raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(args)}")
-        for name, value in zip(names, args):
+    def __init__(self, *values):
+        """One value for each field, in ``_fields`` order."""
+        names = self._fields
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(values)}")
+        for name, value in zip(names, values):
             object.__setattr__(self, name, value)
-        for name in names[len(args):]:
-            if name in kwargs:
-                value = kwargs.pop(name)
-            elif name in cls._defaults:
-                value = cls._defaults[name]
-            else:
-                raise TypeError(f"{cls.__name__} is missing field {name!r}")
-            object.__setattr__(self, name, value)
-        if kwargs:
-            raise TypeError(f"{cls.__name__} got unexpected or repeated fields {sorted(kwargs)}")
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -67,10 +55,6 @@ class Record:
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
-
-    def _replace(self, **changes) -> "Record":
-        """A copy with some fields changed, built and checked as a new record."""
-        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -138,6 +138,20 @@ MUTANTS = [
         "n * d == m * e",
         ["tests/test_documents.py::TestCertificateDocument::test_round_trip_raise"],
     ),
+    (
+        "record-too-few-fields",
+        "polys.py",
+        "if len(values) != len(names):",
+        "if len(values) > len(names):",
+        [f"{POLYS}::TestRecord::test_fields_by_position_only"],
+    ),
+    (
+        "nested-report-rows-swapped",
+        "nested.py",
+        "tuple(infs), tuple(maxbs)",
+        "tuple(maxbs), tuple(infs)",
+        ["tests/test_nested.py::TestNestedQ2::test_maxb_matches_padded_goursat"],
+    ),
 ]
 
 

@@ -20,6 +20,7 @@ import berncert
 from berncert import BPoly, PositivityCertificate, nested, raising
 from berncert.cli import main
 from berncert.documents import (
+    CertificateDocument,
     ParseError,
     PolynomialDocument,
     parse_certificate_document,
@@ -264,10 +265,12 @@ class TestVerifyCommand:
         cert = doc.certificate
         rows = [list(r) for r in cert.numerators]
         rows[0][0] = 0  # the certificate holds integer numerators over denominators
-        tampered = doc._replace(
-            certificate=PositivityCertificate.from_integers(
+        tampered = CertificateDocument(
+            PositivityCertificate.from_integers(
                 cert.q1, cert.q2, rows, cert.denominators, cert.method
             ),
+            doc.report,
+            doc.tool_version,
         )
         out.write_text(serialize_certificate_document(tampered))
         code = main(["verify", poly_file(SPHERE), str(out)])
@@ -665,6 +668,9 @@ RECORDS = {
     "enclose-q1-with-width": (
         ["enclose-min", "{worked}", "--q1", "4", "--target-width", "1/2"], 1,
         "status=usage-error detail=provide_--q1_and_--q2,_or_--target-width", ""),
+    "enclose-max-iter-with-degrees": (
+        ["enclose-min", "{worked}", "--q1", "4", "--q2", "4", "--max-iter", "0"], 1,
+        "status=usage-error detail=--max-iter_applies_to_--target-width", ""),
     "eval-arity": (
         ["eval", "{worked}", "--at", "1/7"], 1,
         "status=usage-error detail=expected_2_coordinates,_got_1", ""),

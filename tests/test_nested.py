@@ -195,6 +195,9 @@ class TestNestedQ2:
         q2, full = nested_q2(ONE, q1, report)
         assert q2 == 2
         assert full.per_i_inf_lower == (1, 2, 1)
+        # Stage 2 keeps stage 1's fields and fills the three it left None.
+        assert report._values()[3:] == (None, None, None)
+        assert full._values()[:3] == report._values()[:3]
 
     def test_one_plus_x2_hand_formula(self):
         p = BPoly([[1, 1]])  # 1 + x2

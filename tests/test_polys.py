@@ -1,7 +1,9 @@
 """Canonical polynomial containers, exact evaluation, rationals and records."""
 
 import ast
+import importlib
 import pickle
+import pkgutil
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -15,12 +17,21 @@ from berncert import (
     BernsteinForm2D,
     BPoly,
     DegreeError,
+    Method,
     MinEnclosure,
     NestedDegreeReport,
+    PositivityCertificate,
     UPoly,
+    bern_coeffs,
+    certify_nested,
+    certify_positive_1d,
+    certify_raise,
+    min_enclosure,
+    range_enclosure_1d,
     rat,
+    verify,
 )
-from berncert.documents import ParseError, PolynomialDocument
+from berncert.documents import CertificateDocument, ParseError, PolynomialDocument
 from berncert.polys import Record, rat_text
 
 from corpus import random_fraction
@@ -117,17 +128,28 @@ class TestRecord:
 
     class Pair(Record):
         __slots__ = _fields = ("a", "b")
-        _defaults = {"b": 0}
 
     class OtherPair(Record):
         __slots__ = _fields = ("a", "b")
 
-    def test_fields_by_position_keyword_and_default(self):
-        assert self.Pair(1, 2) == self.Pair(1, b=2) == self.Pair(b=2, a=1)
-        assert self.Pair(1).b == 0
-        for args, kwargs in [((1, 2, 3), {}), ((), {"b": 2}), ((1,), {"a": 1}), ((1,), {"c": 3})]:
-            with pytest.raises(TypeError):
-                self.Pair(*args, **kwargs)
+    def test_fields_by_position_only(self):
+        pair = self.Pair(1, 2)
+        assert (pair.a, pair.b) == (1, 2)
+        report = (4, Fraction(1), Fraction(2), None, None, None)
+        for cls, values in [(self.Pair, (1, 2)), (NestedDegreeReport, report)]:
+            assert cls(*values)._values() == values
+            named = dict(zip(cls._fields, values))
+            for args, kwargs in [
+                (values[:-1], {}),  # too few
+                (values + (0,), {}),  # too many
+                (values[:-1], {cls._fields[-1]: values[-1]}),
+                ((), named),
+                (values, {"c": 0}),
+            ]:
+                with pytest.raises(TypeError):
+                    cls(*args, **kwargs)
+        with pytest.raises(TypeError):
+            NestedDegreeReport(4, 1, 2)
 
     def test_equality_only_within_one_class(self):
         assert self.Pair(1, 2) != self.Pair(1, 3)
@@ -161,24 +183,55 @@ class TestRecord:
             "MinEnclosure(q1=2, q2=4, c_min=Fraction(1, 1), bound=Fraction(0, 1))"
         )
 
-    def test_replace(self):
-        pair = self.Pair(1, 2)
-        assert pair._replace(b=5) == self.Pair(1, 5)
-        assert pair._replace() == pair and pair == self.Pair(1, 2)
-        report = NestedDegreeReport(4, Fraction(1), Fraction(2))
-        assert report.q2 is None
-        assert report._replace(q2=6) == NestedDegreeReport(4, Fraction(1), Fraction(2), q2=6)
-        with pytest.raises(TypeError):
-            pair._replace(c=1)
-
-    def test_replace_runs_the_checks(self):
-        form = BernsteinForm1D(1, (1, 2))
-        with pytest.raises(ValueError):
-            form._replace(degree=2)
-
     def test_pickle_round_trip(self):
-        for record in (UPoly([1, 2]), MinEnclosure(2, 2, Fraction(1, 3), Fraction(0))):
+        p = BPoly([[1, 1], [1, 0]])
+        nested_cert = certify_nested(p)
+        raise_cert = certify_raise(p)
+        univariate_cert = certify_positive_1d(UPoly([1, -1, 1]))
+        records = [
+            p,
+            UPoly([1, 2]),
+            univariate_cert,
+            univariate_cert.form,
+            range_enclosure_1d(UPoly([1, -1, 1]), Fraction(1, 8)),
+            bern_coeffs(p, 2, 2),
+            min_enclosure(p, 2, 2),
+            raise_cert.report,
+            raise_cert,
+            nested_cert,
+            nested_cert.report,
+            PositivityCertificate(0, 1, [[1, "1/2"]], Method.RAISE),
+            verify(p, raise_cert),
+            PolynomialDocument(2, p.coeffs),
+            CertificateDocument.from_certificate(nested_cert),
+        ]
+        assert nested_cert.report.per_i_inf_lower is not None
+        assert {type(record) for record in records} == set(_record_classes())
+        for record in records:
             assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_fields_named_once(self):
+        """Each record class names its fields once, as
+        ``__slots__ = _fields = (...)``."""
+        classes = _record_classes()
+        assert NestedDegreeReport in classes
+        for cls in classes:
+            assert cls.__slots__ == cls._fields, cls.__name__
+            assert isinstance(cls._fields, tuple) and cls._fields, cls.__name__
+
+
+def _record_classes() -> list[type]:
+    """Every subclass of ``Record`` defined in the berncert package, with
+    each of its modules imported."""
+    for info in pkgutil.iter_modules(berncert.__path__):
+        importlib.import_module(f"berncert.{info.name}")
+    found, todo = [], [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("berncert."):
+                found.append(cls)
+    return found
 
 
 @pytest.mark.parametrize(
