@@ -14,10 +14,11 @@ record and exit code.
 from __future__ import annotations
 
 import argparse
+import codecs
 import os
 import sys
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import __version__
 from .documents import (
@@ -106,6 +107,31 @@ def _write_atomically(path: str, lines: Iterable[str]) -> None:
         raise
 
 
+def _check_utf8(path: str) -> None:
+    """Raise ParseError with the text ``bytes.decode("utf-8")`` gives for
+    the whole file at path when it is not UTF-8, decoding it 8 KB at a time.
+    A decoding error counts from the decoder's pending bytes, the undecoded
+    tail of the chunks before, whose file position is read - pending."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    read = 0
+    with open(path, "rb") as handle:
+        while True:
+            chunk = handle.read(8192)
+            offset = read - len(decoder.getstate()[0])
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                start, last = offset + exc.start, offset + exc.end - 1
+                where = (
+                    f"byte 0x{exc.object[exc.start]:02x} in position {start}" if start == last
+                    else f"bytes in position {start}-{last}"
+                )
+                raise ParseError(f"'utf-8' codec can't decode {where}: {exc.reason}") from exc
+            if not chunk:
+                return
+            read += len(chunk)
+
+
 def _parse_point(text: str) -> list[Fraction]:
     return [parse_rational(tok.strip()) for tok in text.split(",")]
 
@@ -115,18 +141,9 @@ def cmd_certify(args) -> int:
     doublings = args.max_iter if args.max_iter is not None else DEFAULT_DOUBLING_CAP
     levels = args.max_iter if args.max_iter is not None else DEFAULT_REFINEMENT_CAP
     if Method(args.method) is Method.NESTED:
-        if args.q_start is not None:
-            raise _UsageError("--q-start applies to --method raise")
         cert = nested_rows(p, max_doublings=doublings, max_levels=levels)
     else:
-        q_start: Optional[tuple[int, int]] = None
-        if args.q_start is not None:
-            try:
-                q1, q2 = args.q_start.split(",")
-                q_start = (int(q1), int(q2))
-            except ValueError:
-                raise _UsageError("--q-start expects q1,q2")
-        cert = raise_rows(p, q_start=q_start, max_doublings=doublings)
+        cert = raise_rows(p, max_doublings=doublings)
     _write_atomically(args.output, certificate_lines(cert))  # rows made as written
     print(f"certified method={cert.method.value} q1={cert.q1} q2={cert.q2}")
     return 0
@@ -140,8 +157,7 @@ def cmd_verify(args) -> int:
             reader = CertificateReader(lines)
             result = verify_rows(p, reader.q1, reader.q2, reader.rows())
     except UnicodeDecodeError:  # give the position in the file, not in a chunk
-        with open(args.certificate, "rb") as handle:
-            handle.read().decode("utf-8")
+        _check_utf8(args.certificate)
         raise
     if result:
         print("ok")
@@ -209,10 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
             f" / {DEFAULT_DOUBLING_CAP} degree doublings)"
         ),
     )
-    certify.add_argument(
-        "--q-start", default=None,
-        help="starting degrees q1,q2 for --method raise",
-    )
     certify.set_defaults(func=cmd_certify)
 
     verify_p = sub.add_parser("verify", help="check a certificate against a polynomial")
@@ -254,7 +266,10 @@ def main(argv=None) -> int:
         _diag(status="not-positive", witness=exc.witness, value=exc.value)
         return 2
     except InconclusiveError as exc:
-        if isinstance(exc.best, MinEnclosure):  # nested attaches 1-D row enclosures
+        # A MinEnclosure from a doubling walk (raise, --target-width, or the
+        # lower bound of nested's stage 1) bounds min p; nested's 1-D row
+        # enclosures bound nothing about it.
+        if isinstance(exc.best, MinEnclosure):
             _diag(status="inconclusive", lo=exc.best.lo, hi=exc.best.hi)
         else:
             _diag(status="inconclusive")

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .certificates import (
     CertificateRows,
@@ -187,25 +187,19 @@ def _degree_floor(n: int) -> int:
     return max(n, 2)
 
 
-def _doubled_degrees(
-    p: BPoly, max_doublings: int, q_start: Optional[tuple[int, int]] = None
-) -> Iterator[tuple[int, int]]:
+def _doubled_degrees(p: BPoly, max_doublings: int) -> Iterator[tuple[int, int]]:
     """The degrees every raising loop walks, in order.
 
-    Starts at q_start (default the floors (max(n1, 2), max(n2, 2))) and
-    doubles both degrees together, max_doublings times, or until the first
-    pair past ``MAX_GRID_DEGREE``, which ends the walk: ``_c_min`` refuses
-    it, and no pair after it could be searched either.  q_start and a
-    negative max_doublings are refused on the call; the pairs are generated
-    as the loop asks for them, so a loop that stops early never builds the
-    degrees it does not reach.
+    Starts at the floors (max(n1, 2), max(n2, 2)) and doubles both degrees
+    together, max_doublings times, or until the first pair past
+    ``MAX_GRID_DEGREE``, which ends the walk: ``_c_min`` refuses it, and no
+    pair after it could be searched either.  A negative max_doublings is
+    refused on the call; the pairs are generated as the loop asks for them,
+    so a loop that stops early never builds the degrees it does not reach.
     """
     if max_doublings < 0:
         raise ValueError("max_doublings must be nonnegative")
-    f1, f2 = _degree_floor(p.n1), _degree_floor(p.n2)
-    q1, q2 = (f1, f2) if q_start is None else q_start
-    if q1 < f1 or q2 < f2:
-        raise DegreeError(f"q_start {q_start} is below the floors ({f1}, {f2})")
+    q1, q2 = _degree_floor(p.n1), _degree_floor(p.n2)
     past = (MAX_GRID_DEGREE // max(q1, q2)).bit_length()  # doublings to pass the grid
     return ((q1 << d, q2 << d) for d in range(min(max_doublings, past) + 1))
 
@@ -315,11 +309,7 @@ def _refute(p: BPoly, enc: MinEnclosure) -> None:
 
 
 def _raise(
-    p: BPoly,
-    accept: Callable[[MinEnclosure], bool],
-    what: str,
-    max_doublings: int,
-    q_start: Optional[tuple[int, int]] = None,
+    p: BPoly, accept: Callable[[MinEnclosure], bool], what: str, max_doublings: int
 ) -> tuple[int, MinEnclosure]:
     """The loop of both raising policies: (doublings, enclosure) at the first
     doubled degrees whose enclosure ``accept`` takes, c_min coming from
@@ -328,7 +318,7 @@ def _raise(
     _corner_check(p)
     g1, g2 = gamma_bounds(p)
     enc = None
-    for doublings, (q1, q2) in enumerate(_doubled_degrees(p, max_doublings, q_start)):
+    for doublings, (q1, q2) in enumerate(_doubled_degrees(p, max_doublings)):
         enc = MinEnclosure(q1, q2, _c_min(p, q1, q2), enclosure_bound(g1, g2, q1, q2))
         if accept(enc):
             return doublings, enc
@@ -353,35 +343,27 @@ def minimum_lower_bound(
     return enc.c_min, enc
 
 
-def raise_rows(
-    p: BPoly,
-    q_start: Optional[tuple[int, int]] = None,
-    max_doublings: int = DEFAULT_DOUBLING_CAP,
-) -> CertificateRows:
-    """``certify_raise`` up to its matrix: the degrees are chosen and the
-    report made, and the rows of ``plain_rows`` at those degrees are left to
-    be read.  Raises as ``certify_raise`` does."""
-    doublings, enc = _raise(
-        p, lambda e: e.c_min > 0, "positive Bernstein form", max_doublings, q_start
-    )
+def raise_rows(p: BPoly, max_doublings: int = DEFAULT_DOUBLING_CAP) -> CertificateRows:
+    """``certify_raise`` up to its matrix: the degrees are chosen by the
+    doubling walk from the floors and the report made, and the rows of
+    ``plain_rows`` at those degrees are left to be read.  Raises as
+    ``certify_raise`` does."""
+    doublings, enc = _raise(p, lambda e: e.c_min > 0, "positive Bernstein form", max_doublings)
     rows, den = plain_rows(p, enc.q1, enc.q2)
     report = RaiseReport(doublings, enc, *gamma_bounds(p))
     return CertificateRows(enc.q1, enc.q2, Method.RAISE, report, rows, den)
 
 
-def certify_raise(
-    p: BPoly,
-    q_start: Optional[tuple[int, int]] = None,
-    max_doublings: int = DEFAULT_DOUBLING_CAP,
-) -> PositivityCertificate:
+def certify_raise(p: BPoly, max_doublings: int = DEFAULT_DOUBLING_CAP) -> PositivityCertificate:
     """Certify p > 0 on the box by raising the Bernstein degrees.
 
-    Starting from q_start (default (max(n1,2), max(n2,2))), doubles both
-    degrees until every normalized coefficient is positive.
-    ``plain_coeffs`` runs once, at the degrees that certify, and its (N, D)
-    is the certificate: ``raise_rows``, collected.  Raises NotPositiveError
-    with a grid witness when an enclosure shows the minimum is nonpositive,
-    and InconclusiveError with the best enclosure when the doubling cap is
+    Starting from the floors (max(n1,2), max(n2,2)), doubles both degrees
+    until every normalized coefficient is positive: the certificate, when
+    there is one within the cap, depends on p alone.  ``plain_coeffs`` runs
+    once, at the degrees that certify, and its (N, D) is the certificate:
+    ``raise_rows``, collected.  Raises NotPositiveError with a grid witness
+    when an enclosure shows the minimum is nonpositive, and
+    InconclusiveError with the best enclosure when the doubling cap is
     reached.
     """
-    return raise_rows(p, q_start, max_doublings).collect()
+    return raise_rows(p, max_doublings).collect()

@@ -152,6 +152,20 @@ MUTANTS = [
         "tuple(maxbs), tuple(infs)",
         ["tests/test_nested.py::TestNestedQ2::test_maxb_matches_padded_goursat"],
     ),
+    (
+        "walk-starts-late-in-x2",
+        "raising.py",
+        "q1, q2 = _degree_floor(p.n1), _degree_floor(p.n2)",
+        "q1, q2 = _degree_floor(p.n1), 2 * _degree_floor(p.n2)",
+        [f"{RAISING}::TestBoxSymmetries::test_swap_transposes"],
+    ),
+    (
+        "decode-offset-without-pending",
+        "cli.py",
+        "offset = read - len(decoder.getstate()[0])",
+        "offset = read",
+        ["tests/test_streams.py::test_bad_bytes_give_the_whole_file_record[across-8k]"],
+    ),
 ]
 
 

@@ -207,13 +207,6 @@ class TestCertify:
         out = str(tmp_path / "cert.txt")
         assert main(["certify", poly_file(UNI), out, "--method", "raise"]) == 1
 
-    def test_q_start_with_nested_rejected(self, poly_file, tmp_path):
-        out = str(tmp_path / "cert.txt")
-        code = main(
-            ["certify", poly_file(SPHERE), out, "--method", "nested", "--q-start", "4,4"]
-        )
-        assert code == 1
-
     def test_inconclusive_exit_3(self, poly_file, tmp_path, capsys):
         touching = "variables: 2\ncoeffs:\n1/9\n-2/3\n1\n"  # (x1 - 1/3)^2
         out = str(tmp_path / "cert.txt")
@@ -238,15 +231,6 @@ class TestCertify:
 
     def test_missing_file(self, tmp_path):
         assert main(["certify", str(tmp_path / "nope.txt"), "x", "--method", "raise"]) == 1
-
-    @pytest.mark.parametrize("q_start", ["a,b", "4,x", "4", "4,4,4"])
-    def test_malformed_q_start(self, poly_file, tmp_path, capsys, q_start):
-        out = str(tmp_path / "cert.txt")
-        code = main(
-            ["certify", poly_file(SPHERE), out, "--method", "raise", "--q-start", q_start]
-        )
-        assert code == 1
-        assert capsys.readouterr().err.startswith("status=usage-error detail=")
 
     @pytest.mark.parametrize("method", ["nested", "raise"])
     def test_negative_max_iter_rejected(self, poly_file, tmp_path, capsys, method):
@@ -650,12 +634,9 @@ RECORDS = {
     "enclose-univariate": (
         ["enclose-min", "{uni}", "--q1", "2", "--q2", "2"], 1,
         "status=usage-error detail=enclose-min_requires_a_bivariate_polynomial", ""),
-    "q-start-with-nested": (
-        ["certify", "{sphere}", "{out}", "--method", "nested", "--q-start", "4,4"], 1,
-        "status=usage-error detail=--q-start_applies_to_--method_raise", ""),
-    "q-start-malformed": (
-        ["certify", "{sphere}", "{out}", "--method", "raise", "--q-start", "4"], 1,
-        "status=usage-error detail=--q-start_expects_q1,q2", ""),
+    "q-start-removed": (  # raise always walks from the floors
+        ["certify", "{sphere}", "{out}", "--method", "raise", "--q-start", "4,4"], 1,
+        "status=usage-error detail=unrecognized_arguments:_--q-start_4,4", ""),
     "target-width-zero": (
         ["enclose-min", "{worked}", "--target-width", "0"], 1,
         "status=usage-error detail=--target-width_must_be_positive", ""),
@@ -686,12 +667,6 @@ RECORDS = {
     "enclose-q2-past-grid": (
         ["enclose-min", "{worked}", "--q1", "2", "--q2", HUGE_Q], 1,
         f"status=usage-error detail=degrees_(2,_{HUGE_Q}){PAST_GRID}", ""),
-    "q-start-past-grid": (
-        ["certify", "{worked}", "{out}", "--method", "raise", "--q-start", f"{HUGE_Q},2"], 1,
-        f"status=usage-error detail=degrees_({HUGE_Q},_2){PAST_GRID}", ""),
-    "q-start-below-floor": (
-        ["certify", "{sphere}", "{out}", "--method", "raise", "--q-start", "1,1"], 1,
-        "status=usage-error detail=q_start_(1,_1)_is_below_the_floors_(2,_2)", ""),
     "argparse-missing-method": (
         ["certify", "{sphere}", "{out}"], 1,
         "status=usage-error detail=the_following_arguments_are_required:_--method", ""),
@@ -735,6 +710,9 @@ RECORDS = {
     "inconclusive-nested": (
         ["certify", "{capped}", "{out}", "--method", "nested", "--max-iter", "0"], 3,
         "status=inconclusive", ""),
+    "inconclusive-nested-lower-bound": (  # stage 1's doubling walk reaches the cap
+        ["certify", "{worked}", "{out}", "--method", "nested", "--max-iter", "0"], 3,
+        "status=inconclusive lo=-3/8 hi=1/8", ""),
     "inconclusive-target-width": (
         ["enclose-min", "{worked}", "--target-width", "1/100000", "--max-iter", "2"], 3,
         "status=inconclusive lo=3/56 hi=61/224", "3/56 61/224 8 8\n"),
@@ -853,12 +831,8 @@ def test_width_walk_stops_at_first_pair_past_grid(poly_file, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["enclose-min", "{worked}", "--q1", "1000000000000000", "--q2", "2"],
-        ["certify", "{worked}", "{out}", "--method", "raise", "--q-start", "1000000000000000,2"],
-    ],
-    ids=["enclose-min", "certify-raise"],
+    "argv", [["enclose-min", "{worked}", "--q1", "1000000000000000", "--q2", "2"]],
+    ids=["enclose-min"],
 )
 def test_refused_allocation_is_out_of_memory(poly_file, tmp_path, argv):
     # A 10**15-point grid row asks for 8 PB at once, which the allocator

@@ -33,7 +33,7 @@ from berncert import raising
 from berncert.polys import grid_values
 from berncert.raising import min_enclosure_to_width, plain_coeffs
 
-from corpus import random_fraction, random_unit_fraction
+from corpus import BIVARIATE_CORPUS, random_fraction, random_unit_fraction
 
 WORKED = BPoly([[Fraction(1, 8), 0, 1], [0, -2, 0], [1, 0, 0]])  # (x1-x2)^2 + 1/8
 SPHERE = BPoly([[1, 0, 1], [0, 0, 0], [1, 0, 0]])  # x1^2 + x2^2 + 1
@@ -300,24 +300,6 @@ class TestCertifyRaise:
             certify_raise(p, max_doublings=3)
         assert info.value.best is not None
         assert info.value.best.lo <= 0 < info.value.best.hi
-
-    def test_q_start_respected(self):
-        cert = certify_raise(WORKED, q_start=(16, 16))
-        assert cert.q1 == cert.q2 == 16
-        assert cert.report.doublings == 0
-
-    def test_q_start_below_floor_rejected(self):
-        with pytest.raises(DegreeError):
-            certify_raise(WORKED, q_start=(1, 1))
-
-    def test_q_start_checked_before_kernel(self, monkeypatch):
-        def no_kernel(*args):
-            raise AssertionError("the kernel ran before the q_start check")
-
-        for name in ("plain_coeffs", "plain_rows", "_grid_min"):
-            monkeypatch.setattr(raising, name, no_kernel)
-        with pytest.raises(DegreeError):
-            certify_raise(WORKED, q_start=(1, 1), max_doublings=20000)
 
     @pytest.mark.parametrize(
         "run",
@@ -587,3 +569,47 @@ class TestKernelCalls:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _swapped(p: BPoly) -> BPoly:
+    """p(x2, x1)."""
+    return BPoly(zip(*p.coeffs))
+
+
+def _reflected(p: BPoly) -> BPoly:
+    """p(1 - x1, x2), expanded exactly: (1 - x1)**i = sum_k C(i,k) (-x1)**k."""
+    return BPoly(
+        [(-1) ** k * sum(math.comb(i, k) * p.coeffs[i][j] for i in range(k, p.n1 + 1))
+         for j in range(p.n2 + 1)]
+        for k in range(p.n1 + 1)
+    )
+
+
+CORPUS_IDS = [name for name, _ in BIVARIATE_CORPUS]
+
+
+class TestBoxSymmetries:
+    """The raise certificate commutes with the symmetries of the box: its
+    walk starts at the floors, so it depends on p alone.  The bound does not,
+    since gamma reads monomial coefficients."""
+
+    @pytest.mark.parametrize("p", [p for _, p in BIVARIATE_CORPUS], ids=CORPUS_IDS)
+    def test_reflection_reverses_rows(self, p):
+        x2 = Fraction(2, 7)
+        assert _reflected(p).eval(Fraction(1, 3), x2) == p.eval(Fraction(2, 3), x2)
+        cert, flipped = certify_raise(p), certify_raise(_reflected(p))
+        assert (flipped.q1, flipped.q2) == (cert.q1, cert.q2)
+        assert flipped.coefficients == cert.coefficients[::-1]
+
+    @pytest.mark.parametrize("p", [p for _, p in BIVARIATE_CORPUS], ids=CORPUS_IDS)
+    def test_swap_transposes(self, p):
+        cert, swapped = certify_raise(p), certify_raise(_swapped(p))
+        assert (swapped.q1, swapped.q2) == (cert.q2, cert.q1)
+        assert swapped.coefficients == tuple(zip(*cert.coefficients))
+
+    @pytest.mark.parametrize("p", [p for _, p in BIVARIATE_CORPUS], ids=CORPUS_IDS)
+    def test_c_min_is_reflection_invariant(self, p):
+        q1, q2 = max(p.n1, 4), max(p.n2, 4)
+        c_min = min_enclosure(p, q1, q2).c_min
+        assert min_enclosure(_reflected(p), q1, q2).c_min == c_min
+        assert min_enclosure(_swapped(_reflected(_swapped(p))), q1, q2).c_min == c_min

@@ -1,16 +1,20 @@
 """Certificates as streams of rows: ``certify`` writes and ``verify`` reads
 the ``C:`` block one row at a time, so neither holds the whole document."""
 
+import tempfile
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from berncert import BPoly, CertificationError, Method, certify_nested, certify_raise, verify
 from berncert.certificates import CertificateRows
-from berncert.cli import main
+from berncert.cli import _check_utf8, main
 from berncert.documents import (
     CertificateDocument,
+    ParseError,
     parse_certificate_document,
     serialize_certificate_document,
 )
@@ -196,3 +200,49 @@ def test_bad_bytes_win_over_an_earlier_header_fault(tmp_path, capsys):
     code, out, err = _run(capsys, ["verify", str(poly), str(bad)])
     assert (code, out) == (1, "")
     assert err.startswith("status=parse-error detail='utf-8'_codec_can't_decode_byte_0xff")
+
+
+def test_bad_last_byte_is_found_in_chunks(tmp_path, capsys):
+    # A header fault, 20 MB of long rows, then a byte that is not UTF-8:
+    # the record's position counts from the file's start, and the file is
+    # decoded again in chunks, not read whole.
+    poly, bad = tmp_path / "poly.txt", tmp_path / "bad.txt"
+    poly.write_text(SPHERE)
+    with open(bad, "wb") as handle:
+        handle.write(b"method raise\nC:\n")
+        for _ in range(500):
+            handle.write(b"1 " * 20000 + b"\n")
+        handle.write(b"\xff")
+    size = bad.stat().st_size
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, ["verify", str(poly), str(bad)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 20 * 10**6
+    assert (code, out) == (1, "")
+    assert err == (
+        "status=parse-error detail='utf-8'_codec_can't_decode_byte_0xff_in_position_"
+        f"{size - 1}:_invalid_start_byte\n"
+    )
+    assert peak < 1 << 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(8180, 8200), st.binary(max_size=6), st.binary(max_size=6))
+def test_chunked_decode_gives_the_whole_file_text(length, bad, tail):
+    # Around the first chunk's end: a UTF-8 prefix with a 4-byte character
+    # that may be cut, any bytes, then ASCII or more bytes.
+    data = ("a" * (length - 4) + "\U0001f600").encode("utf-8")[:length] + bad + b"1 1\n" + tail
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "c.txt")
+        path.write_bytes(data)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            with pytest.raises(ParseError) as info:
+                _check_utf8(str(path))
+            assert str(info.value) == str(exc)
+        else:
+            assert _check_utf8(str(path)) is None
