@@ -207,6 +207,18 @@ class TestCertify:
         out = str(tmp_path / "cert.txt")
         assert main(["certify", poly_file(UNI), out, "--method", "raise"]) == 1
 
+    def test_q_start_with_nested_rejected(self, poly_file, tmp_path, capsys):
+        # --q-start is gone, so nested refuses it as an unknown option.
+        out = tmp_path / "cert.txt"
+        code = main(
+            ["certify", poly_file(SPHERE), str(out), "--method", "nested", "--q-start", "4,4"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "status=usage-error detail=unrecognized_arguments:_--q-start_4,4\n"
+        )
+        assert not out.exists()
+
     def test_inconclusive_exit_3(self, poly_file, tmp_path, capsys):
         touching = "variables: 2\ncoeffs:\n1/9\n-2/3\n1\n"  # (x1 - 1/3)^2
         out = str(tmp_path / "cert.txt")
@@ -231,6 +243,19 @@ class TestCertify:
 
     def test_missing_file(self, tmp_path):
         assert main(["certify", str(tmp_path / "nope.txt"), "x", "--method", "raise"]) == 1
+
+    @pytest.mark.parametrize("q_start", ["a,b", "4,x", "4", "4,4,4"])
+    def test_malformed_q_start(self, poly_file, tmp_path, capsys, q_start):
+        # Whatever its value, the removed --q-start is an unknown option.
+        out = tmp_path / "cert.txt"
+        code = main(
+            ["certify", poly_file(SPHERE), str(out), "--method", "raise", "--q-start", q_start]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"status=usage-error detail=unrecognized_arguments:_--q-start_{q_start}\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["nested", "raise"])
     def test_negative_max_iter_rejected(self, poly_file, tmp_path, capsys, method):
