@@ -200,18 +200,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="berncert",
-        description=(
-            "Certify strict positivity of polynomials on the unit box and "
-            "compute certified minimum enclosures, in exact rational arithmetic."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    certify = sub.add_parser("certify", help="emit a positivity certificate file")
+def _certify_args(certify: argparse.ArgumentParser) -> None:
     certify.add_argument("input", help="polynomial document")
     certify.add_argument("output", help="certificate document to write")
     certify.add_argument(
@@ -227,14 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     certify.set_defaults(func=cmd_certify)
 
-    verify_p = sub.add_parser("verify", help="check a certificate against a polynomial")
+
+def _verify_args(verify_p: argparse.ArgumentParser) -> None:
     verify_p.add_argument("poly", help="polynomial document")
     verify_p.add_argument("certificate", help="certificate document")
     verify_p.set_defaults(func=cmd_verify)
 
-    enclose = sub.add_parser(
-        "enclose-min", help="certified enclosure of the minimum over the box"
-    )
+
+def _enclose_args(enclose: argparse.ArgumentParser) -> None:
     enclose.add_argument("input", help="polynomial document")
     enclose.add_argument("--q1", type=int, default=None)
     enclose.add_argument("--q2", type=int, default=None)
@@ -246,17 +235,54 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"doubling cap for --target-width (default {DEFAULT_DOUBLING_CAP})")
     enclose.set_defaults(func=cmd_enclose_min)
 
-    eval_p = sub.add_parser("eval", help="evaluate a polynomial exactly")
+
+def _eval_args(eval_p: argparse.ArgumentParser) -> None:
     eval_p.add_argument("input", help="polynomial document")
     eval_p.add_argument("--at", required=True, help="point, e.g. 1/2 or 1/2,2/3")
     eval_p.set_defaults(func=cmd_eval)
+
+
+# Each command's help line and the helper that defines its arguments.
+_COMMANDS = {
+    "certify": ("emit a positivity certificate file", _certify_args),
+    "verify": ("check a certificate against a polynomial", _verify_args),
+    "enclose-min": ("certified enclosure of the minimum over the box", _enclose_args),
+    "eval": ("evaluate a polynomial exactly", _eval_args),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole parser, every command a subparser ``berncert <command>``."""
+    parser = _Parser(
+        prog="berncert",
+        description=(
+            "Certify strict positivity of polynomials on the unit box and "
+            "compute certified minimum enclosures, in exact rational arithmetic."
+        ),
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, define) in _COMMANDS.items():
+        define(sub.add_parser(name, help=text))
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of one command line.  A line that starts with a command
+    builds only that command's parser, the one ``build_parser`` makes for
+    it, so it parses and fails as the whole parser would; anything else
+    (``--help``, ``--version``, an unknown command) builds the whole."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _Parser(prog=f"berncert {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        return parser.parse_args(argv[1:])
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run one command; every failure it raises ends here as one record."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         if getattr(args, "max_iter", None) is not None and args.max_iter < 0:
             raise _UsageError(f"argument --max-iter: {args.max_iter} is negative")
         return args.func(args)

@@ -21,8 +21,12 @@ Both stages run on integers over one denominator, the first on p's columns,
 the second on that map's x1 pass (the rows A_i(x2)), which ``certify_nested``
 also hands to the x2 pass: each takes its Goursat coefficients from one
 ``univariate._goursat`` call and bisects integer control points
-(``univariate._range_enclosure``).  Only the report's bounds are
-Fractions, and all of them are computed here.
+(``univariate._range_enclosure``) until a stop rule on the level's integers
+holds: gaps of at most lambda cross-multiplied (``univariate._within``) in
+stage 1, a lower bound within a factor two of an attained value
+(``_q2_stop``) in stage 2.  Stage 2 picks its worst row, the largest
+maxB_i / inf_i, by cross-multiplying too.  Only the report's bounds are
+Fractions, two per row in stage 2, and all of them are computed here.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .polys import BPoly, RationalLike, Record, UPoly, rat, rat_text
 from .raising import DEFAULT_DOUBLING_CAP, minimum_lower_bound
 from .univariate import (
     DEFAULT_REFINEMENT_CAP,
-    RangeEnclosure1D,
+    _enclosure,
     _goursat,
     _plain_pass,
     _plain_rows,
@@ -102,7 +106,8 @@ def nested_q1(
     Goursat coefficients of the slice p(., x2).  Column j of p transformed
     gives the x2**j coefficients of every B_k, so one ``_goursat`` call gives
     them all as integers; L is the largest max(-lo, hi) of their integer
-    range enclosures, refined to gaps of at most lam.  A given
+    range enclosures, refined to gaps of at most lam (compared
+    cross-multiplied, on the enclosures' integers).  A given
     ``lambda_lower`` is trusted in place of lam (any positive lower bound
     keeps the degree sufficient); L is always computed.
     """
@@ -114,15 +119,15 @@ def nested_q1(
             raise ValueError("lambda_lower must be positive")
     cols, den = _goursat(list(zip(*p.coeffs)), p.n1)
     encs = [_range_enclosure(row, den, _within(lam), max_levels) for row in zip(*cols)]
-    bound = max(max(-enc.lo, enc.hi) for enc in encs)
+    bound = max(Fraction(max(-lo, hi), scale) for lo, hi, *_, scale in encs)
     q1 = 2 * powers_reznick_degree(p.n1, bound, lam)
     return q1, NestedDegreeReport(q1, lam, bound, None, None, None)
 
 
-def _q2_stop(enc: RangeEnclosure1D) -> bool:
+def _q2_stop(lo, hi, levels, min_value, min_point, max_value, max_point, scale) -> bool:
     """Stop once the row is refuted or its lower bound is within a factor two
-    of an attained value."""
-    return enc.min_value <= 0 or (enc.lo > 0 and enc.min_value <= 2 * enc.lo)
+    of an attained value: both at the level's one scale, which drops out."""
+    return min_value <= 0 or (lo > 0 and min_value <= 2 * lo)
 
 
 def nested_q2(
@@ -137,10 +142,12 @@ def nested_q2(
     degree-n2 vector, are computed exactly, and a positive lower bound on
     inf A_i over [0, 1] is certified by range enclosure (refined until the
     bound is within a factor two of an attained value).  The degree is the
-    largest 2 * powers_reznick_degree(n2, maxB_i, inf_i).  Both run on the
-    x1 pass's integer rows over their one denominator: the Goursat vectors
-    in one ``_goursat`` call, the enclosures by integer de Casteljau; only
-    the per-row bounds become Fractions.
+    largest 2 * powers_reznick_degree(n2, maxB_i, inf_i), the one of the
+    row with the largest maxB_i / inf_i.  All of it runs on the x1 pass's
+    integer rows over their one denominator: the Goursat vectors in one
+    ``_goursat`` call, the enclosures by integer de Casteljau with an
+    integer stop rule, the largest ratio by cross-multiplying; only the
+    per-row bounds become Fractions.
     """
     return _q2_of_rows(*_coefficient_rows(p, q1), p.n2, report, max_levels)
 
@@ -151,24 +158,29 @@ def _q2_of_rows(rows, den, n2, report, max_levels) -> tuple[int, NestedDegreeRep
     infs, maxbs = [], []
     for i, (row, e) in enumerate(zip(rows, goursat_rows)):
         try:
-            enc = _range_enclosure(row, den, _q2_stop, max_levels)
+            level = _range_enclosure(row, den, _q2_stop, max_levels)
         except InconclusiveError as exc:
             raise InconclusiveError(
                 f"coefficient polynomial {i} could not be certified positive "
                 f"within {max_levels} bisection levels",
                 best=exc.best,
             ) from exc
-        if enc.min_value <= 0 or enc.lo <= 0:
+        lo, _, _, min_value, _, _, _, scale = level
+        if min_value <= 0 or lo <= 0:
+            enc = _enclosure(*level)
             raise InconclusiveError(
                 f"coefficient polynomial {i} is not certifiably positive "
                 f"(value {rat_text(enc.min_value)} at {rat_text(enc.min_point)})",
                 best=enc,
             )
-        infs.append(enc.lo)
-        maxbs.append(Fraction(max(map(abs, e)), den))
-    # The degree grows with maxB_i / inf_i, so the worst row sets it.
-    maxb, inf = max(zip(maxbs, infs), key=lambda row: row[0] / row[1])
-    q2 = 2 * powers_reznick_degree(n2, maxb, inf)
+        maxb = max(map(abs, e))
+        infs.append(Fraction(lo, scale))
+        maxbs.append(Fraction(maxb, den))
+        # The degree grows with maxB_i / inf_i = maxb scale / (D lo), so the
+        # first row with the largest one sets it.
+        if i == 0 or maxb * scale * worst_lo > worst_num * lo:
+            worst, worst_num, worst_lo = i, maxb * scale, lo
+    q2 = 2 * powers_reznick_degree(n2, maxbs[worst], infs[worst])
     return q2, NestedDegreeReport(
         report.q1, report.lambda_lower, report.l_upper, q2, tuple(infs), tuple(maxbs)
     )

@@ -5,15 +5,15 @@ x**i * (1-x)**(m-i) (no binomial factor), the Goursat transform
 p~(x) = (2x)**n * p((1-x)/x), degree elevation, an explicit degree bound at
 which a strictly positive polynomial acquires a nonnegative Bernstein
 representation, certified range enclosure by de Casteljau bisection (on
-integer control points: only each level's bounds become Fractions), and a
-positivity certifier that combines all of the above.  The forward map to
-plain Bernstein form is a difference table (``_values`` over ``_weights``):
-``_plain_pass`` on integers, once for ``to_bernstein_plain`` and along x1
-and x2 in the bivariate modules; the range enclosure reads its control
-points off the table.  The inverse map is the same table run backwards
-(``_differences``, the forward differences at 0): ``_plain_kernel``, for
-``from_bernstein``, the Goursat transform (``_goursat``) and
-``certificates.expand_plain_2d``.
+integer control points, stopped by rules on integers: only an enclosure a
+caller keeps becomes Fractions), and a positivity certifier that combines
+all of the above.  The forward map to plain Bernstein form is a difference
+table (``_values`` over ``_weights``): ``_plain_pass`` on integers, once
+for ``to_bernstein_plain`` and along x1 and x2 in the bivariate modules;
+the range enclosure reads its control points off the table.  The inverse
+map is the same table run backwards (``_differences``, the forward
+differences at 0): ``_plain_kernel``, for ``from_bernstein``, the Goursat
+transform (``_goursat``) and ``certificates.expand_plain_2d``.
 """
 
 from __future__ import annotations
@@ -265,36 +265,51 @@ def _decasteljau_halves(control: list[int], m: int) -> tuple[list[int], list[int
     return left, right
 
 
+def _enclosure(lo, hi, levels, min_value, min_point, max_value, max_point, scale):
+    """The RangeEnclosure1D of a bisection level on integers: its fields,
+    with the values as numerators over scale and the points over
+    2**levels.  The one place where a level becomes Fractions."""
+    points = 1 << levels
+    return RangeEnclosure1D(
+        Fraction(lo, scale), Fraction(hi, scale), levels,
+        Fraction(min_value, scale), Fraction(min_point, points),
+        Fraction(max_value, scale), Fraction(max_point, points),
+    )
+
+
 def _range_enclosure(
-    coeffs: Vector,
+    coeffs: Sequence[int],
     den: int,
-    predicate: Callable[[RangeEnclosure1D], bool],
+    stop: Callable[..., bool],
     max_levels: int,
-) -> RangeEnclosure1D:
+) -> tuple[int, ...]:
     """``range_enclosure_1d`` of sum_i coeffs[i] x**i / den, on integers.
 
     Trailing zero coefficients are dropped, so the degree m is the
-    polynomial's own.  With D clearing the coefficients' denominators, the
-    normalized coefficients at degree m are ``_values`` of the integers
-    D coeffs[i] i! (m-i)! over S = D m! den, and every bisection level
-    multiplies the scale by 2**m.  All segments alive at one level share that
-    scale, so comparisons are integer ones.  A segment whose control points
-    lie in [min_value, max_value] is dropped for good (min_value only falls
-    and max_value only rises), so lo and hi are min_value and max_value
-    widened by the live segments alone: an attained value is an end control
-    point of some segment, and a dropped one's points lie between them.
-    Points are numerators over 2**levels.  Only the fields of each level's
-    RangeEnclosure1D become Fractions.  Every enclosure of the package runs
-    here, so this is where a negative max_levels is refused, with ValueError.
+    polynomial's own.  The normalized coefficients at degree m are
+    ``_values`` of the integers coeffs[i] i! (m-i)! over S = m! den, and
+    every bisection level multiplies the scale by 2**m.  All segments alive
+    at one level share that scale, so comparisons are integer ones.  A
+    segment whose control points lie in [min_value, max_value] is dropped
+    for good (min_value only falls and max_value only rises), so lo and hi
+    are min_value and max_value widened by the live segments alone: an
+    attained value is an end control point of some segment, and a dropped
+    one's points lie between them.  Each level is the tuple (lo, hi,
+    levels, min_value, min_point, max_value, max_point, scale) of integers
+    that ``_enclosure`` reads.  ``stop`` is called with it unpacked, and the
+    level it accepts, or the last one, is returned as it is: the only
+    Fractions made here are those of the RangeEnclosure1D that the
+    InconclusiveError at the cap carries.  Every enclosure of the package
+    runs here, so this is where a negative max_levels is refused, with
+    ValueError.
     """
     if max_levels < 0:
         raise ValueError("max_levels must be nonnegative")
     m = len(coeffs) - 1
     while m > 0 and coeffs[m] == 0:
         m -= 1
-    (ints,), kden = _cleared([coeffs[: m + 1]])
-    first = _values([a * w for a, w in zip(ints, _weights(m, m))], m)
-    scale = kden * math.factorial(m) * den
+    first = _values([a * w for a, w in zip(coeffs, _weights(m, m))], m)
+    scale = math.factorial(m) * den
     # The first attained minimum and maximum among the endpoints x = 0, 1.
     min_value, min_point = (first[0], 0) if first[0] <= first[-1] else (first[-1], 1)
     max_value, max_point = (first[0], 0) if first[0] >= first[-1] else (first[-1], 1)
@@ -304,29 +319,20 @@ def _range_enclosure(
         lows = [min(cps) for _, cps in segments]
         highs = [max(cps) for _, cps in segments]
         lo, hi = min(min_value, *lows), max(max_value, *highs)
-        denom, points = scale << (m * levels), 1 << levels
-        enc = RangeEnclosure1D(
-            Fraction(lo, denom),
-            Fraction(hi, denom),
-            levels,
-            Fraction(min_value, denom),
-            Fraction(min_point, points),
-            Fraction(max_value, denom),
-            Fraction(max_point, points),
-        )
-        if predicate(enc):
-            return enc
+        level = (lo, hi, levels, min_value, min_point, max_value, max_point, scale << m * levels)
+        if stop(*level):
+            return level
         active = [
             seg
             for seg, low, high in zip(segments, lows, highs)
             if low < min_value or high > max_value
         ]
         if not active:
-            return enc
+            return level
         if levels >= max_levels:
             raise InconclusiveError(
                 f"range enclosure not tight enough after {max_levels} bisection levels",
-                best=enc,
+                best=_enclosure(*level),
             )
         # One level down: every kept integer moves to the new scale.
         min_value, max_value = min_value << m, max_value << m
@@ -344,9 +350,13 @@ def _range_enclosure(
         levels += 1
 
 
-def _within(width: Fraction) -> Callable[[RangeEnclosure1D], bool]:
-    """Stop once both gaps min_value - lo and hi - max_value are at most width."""
-    return lambda e: e.min_value - e.lo <= width and e.hi - e.max_value <= width
+def _within(width: Fraction) -> Callable[..., bool]:
+    """The stop rule on a level's integers: both gaps min_value - lo and
+    hi - max_value are at most width, cross-multiplied."""
+    num, den = width.numerator, width.denominator
+    return lambda lo, hi, levels, min_value, min_point, max_value, max_point, scale: (
+        max(min_value - lo, hi - max_value) * den <= num * scale
+    )
 
 
 def range_enclosure_1d(
@@ -362,22 +372,25 @@ def range_enclosure_1d(
     values there, and the first and last coefficients are the exact endpoint
     values; bisecting by exact midpoint de Casteljau subdivision tightens the
     bounds.  The subdivision runs on integers (see ``_range_enclosure``);
-    each level's enclosure is exact rationals.  Refinement stops when
-    ``predicate`` holds, or, given ``max_width``, when both gaps
-    min_value - lo and hi - max_value are at most max_width (the outer bounds
-    then match attained values to within max_width).  If the enclosure
-    becomes exact (lo and hi both attained) it is returned as is.  Raises
-    InconclusiveError when max_levels bisection levels do not suffice, with
-    the best enclosure attached.
+    the enclosure returned is exact rationals.  Refinement stops when
+    ``predicate`` holds of a level's enclosure, or, given ``max_width``,
+    when both gaps min_value - lo and hi - max_value are at most max_width
+    (the outer bounds then match attained values to within max_width).  If
+    the enclosure becomes exact (lo and hi both attained) it is returned as
+    is.  Raises InconclusiveError when max_levels bisection levels do not
+    suffice, with the best enclosure attached.
     """
-    if predicate is None:
-        if max_width is None:
-            raise ValueError("provide either max_width or a stopping predicate")
+    if predicate is not None:
+        stop = lambda *level: predicate(_enclosure(*level))
+    elif max_width is None:
+        raise ValueError("provide either max_width or a stopping predicate")
+    else:
         width = rat(max_width)
         if width <= 0:
             raise ValueError("max_width must be positive")
-        predicate = _within(width)
-    return _range_enclosure(p.coeffs, 1, predicate, max_levels)
+        stop = _within(width)
+    (ints,), den = _cleared([p.coeffs])
+    return _enclosure(*_range_enclosure(ints, den, stop, max_levels))
 
 
 class UnivariateCertificate(Record):

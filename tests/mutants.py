@@ -153,6 +153,20 @@ MUTANTS = [
         ["tests/test_nested.py::TestNestedQ2::test_maxb_matches_padded_goursat"],
     ),
     (
+        "nested-worst-row-smallest",
+        "nested.py",
+        "maxb * scale * worst_lo > worst_num * lo",
+        "maxb * scale * worst_lo < worst_num * lo",
+        ["tests/test_nested.py::TestNestedQ2Oracle::test_corpus"],
+    ),
+    (
+        "within-num-den-swapped",
+        "univariate.py",
+        "num, den = width.numerator, width.denominator",
+        "den, num = width.numerator, width.denominator",
+        [f"{UNIVARIATE}::test_integer_stops_decide_as_fraction_forms"],
+    ),
+    (
         "walk-starts-late-in-x2",
         "raising.py",
         "q1, q2 = _degree_floor(p.n1), _degree_floor(p.n2)",

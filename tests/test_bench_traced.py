@@ -1,9 +1,10 @@
-"""The benchmark's traced mode on three inputs, against its CLI pass.
+"""The benchmark's traced mode on four inputs, against its CLI pass.
 
 ``perfbench/traced.py`` splits each input's user path at the module
 boundaries and replays library policies to time single layers; a replay that
 misses the library's result raises ``ReplayMismatch``.  Running it here on a
-nested corpus certificate, a near-zero raise and a sweep refutation keeps
+nested corpus certificate, two near-zero raises (one of degree 0 in x2) and
+a sweep refutation keeps
 ``perfbench/run.py --trace 1`` working across library refactors, which the
 import check in ``test_bench_imports.py`` alone does not.  One whole CLI pass
 of each workload at seed 1 keeps the path that ``--trace 0`` measures free of
@@ -35,6 +36,9 @@ def test_traced_inputs_replay_and_match_cli(bench, tmp_path):
     chosen = [
         next(i for i in inputs.make_inputs("corpus", 1) if i.name == "x1^2-x1+1+x2"),
         next(i for i in inputs.make_inputs("near-zero", 1) if i.name == "(x1-x2)^2+1e-2"),
+        # n2 = 0, certified at (32, 32): a raise degree policy that moves
+        # off the bench's replay (_replay_kernel) fails here.
+        next(i for i in inputs.make_inputs("near-zero", 1) if i.name == "(x1-33/64)^2+1e-2"),
         next(i for i in inputs.make_inputs("sweep", 1) if i.kind == inputs.REFUTE),
     ]
     cli_pass = run.CliPass(main, tmp_path, {})
@@ -51,6 +55,8 @@ def test_traced_inputs_replay_and_match_cli(bench, tmp_path):
             library[f"{inp.name}/{op}"] = digest
     assert cli_pass.failures == []
     assert sorted(library) == [
+        "(x1-33/64)^2+1e-2/certify_raise",
+        "(x1-33/64)^2+1e-2/enclose",
         "(x1-x2)^2+1e-2/certify_raise",
         "(x1-x2)^2+1e-2/enclose",
         "x1^2-x1+1+x2/certify_nested",

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import berncert
-from berncert import BPoly, PositivityCertificate, nested, raising
+from berncert import BPoly, PositivityCertificate, cli, nested, raising
 from berncert.cli import main
 from berncert.documents import (
     CertificateDocument,
@@ -769,6 +769,60 @@ def test_failure_record(poly_file, tmp_path, capsys, name):
     assert all(key.isidentifier() and value for key, _, value in (t.partition("=") for t in tokens))
     assert tokens[0].startswith("status=")
 
+
+
+# Command lines that main parses with only the named command's parser, and
+# their exit codes: argparse refuses most; two parse, the last --max-iter
+# winning.
+PARSE_LINES = {
+    "missing-positional": (["certify", "{worked}", "--method", "raise"], 1),
+    "bad-method": (["certify", "{worked}", "{out}", "--method", "sos"], 1),
+    "bad-int": (["enclose-min", "{worked}", "--q1", "two", "--q2", "2"], 1),
+    "unknown-option": (["verify", "{worked}", "{out}", "--fast"], 1),
+    "abbreviation": (["certify", "{worked}", "{out}", "--meth", "raise"], 0),
+    "repeated-max-iter": (
+        ["enclose-min", "{worked}", "--target-width", "1/10", "--max-iter", "1", "--max-iter", "8"],
+        0,
+    ),
+    "eval-without-at": (["eval", "{worked}"], 1),
+    "option-before-command": (["--max-iter", "3", "certify", "{worked}", "{out}"], 1),
+    "unknown-command": (["frobnicate", "{worked}"], 1),
+    "no-command": ([], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_LINES))
+def test_one_command_parser_gives_the_whole_parsers_outcome(poly_file, tmp_path, capsys,
+                                                          monkeypatch, name):
+    # Byte for byte: exit code, output, record, and the file written.
+    line, code = PARSE_LINES[name]
+    paths = {"worked": poly_file(WORKED, "worked.txt"), "out": tmp_path / "cert.txt"}
+    argv = [arg.format(**paths) for arg in line]
+    outcomes = []
+    for parse in (cli._parse, lambda line: cli.build_parser().parse_args(line)):
+        monkeypatch.setattr(cli, "_parse", parse)
+        outcomes.append((main(argv), capsys.readouterr(), paths["out"].exists()))
+        paths["out"].unlink(missing_ok=True)
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == code
+    assert outcomes[0][1].err.startswith("status=usage-error detail=") == (code == 1)
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_command_help_is_the_whole_parsers(capsys, command):
+    assert main([command, "-h"]) == 0
+    own = capsys.readouterr()
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([command, "-h"])
+    assert capsys.readouterr() == own
+    assert own.out.startswith(f"usage: berncert {command} [-h]")
+
+
+def test_help_lists_every_command(capsys):
+    assert main(["--help"]) == 0
+    listed = capsys.readouterr().out
+    assert "{certify,verify,enclose-min,eval}" in listed
+    assert all(f"    {command} " in listed for command in cli._COMMANDS)
 
 
 # Degrees forced below what the method's bounds give, on WORKED: nested keeps

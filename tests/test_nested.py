@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from berncert import (
     BPoly,
@@ -187,6 +187,67 @@ class TestNestedQ1Oracle:
             except InconclusiveError:
                 pass  # keep the drawn lambda
         _assert_q1_matches_oracle(p, lam, max_levels)
+
+
+def _fraction_q2(p, q1, report, max_levels):
+    """A Fraction second stage, the oracle for nested_q2: each coefficient
+    polynomial A_i(x2) enclosed as a UPoly under the Fraction form of the
+    stop rule, its Goursat maximum taken on Fractions, and the worst row
+    picked by Fraction division, the first of equal ratios."""
+    infs, maxbs = [], []
+    for i, a in enumerate(coefficient_bernstein_polys(p, q1)):
+        try:
+            enc = range_enclosure_1d(
+                a,
+                predicate=lambda e: e.min_value <= 0 or (e.lo > 0 and e.min_value <= 2 * e.lo),
+                max_levels=max_levels,
+            )
+        except InconclusiveError as exc:
+            reason = f"could not be certified positive within {max_levels} bisection levels"
+            return "inconclusive", f"coefficient polynomial {i} {reason}", exc.best
+        if enc.min_value <= 0 or enc.lo <= 0:
+            reason = f"is not certifiably positive (value {enc.min_value} at {enc.min_point})"
+            return "inconclusive", f"coefficient polynomial {i} {reason}", enc
+        infs.append(enc.lo)
+        maxbs.append(max(abs(c) for c in goursat_coefficients(a, n=p.n2)))
+    maxb, inf = max(zip(maxbs, infs), key=lambda row: row[0] / row[1])
+    q2 = 2 * powers_reznick_degree(p.n2, maxb, inf)
+    fields = (report.q1, report.lambda_lower, report.l_upper, q2, tuple(infs), tuple(maxbs))
+    return "ok", q2, fields
+
+
+def _q2_outcome(p, q1, report, max_levels):
+    try:
+        q2, full = nested_q2(p, q1, report, max_levels)
+    except InconclusiveError as exc:
+        return "inconclusive", str(exc), exc.best
+    return "ok", q2, full._values()
+
+
+class TestNestedQ2Oracle:
+    """The integer second stage equals a Fraction one: per-row bounds,
+    worst row and q2."""
+
+    @pytest.mark.parametrize("name, p", BIVARIATE_CORPUS, ids=[n for n, _ in BIVARIATE_CORPUS])
+    def test_corpus(self, name, p):
+        q1, report = nested_q1(p)
+        got = _q2_outcome(p, q1, report, 64)
+        assert got[0] == "ok"
+        assert got == _fraction_q2(p, q1, report, 64)
+
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_polys(), st.booleans(), st.integers(0, 40), st.integers(0, 4))
+    @example(WORKED, False, 2438, 0)  # row 158 at the level cap, as in TestQ2Inconclusive
+    def test_random(self, p, lifted, extra, max_levels):
+        # Lifted by the sum of its coefficient magnitudes plus one, p is at
+        # least 1 on the box, and its rows are positive.  Unlifted, or at a
+        # low level cap, a row may give up either way, and that is compared.
+        if lifted:
+            lift = sum(abs(a) for row in p.coeffs for a in row) + 1
+            p = BPoly([[p.coeffs[0][0] + lift, *p.coeffs[0][1:]], *p.coeffs[1:]])
+        _, report = nested_q1(p, lambda_lower=1)
+        q1 = p.n1 + extra
+        assert _q2_outcome(p, q1, report, max_levels) == _fraction_q2(p, q1, report, max_levels)
 
 
 class TestNestedQ2:

@@ -32,6 +32,7 @@ from berncert.univariate import (
     _cleared,
     _decasteljau_halves,
     _differences,
+    _enclosure,
     _goursat,
     _plain_kernel,
     _plain_pass,
@@ -318,29 +319,56 @@ def _enclosure_or_best(enclose):
         return "inconclusive", exc.best
 
 
-# The stopping rules of certify_positive_1d and of nested_q2.
-PREDICATES = {
-    "certify_positive_1d": lambda e: e.lo > 0 or e.min_value <= 0,
-    "nested_q2": lambda e: e.min_value <= 0 or (e.lo > 0 and e.min_value <= 2 * e.lo),
+def _fraction_within(width):
+    """The Fraction form of ``_within(width)``."""
+    return lambda e: e.min_value - e.lo <= width and e.hi - e.max_value <= width
+
+
+def _positive_stop(lo, hi, levels, min_value, *_):
+    """certify_positive_1d's stop rule on a level's integers."""
+    return lo > 0 or min_value <= 0
+
+
+# The stop rules of the package, each as a rule on a level's integers and in
+# its Fraction form on the level's RangeEnclosure1D.
+STOPS = {
+    "certify_positive_1d": (_positive_stop, lambda e: e.lo > 0 or e.min_value <= 0),
+    "nested_q2": (
+        _q2_stop,
+        lambda e: e.min_value <= 0 or (e.lo > 0 and e.min_value <= 2 * e.lo),
+    ),
 }
+
+
+def _stops(mode, width):
+    """(integer stop, Fraction predicate) of a mode of the oracle tests."""
+    if mode == "within":
+        return _within(width), _fraction_within(width)
+    return STOPS[mode]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=40), min_size=1, max_size=9)
     .map(UPoly),
-    st.sampled_from(["max_width", *PREDICATES]),
+    st.sampled_from(["max_width", "predicate", "within", *STOPS]),
     st.fractions(min_value=Fraction(1, 1000), max_value=2),
     st.integers(0, 10),
 )
 def test_range_enclosure_matches_fraction_oracle(p, mode, width, max_levels):
+    # "max_width" and "predicate" are range_enclosure_1d's two adapters;
+    # the other modes drive _range_enclosure through an integer stop.
     if mode == "max_width":
-        kwargs = {"max_width": width}
-        predicate = lambda e: e.min_value - e.lo <= width and e.hi - e.max_value <= width
+        predicate = _fraction_within(width)
+        enclose = lambda: range_enclosure_1d(p, width, max_levels=max_levels)
+    elif mode == "predicate":
+        predicate = STOPS["nested_q2"][1]
+        enclose = lambda: range_enclosure_1d(p, predicate=predicate, max_levels=max_levels)
     else:
-        kwargs = {"predicate": PREDICATES[mode]}
-        predicate = PREDICATES[mode]
-    got = _enclosure_or_best(lambda: range_enclosure_1d(p, max_levels=max_levels, **kwargs))
+        stop, predicate = _stops(mode, width)
+        (ints,), den = _cleared([p.coeffs])
+        enclose = lambda: _enclosure(*_range_enclosure(ints, den, stop, max_levels))
+    got = _enclosure_or_best(enclose)
     want = _enclosure_or_best(lambda: _fraction_range_enclosure(p, predicate, max_levels))
     assert got == want
 
@@ -406,21 +434,53 @@ def _passive_range_enclosure(coeffs, den, predicate, max_levels):
 @given(
     st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=40), min_size=1, max_size=8),
     st.integers(1, 50),
-    st.sampled_from(["certify_positive_1d", "nested_q2", "within"]),
+    st.sampled_from(["within", *STOPS]),
     st.fractions(min_value=Fraction(1, 1000), max_value=2),
     st.integers(0, 12),
 )
 def test_range_enclosure_matches_passive_oracle(coeffs, den, mode, width, max_levels):
-    # The stop rules that call _range_enclosure: certify_positive_1d's,
-    # nested's _q2_stop and range_enclosure_1d's _within.
-    predicate = {
-        "certify_positive_1d": PREDICATES["certify_positive_1d"],
-        "nested_q2": _q2_stop,
-        "within": _within(width),
-    }[mode]
-    got = _enclosure_or_best(lambda: _range_enclosure(coeffs, den, predicate, max_levels))
+    # Every stop rule that calls _range_enclosure, on its integers; the
+    # oracle takes the rule's Fraction form.
+    stop, predicate = _stops(mode, width)
+    (ints,), kden = _cleared([coeffs])
+    level = lambda: _range_enclosure(ints, kden * den, stop, max_levels)
+    got = _enclosure_or_best(lambda: _enclosure(*level()))
     want = _enclosure_or_best(lambda: _passive_range_enclosure(coeffs, den, predicate, max_levels))
     assert got == want
+
+
+@st.composite
+def levels_st(draw):
+    """A bisection level on integers, often with a gap on the boundary of a
+    stop rule: min_value - lo or hi - max_value exactly width * scale, or
+    min_value exactly 2 lo."""
+    width = draw(st.fractions(min_value=Fraction(1, 1000), max_value=4))
+    scale = width.denominator * draw(st.integers(1, 10**6))
+    edge = width.numerator * (scale // width.denominator)
+    gap = st.one_of(st.integers(0, 10**7), st.sampled_from([edge - 1, edge, edge + 1]).filter(
+        lambda g: g >= 0
+    ))
+    lo = draw(st.integers(-(10**7), 10**7))
+    min_value = draw(st.one_of(st.just(2 * lo), st.builds(lambda g: lo + g, gap)))
+    min_value = max(min_value, lo)
+    max_value = draw(st.integers(min_value, min_value + 10**7))
+    hi = max_value + draw(gap)
+    levels = draw(st.integers(0, 8))
+    points = st.integers(0, 1 << levels)
+    level = (lo, hi, levels, min_value, draw(points), max_value, draw(points), scale)
+    return width, level
+
+
+@settings(max_examples=500, deadline=None)
+@given(levels_st())
+def test_integer_stops_decide_as_fraction_forms(drawn):
+    # _q2_stop and _within(w) on a level's integers against their Fraction
+    # forms on the same level's RangeEnclosure1D.
+    width, level = drawn
+    enc = _enclosure(*level)
+    assert _q2_stop(*level) == STOPS["nested_q2"][1](enc)
+    assert _within(width)(*level) == _fraction_within(width)(enc)
+    assert _positive_stop(*level) == STOPS["certify_positive_1d"][1](enc)
 
 
 def _forward_kernel(vectors, q):
