@@ -21,11 +21,17 @@ C(k,i) C(l,j) (``univariate._weights``); the values of p on the grid
 (k/q1, l/q2) are another such polynomial, whose binomial-basis coefficients
 are the forward differences at 0 (``univariate._differences``) of its
 values at k <= n1, l <= n2.  Both are cleared to small integers and searched
-by ``_grid_min``, which walks the grid by prefix sums (``univariate._values``,
-the table that also gives the certificate, run forwards where
-``_differences`` runs it backwards), so the minimum coefficient and the
-refutation witness cost O(q1*q2*(n1+n2)) additions of integers of about
-(n1+n2) log q bits.  The plain matrix is built only at the certifying degrees.
+by ``_grid_min``, a branch and bound that drops the parts of the grid whose
+Bernstein bound (the paper's tool, turned on the index polynomial) shows
+they hold no earlier minimum, and scans the rest by prefix sums
+(``univariate._values``, the table that also gives the certificate, run
+forwards where ``_differences`` runs it backwards).  So the minimum
+coefficient and the refutation witness cost O(n1+n2) additions of integers
+of about (n1+n2) log q bits per point scanned: the whole grid at worst,
+O(q1*q2*(n1+n2)), but near an isolated minimum a few rows of a few
+rectangles of at most ``LEAF`` points, and along a valley of minima the
+rectangles it crosses.  The plain matrix is built only at the certifying
+degrees.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .certificates import (
@@ -49,6 +57,7 @@ from .univariate import _cleared, _differences, _values, _weights
 
 DEFAULT_DOUBLING_CAP = 20  # degree doublings before a raising loop gives up
 MAX_GRID_DEGREE = sys.maxsize - 1  # the largest q whose q + 1 grid points a list holds
+LEAF = 65 * 65  # grid points of a rectangle that _grid_min scans rather than halves
 
 
 class BernsteinForm2D(Record):
@@ -106,21 +115,123 @@ class RaiseReport(Record):
         )
 
 
+@lru_cache(maxsize=256)
+def _bernstein_weights(d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """For each Bernstein index k <= n, the tuple over i <= n of (n!)**2
+    times the k-th Bernstein coefficient at degree n, on s in [0, 1], of
+    C(d*s, i).  These are integers, and for g(u) = sum_i c[i] C(u, i) the
+    smallest over k of sum_i c[i] times the k-th tuple's i-th entry is
+    (n!)**2 times a lower bound of g on [0, d].  i! C(d*s, i) is
+    prod_{r<i} (d*s - r), made in the plain basis s**k (1-s)**(i-k) one
+    linear factor at a time and raised to degree n by factors (1-s) + s;
+    its Bernstein coefficients are the plain ones over C(n, k)."""
+    fact = math.factorial
+    rows, plain = [], [1]
+    for i in range(n + 1):
+        raised = plain
+        for _ in range(n - i):
+            raised = [a + c for a, c in zip(raised + [0], [0] + raised)]
+        scale = fact(n) // fact(i)
+        rows.append([v * scale * fact(k) * fact(n - k) for k, v in enumerate(raised)])
+        plain = [(d - i) * c - i * a for a, c in zip(plain + [0], [0] + plain)]
+    return tuple(zip(*rows))
+
+
+def _shifted(coeffs: Sequence[int], x0: int) -> Sequence[int]:
+    """The coefficients of u -> g(x0 + u) in the binomial basis, for
+    g(x) = sum_i coeffs[i] C(x, i): by Vandermonde's identity
+    C(x0+u, i) = sum_m C(x0, i-m) C(u, m)."""
+    if not x0:
+        return coeffs
+    binomials = [math.comb(x0, t) for t in range(len(coeffs))]
+    return [sum(map(mul, coeffs[m:], binomials)) for m in range(len(coeffs))]
+
+
 def _grid_min(b: Sequence[Sequence[int]], q1: int, q2: int) -> tuple[int, int, int]:
     """First row-major minimum (f(k, l), k, l) over [0..q1] x [0..q2] of
 
         f(k, l) = sum_{i,j} b[i][j] C(k,i) C(l,j),
 
-    an integer polynomial given in the binomial basis.  The columns' values
-    along k (``univariate._values``, prefix sums) are built once; each row k
-    then gives the coefficients along l.
+    an integer polynomial given in the binomial basis, by depth-first
+    branch and bound over rectangles of grid indices.  A part of the grid is
+    bounded below by the smallest tensor Bernstein coefficient of f on it:
+    f shifted to the part's first point (``_shifted``), mapped onto the unit
+    box by the affine change and scaled to integers (``_bernstein_weights``).
+    It is dropped when the bound shows it holds no point before the best one
+    found in the order (f(k, l), k, l).
+
+    The columns' values along k (``univariate._values``, prefix sums) are
+    built once; each row k then gives the coefficients along l.  A rectangle
+    of at most ``LEAF`` points is scanned row by row, so a grid of at most
+    ``LEAF`` points is one scan: its rows' coefficients, shifted to its first
+    column, and their bounds come from prefix sums along k, and a row not
+    dropped is scanned by prefix sums along l.  A larger rectangle is halved
+    across the side that is longer as a share of its axis, and the halves
+    are visited lowest bound first.  The cost is O(n1+n2) additions per point
+    of the rows scanned, plus O(n1*n2*(n1+n2)) per rectangle: near an
+    isolated minimum a few rows of a few rectangles, along a valley of
+    minima every rectangle it crosses.
     """
-    best = None
-    for k, coeffs in enumerate(zip(*(_values(col, q1) for col in zip(*b)))):
-        row = _values(coeffs, q2)
-        m = min(row)
-        if best is None or m < best[0]:
-            best = (m, k, row.index(m))
+    n1, n2 = len(b) - 1, len(b[0]) - 1
+    cols = [_values(col, q1) for col in zip(*b)]  # cols[j][k]: row k's coefficient of C(l, j)
+    scale1, scale2 = math.factorial(n1) ** 2, math.factorial(n2) ** 2
+    best = (b[0][0], 0, 0)  # f(0, 0)
+
+    def beaten(low: int, scale: int, k0: int, l0: int) -> bool:
+        """Whether a part bounded below by low / scale, whose first point is
+        (k0, l0), holds no point before the best."""
+        value, k, l = best
+        return low > value * scale or low == value * scale and (k0, l0) > (k, l)
+
+    corners: dict = {}  # a leaf's parent has made its corner to bound it
+
+    def corner(k0: int, l0: int, l1: int) -> tuple[list[Sequence[int]], list[list[int]]]:
+        """f(k0 + u, l0 + v) in the binomial basis, and the coefficients in
+        C(u, i) of its rows' Bernstein coefficients on [l0, l1], times
+        scale2."""
+        if (k0, l0, l1) not in corners:
+            shifted = [_shifted(row, l0) for row in zip(*(_shifted(col, k0) for col in zip(*b)))]
+            weights = _bernstein_weights(l1 - l0, n2)
+            bounded = [[sum(map(mul, row, w)) for w in weights] for row in shifted]
+            corners[k0, l0, l1] = shifted, bounded
+        return corners[k0, l0, l1]
+
+    def scan(k0: int, k1: int, l0: int, l1: int) -> None:
+        nonlocal best
+        shifted, bounded = corner(k0, l0, l1)
+        lows = map(min, zip(*(_values(col, k1 - k0) for col in zip(*bounded))))
+        if l0:
+            rows = zip(*(_values(col, k1 - k0) for col in zip(*shifted)))
+        else:  # no shift: the rows of the columns' values
+            rows = zip(*(col[k0 : k1 + 1] for col in cols))
+        for k, low, coeffs in zip(range(k0, k1 + 1), lows, rows):
+            if beaten(low, scale2, k, l0):
+                continue
+            row = _values(coeffs, l1 - l0)
+            m = min(row)
+            if m <= best[0]:
+                best = min(best, (m, k, l0 + row.index(m)))
+
+    def bound(k0: int, k1: int, l0: int, l1: int) -> int:
+        _, bounded = corner(k0, l0, l1)
+        weights = _bernstein_weights(k1 - k0, n1)
+        return min(sum(map(mul, u, v)) for v in zip(*bounded) for u in weights)
+
+    todo = [(None, 0, q1, 0, q2)]  # (bound, rectangle), the next last; the grid has no bound
+    while todo:
+        low, k0, k1, l0, l1 = todo.pop()
+        if low is not None and beaten(low, scale1 * scale2, k0, l0):
+            continue
+        if (k1 - k0 + 1) * (l1 - l0 + 1) <= LEAF:
+            scan(k0, k1, l0, l1)
+            continue
+        if k1 > k0 and (k1 - k0) * q2 >= (l1 - l0) * q1:
+            mid = (k0 + k1) // 2
+            halves = [(k0, mid, l0, l1), (mid + 1, k1, l0, l1)]
+        else:
+            mid = (l0 + l1) // 2
+            halves = [(k0, k1, l0, mid), (k0, k1, mid + 1, l1)]
+        todo += sorted(((bound(*half), *half) for half in halves), reverse=True)  # lowest last
     return best
 
 

@@ -68,9 +68,23 @@ MUTANTS = [
     (
         "grid-min-last-tie",
         "raising.py",
-        "if best is None or m < best[0]:",
-        "if best is None or m <= best[0]:",
+        "best = min(best, (m, k, l0 + row.index(m)))",
+        "best = (m, k, l0 + row.index(m))",
         [f"{RAISING}::TestRefutationWitness::test_tie_and_degree_zero_witnesses"],
+    ),
+    (
+        "grid-min-prunes-ties",
+        "raising.py",
+        "return low > value * scale or",
+        "return low >= value * scale or",
+        [f"{RAISING}::TestGridMinSearch::test_search_matches_scan"],
+    ),
+    (
+        "grid-min-tie-index-reversed",
+        "raising.py",
+        "(k0, l0) > (k, l)",
+        "(k0, l0) < (k, l)",
+        [f"{RAISING}::TestGridMinSearch::test_search_matches_scan"],
     ),
     (
         "binomial-row-off-by-one",

@@ -1,6 +1,7 @@
 """Command line interface: subcommands, exit codes, diagnostics."""
 
 import io
+import math
 import os
 import stat
 import subprocess
@@ -920,3 +921,34 @@ def test_refused_allocation_is_out_of_memory(poly_file, tmp_path, argv):
     code, out, err = _run([arg.format(**paths) for arg in argv])
     assert (code, out, err) == (1, "", "status=out-of-memory\n")
     assert not paths["out"].exists()
+
+
+def test_swapped_huge_grid_is_searched(poly_file):
+    # The swapped case of the refused allocation: three rows of 10**15 + 1
+    # points.  The columns along k hold three entries, and the search halves
+    # the long rows towards each row's minimum, so the run prints an enclosure.
+    q2 = 10**15
+    start = time.perf_counter()
+    code, out, err = _run(["enclose-min", poly_file(WORKED), "--q1", "2", "--q2", str(q2)])
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (0, "")
+    assert out == (
+        "-1000000000000001/7999999999999992 "
+        "125000000000000624999999999998000000000000001/"
+        "999999999999999000000000000000000000000000000 2 1000000000000000\n"
+    )
+    # Row k of the normalized coefficients of 1/8 + x1^2 - 2 x1 x2 + x2^2 is
+    # the quadratic 1/8 + C(k,2) - k l / q2 + C(l,2) / C(q2,2) in l, least
+    # at an integer next to its vertex l = (k (q2-1) + 1) / 2 or at an end.
+    def row(k, l):
+        return Fraction(1, 8) + math.comb(k, 2) - Fraction(k * l, q2) + Fraction(
+            math.comb(l, 2), math.comb(q2, 2)
+        )
+
+    candidates = [
+        row(k, l)
+        for k in range(3)
+        for l in (0, q2, (k * (q2 - 1) + 1) // 2, (k * (q2 - 1) + 2) // 2)
+        if 0 <= l <= q2
+    ]
+    assert Fraction(out.split()[0]) == min(candidates)

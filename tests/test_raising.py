@@ -32,6 +32,7 @@ from berncert import (
 from berncert import raising
 from berncert.polys import grid_values
 from berncert.raising import min_enclosure_to_width, plain_coeffs
+from berncert.univariate import _differences, _values
 
 from corpus import BIVARIATE_CORPUS, random_fraction, random_unit_fraction
 
@@ -429,6 +430,103 @@ class TestMinimumScan:
         assert enc.c_min == min_coeff(bern_coeffs(p, enc.q1, enc.q2))
 
 
+def _scan_grid_min(b, q1, q2):
+    """The oracle for ``raising._grid_min``: every grid point, row by row,
+    by the same prefix sums, keeping the first row-major minimum."""
+    best = None
+    for k, coeffs in enumerate(zip(*(_values(col, q1) for col in zip(*b)))):
+        row = _values(coeffs, q2)
+        m = min(row)
+        if best is None or m < best[0]:
+            best = (m, k, row.index(m))
+    return best
+
+
+def _binomial_basis(f, n1, n2):
+    """b with f(k, l) = sum_{i,j} b[i][j] C(k,i) C(l,j), for an integer-valued
+    f of degrees at most (n1, n2): its values at k <= n1, l <= n2, differenced
+    along both axes."""
+    cols = [_differences([f(k, l) for k in range(n1 + 1)]) for l in range(n2 + 1)]
+    return [_differences(row) for row in zip(*cols)]
+
+
+def _roots_poly(roots):
+    return lambda x: math.prod(x - r for r in roots)
+
+
+@st.composite
+def index_polys(draw):
+    """b of f(k, l) = s1 A(k)**2 + s2 B(l)**2 + t (k - a)(l - c) + e:
+    A and B have up to three integer roots, so with t = 0 the minimum is tied
+    at every pair of roots on the grid, along a whole row or column when one
+    of s1, s2 is 0, and everywhere when both are."""
+    grid = st.integers(0, 300)
+    roots1 = draw(st.lists(grid, max_size=3))
+    roots2 = draw(st.lists(grid, max_size=3))
+    s1, s2 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    t, a, c = draw(st.sampled_from((0, 0, -1, 1))), draw(grid), draw(grid)
+    e = draw(st.integers(-9, 9))
+    n1 = max(2 * len(roots1) * (s1 > 0), abs(t))
+    n2 = max(2 * len(roots2) * (s2 > 0), abs(t))
+    f1, f2 = _roots_poly(roots1), _roots_poly(roots2)
+    f = lambda k, l: s1 * f1(k) ** 2 + s2 * f2(l) ** 2 + t * (k - a) * (l - c) + e
+    return _binomial_basis(f, n1, n2)
+
+
+class TestGridMinSearch:
+    """The branch and bound of ``_grid_min`` finds the oracle's first
+    row-major minimum, value and index, on grids above and below LEAF."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            index_polys(),
+            st.lists(  # b drawn directly: degrees 0..6, the minimum mostly at an edge
+                st.lists(st.integers(-50, 50), min_size=7, max_size=7), min_size=1, max_size=7
+            ).flatmap(lambda b: st.integers(1, 7).map(lambda n2: [r[:n2] for r in b])),
+        ),
+        st.integers(0, 300),
+        st.integers(0, 300),
+    )
+    @example(_binomial_basis(lambda k, l: 5, 0, 0), 300, 300)  # constant: every point ties
+    @example(_binomial_basis(lambda k, l: (l - 150) ** 2 * (l - 40) ** 2, 0, 4), 300, 300)
+    @example(_binomial_basis(lambda k, l: (k - 200) ** 2 * (k - 70) ** 2, 4, 0), 300, 300)
+    @example(
+        _binomial_basis(lambda k, l: ((k - 20) * (k - 250)) ** 2 + ((l - 9) * (l - 280)) ** 2,
+                        4, 4),
+        290, 290,
+    )
+    # Tied minima where the search meets a later tie first (the prune's > and
+    # its index comparison decide these)
+    @example(_binomial_basis(lambda k, l: 1 + ((l - 74) * (l - 79)) ** 2, 0, 4), 200, 149)
+    @example(_binomial_basis(lambda k, l: ((k - 32) * (k - 40)) ** 2, 4, 0), 64, 98)
+    def test_search_matches_scan(self, b, q1, q2):
+        assert raising._grid_min(b, q1, q2) == _scan_grid_min(b, q1, q2)
+
+    @pytest.mark.parametrize(
+        "search", ["c_min", "refute"], ids=["worked-c_min", "diagonal-refute"]
+    )
+    def test_at_1025_squared(self, search, monkeypatch):
+        # The worked example's c_min grid, and the refutation grid of
+        # (x1-x2)**2, which is 0 along the whole diagonal.
+        grids, search_min = [], raising._grid_min
+
+        def spy(b, q1, q2):
+            grids.append((b, q1, q2))
+            return search_min(b, q1, q2)
+
+        monkeypatch.setattr(raising, "_grid_min", spy)
+        if search == "c_min":
+            raising._c_min(WORKED, 1024, 1024)
+        else:
+            diagonal = BPoly([[0, 0, 1], [0, -2, 0], [1, 0, 0]])
+            with pytest.raises(NotPositiveError):
+                raising._refute(diagonal, min_enclosure(diagonal, 1024, 1024))
+        b, q1, q2 = grids[-1]
+        assert (q1 + 1) * (q2 + 1) > raising.LEAF
+        assert search_min(b, q1, q2) == _scan_grid_min(b, q1, q2)
+
+
 def _last_grid(p):
     """The first doubled degrees whose enclosure proves min p <= 0."""
     q1, q2 = max(p.n1, 2), max(p.n2, 2)
@@ -609,7 +707,8 @@ class TestBoxSymmetries:
 
     @pytest.mark.parametrize("p", [p for _, p in BIVARIATE_CORPUS], ids=CORPUS_IDS)
     def test_c_min_is_reflection_invariant(self, p):
-        q1, q2 = max(p.n1, 4), max(p.n2, 4)
-        c_min = min_enclosure(p, q1, q2).c_min
-        assert min_enclosure(_reflected(p), q1, q2).c_min == c_min
-        assert min_enclosure(_swapped(_reflected(_swapped(p))), q1, q2).c_min == c_min
+        # A 129 x 129 grid is above LEAF: its search halves and prunes.
+        for q1, q2 in ((max(p.n1, 4), max(p.n2, 4)), (128, 128)):
+            c_min = min_enclosure(p, q1, q2).c_min
+            assert min_enclosure(_reflected(p), q1, q2).c_min == c_min
+            assert min_enclosure(_swapped(_reflected(_swapped(p))), q1, q2).c_min == c_min
