@@ -25,13 +25,14 @@ by ``_grid_min``, a branch and bound that drops the parts of the grid whose
 Bernstein bound (the paper's tool, turned on the index polynomial) shows
 they hold no earlier minimum, and scans the rest by prefix sums
 (``univariate._values``, the table that also gives the certificate, run
-forwards where ``_differences`` runs it backwards).  So the minimum
-coefficient and the refutation witness cost O(n1+n2) additions of integers
-of about (n1+n2) log q bits per point scanned: the whole grid at worst,
-O(q1*q2*(n1+n2)), but near an isolated minimum a few rows of a few
-rectangles of at most ``LEAF`` points, and along a valley of minima the
-rectangles it crosses.  The plain matrix is built only at the certifying
-degrees.
+forwards where ``_differences`` runs it backwards).  Within a rectangle the
+rows go lowest bound first, and the scan stops at the first row the bound
+rules out.  So the minimum coefficient and the refutation witness cost
+O(n1+n2) additions of integers of about (n1+n2) log q bits per point
+scanned: the whole grid at worst, O(q1*q2*(n1+n2)), but near an isolated
+minimum a few rows of a few rectangles of at most ``LEAF`` points, and along
+a valley of minima the rectangles it crosses.  The plain matrix is built
+only at the certifying degrees.
 """
 
 from __future__ import annotations
@@ -164,13 +165,16 @@ def _grid_min(b: Sequence[Sequence[int]], q1: int, q2: int) -> tuple[int, int, i
     built once; each row k then gives the coefficients along l.  A rectangle
     of at most ``LEAF`` points is scanned row by row, so a grid of at most
     ``LEAF`` points is one scan: its rows' coefficients, shifted to its first
-    column, and their bounds come from prefix sums along k, and a row not
-    dropped is scanned by prefix sums along l.  A larger rectangle is halved
-    across the side that is longer as a share of its axis, and the halves
-    are visited lowest bound first.  The cost is O(n1+n2) additions per point
-    of the rows scanned, plus O(n1*n2*(n1+n2)) per rectangle: near an
-    isolated minimum a few rows of a few rectangles, along a valley of
-    minima every rectangle it crosses.
+    column, and their bounds come from prefix sums along k.  The rows are
+    visited in the order (bound, k) and scanned by prefix sums along l, and
+    the scan stops at the first row that is dropped: every later row is
+    dropped too, since its bound is no lower, a tied bound has a later k,
+    and the best only falls in the order (f(k, l), k, l).  A larger
+    rectangle is halved across the side that is longer as a share of its
+    axis, and the halves are visited lowest bound first.  The cost is
+    O(n1+n2) additions per point of the rows scanned, plus O(n1*n2*(n1+n2))
+    per rectangle: near an isolated minimum a few rows of a few rectangles,
+    along a valley of minima every rectangle it crosses.
     """
     n1, n2 = len(b) - 1, len(b[0]) - 1
     cols = [_values(col, q1) for col in zip(*b)]  # cols[j][k]: row k's coefficient of C(l, j)
@@ -204,9 +208,9 @@ def _grid_min(b: Sequence[Sequence[int]], q1: int, q2: int) -> tuple[int, int, i
             rows = zip(*(_values(col, k1 - k0) for col in zip(*shifted)))
         else:  # no shift: the rows of the columns' values
             rows = zip(*(col[k0 : k1 + 1] for col in cols))
-        for k, low, coeffs in zip(range(k0, k1 + 1), lows, rows):
+        for low, k, coeffs in sorted(zip(lows, range(k0, k1 + 1), rows)):  # k breaks ties
             if beaten(low, scale2, k, l0):
-                continue
+                break  # so is every later row: best only falls, the bounds only rise
             row = _values(coeffs, l1 - l0)
             m = min(row)
             if m <= best[0]:
@@ -276,17 +280,13 @@ def min_coeff(b: BernsteinForm2D) -> Fraction:
 
 def gamma_bounds(p: BPoly) -> tuple[Fraction, Fraction]:
     """The pair (gamma1, gamma2) with gamma1 = (1/2) sum |a_ij| i(i-1) and
-    gamma2 the symmetric sum weighted by j(j-1)."""
-    g1 = Fraction(0)
-    g2 = Fraction(0)
-    for i, row in enumerate(p.coeffs):
-        for j, a in enumerate(row):
-            if a == 0:
-                continue
-            mag = abs(a)
-            g1 += mag * (i * (i - 1))
-            g2 += mag * (j * (j - 1))
-    return g1 / 2, g2 / 2
+    gamma2 the symmetric sum weighted by j(j-1).  Both sums run on the
+    integers D a_ij of ``univariate._cleared``; each gamma is one Fraction,
+    made at the end."""
+    a, den = _cleared(p.coeffs)
+    g1 = sum(i * (i - 1) * sum(map(abs, row)) for i, row in enumerate(a))
+    g2 = sum(j * (j - 1) * sum(map(abs, col)) for j, col in enumerate(zip(*a)))
+    return Fraction(g1, 2 * den), Fraction(g2, 2 * den)
 
 
 def enclosure_bound(gamma1: Fraction, gamma2: Fraction, q1: int, q2: int) -> Fraction:

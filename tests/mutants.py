@@ -87,6 +87,20 @@ MUTANTS = [
         [f"{RAISING}::TestGridMinSearch::test_search_matches_scan"],
     ),
     (
+        "leaf-rows-highest-bound-first",
+        "raising.py",
+        "sorted(zip(lows, range(k0, k1 + 1), rows))",
+        "sorted(zip(lows, range(k0, k1 + 1), rows), reverse=True)",
+        [f"{RAISING}::TestGridMinSearch::test_search_matches_scan"],
+    ),
+    (
+        "gamma1-undoubled-denominator",
+        "raising.py",
+        "return Fraction(g1, 2 * den),",
+        "return Fraction(g1, den),",
+        [f"{RAISING}::TestGamma::test_matches_fraction_loop"],
+    ),
+    (
         "binomial-row-off-by-one",
         "polys.py",
         "row.append(row[-1] * (m - t) // (t + 1))",

@@ -112,6 +112,31 @@ class TestMinCoeff:
         assert min_coeff(bern_coeffs(SPHERE, 2, 2)) == 1
 
 
+entries = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def signed_polys(draw, max_degree=3):
+    """p with signed rational entries, zeros included, degrees 0..max_degree each."""
+    n1, n2 = draw(st.integers(0, max_degree)), draw(st.integers(0, max_degree))
+    return BPoly([[draw(entries) for _ in range(n2 + 1)] for _ in range(n1 + 1)])
+
+
+def _gamma_loop(p):
+    """The oracle for ``gamma_bounds``: the sums over p's entries, one
+    Fraction at a time."""
+    g1 = Fraction(0)
+    g2 = Fraction(0)
+    for i, row in enumerate(p.coeffs):
+        for j, a in enumerate(row):
+            if a == 0:
+                continue
+            mag = abs(a)
+            g1 += mag * (i * (i - 1))
+            g2 += mag * (j * (j - 1))
+    return g1 / 2, g2 / 2
+
+
 class TestGamma:
     def test_constant(self):
         assert gamma_bounds(BPoly([[1]])) == (0, 0)
@@ -121,6 +146,32 @@ class TestGamma:
 
     def test_sphere(self):
         assert gamma_bounds(SPHERE) == (1, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(signed_polys(max_degree=5))
+    @example(BPoly([[0]]))
+    @example(BPoly([[Fraction(-3, 4), Fraction(5, 6)], [Fraction(7, 10), -2]]))  # n1 = n2 = 1
+    @example(BPoly([[1], [0], [Fraction(-1, 3)], [Fraction(2, 7)]]))  # n2 = 0
+    @example(BPoly([[Fraction(1, 6), 0, 0, Fraction(-5, 9)]]))  # n1 = 0, zeros inside
+    @example(BPoly([[0, 0, Fraction(-1, 2**200)], [0, 0, 0], [Fraction(3, 5**90), 0, 7]]))
+    def test_matches_fraction_loop(self, p):
+        gammas = gamma_bounds(p)
+        assert gammas == _gamma_loop(p)
+        assert all(type(g) is Fraction for g in gammas)
+
+    def test_report_pairs(self):
+        # mixed denominators and signs: gamma1 = (3/7*2 + |-5/6|*2)/2, gamma2 = |-1/4|*2/2
+        p = BPoly([[2, 0, Fraction(-1, 4)], [0, 0, 0], [Fraction(3, 7), Fraction(-5, 6), 0]])
+        assert gamma_bounds(p) == (Fraction(53, 42), Fraction(1, 4))
+        cert = certify_raise(p)
+        enc = cert.report.enclosure
+        assert cert.report.pairs() == (
+            ("doublings", cert.report.doublings),
+            ("c_min", enc.c_min),
+            ("bound", enclosure_bound(Fraction(53, 42), Fraction(1, 4), cert.q1, cert.q2)),
+            ("gamma1", Fraction(53, 42)),
+            ("gamma2", Fraction(1, 4)),
+        )
 
 
 class TestMinEnclosure:
@@ -365,16 +416,6 @@ def _disc(a, b, r2):
     return BPoly([[a * a + b * b - r2, -2 * b, 1], [-2 * a, 0, 0], [1, 0, 0]])
 
 
-entries = st.fractions(min_value=-5, max_value=5, max_denominator=12)
-
-
-@st.composite
-def signed_polys(draw, max_degree=3):
-    """p with signed rational entries, zeros included, degrees 0..max_degree each."""
-    n1, n2 = draw(st.integers(0, max_degree)), draw(st.integers(0, max_degree))
-    return BPoly([[draw(entries) for _ in range(n2 + 1)] for _ in range(n1 + 1)])
-
-
 def _first_grid_minimum(p, q1, q2):
     """(point, value) of the first row-major minimum of p on (k/q1, l/q2)."""
     points1 = [Fraction(k, q1) for k in range(q1 + 1)]
@@ -500,6 +541,22 @@ class TestGridMinSearch:
     # its index comparison decide these)
     @example(_binomial_basis(lambda k, l: 1 + ((l - 74) * (l - 79)) ** 2, 0, 4), 200, 149)
     @example(_binomial_basis(lambda k, l: ((k - 32) * (k - 40)) ** 2, 4, 0), 64, 98)
+    # Tied minima on rows k = a < c whose row bounds are not in k order: row a
+    # is 0 throughout (bound 0), row c is 0 only at one l (bound below 0), so
+    # a leaf's sorted rows meet the later tie first and must still scan row a
+    @example(_binomial_basis(lambda k, l: ((k - 3) * (k - 40)) ** 2 + (k - 3) ** 2 * (l - 5) ** 2,
+                             4, 2), 60, 60)
+    @example(
+        _binomial_basis(
+            lambda k, l: ((k - 2) * (k - 20) * (k - 50)) ** 2 + (k - 2) ** 2 * (l - 31) ** 2, 6, 2
+        ),
+        64, 64,
+    )  # three tied rows, visited 50, 20, 2
+    @example(
+        _binomial_basis(lambda k, l: ((k - 3) * (k - 150)) ** 2 + (k - 3) ** 2 * (l - 120) ** 2,
+                        4, 2),
+        200, 200,
+    )  # the same above LEAF
     def test_search_matches_scan(self, b, q1, q2):
         assert raising._grid_min(b, q1, q2) == _scan_grid_min(b, q1, q2)
 
@@ -525,6 +582,24 @@ class TestGridMinSearch:
         b, q1, q2 = grids[-1]
         assert (q1 + 1) * (q2 + 1) > raising.LEAF
         assert search_min(b, q1, q2) == _scan_grid_min(b, q1, q2)
+
+    def test_leaf_scan_prunes_rows(self, monkeypatch):
+        # x1^2 - x1 + 1 + x2 has its minimum only at (1/2, 0), and its c_min
+        # grid at 64^2 is one leaf.  Its rows taken lowest bound first stop
+        # after a few (13% of the full scan's prefix-sum additions); taken in
+        # k order, the bounds dropped few of them (59%).
+        added = []
+
+        def counting(coeffs, q):
+            added.append((len(coeffs) - 1) * q)
+            return _values(coeffs, q)
+
+        monkeypatch.setattr(raising, "_values", counting)
+        p, q = BPoly([[1, 1], [-1, 0], [1, 0]]), 64
+        assert raising._c_min(p, q, q) == min_coeff(bern_coeffs(p, q, q))
+        # the full scan: the n2 + 1 columns along k, then q + 1 rows along l
+        full = (p.n2 + 1) * p.n1 * q + (q + 1) * p.n2 * q
+        assert sum(added) <= full // 4
 
 
 def _last_grid(p):
