@@ -315,7 +315,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         _diag(status="io-error", detail=str(exc))
         return 1
-    except MemoryError:  # an allocation the machine refused, such as a 10**15-point grid
+    except MemoryError:  # an allocation the machine refused
         _diag(status="out-of-memory")
         return 1
 

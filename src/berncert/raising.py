@@ -23,16 +23,16 @@ are the forward differences at 0 (``univariate._differences``) of its
 values at k <= n1, l <= n2.  Both are cleared to small integers and searched
 by ``_grid_min``, a branch and bound that drops the parts of the grid whose
 Bernstein bound (the paper's tool, turned on the index polynomial) shows
-they hold no earlier minimum, and scans the rest by prefix sums
-(``univariate._values``, the table that also gives the certificate, run
-forwards where ``_differences`` runs it backwards).  Within a rectangle the
-rows go lowest bound first, and the scan stops at the first row the bound
-rules out.  So the minimum coefficient and the refutation witness cost
-O(n1+n2) additions of integers of about (n1+n2) log q bits per point
-scanned: the whole grid at worst, O(q1*q2*(n1+n2)), but near an isolated
-minimum a few rows of a few rectangles of at most ``LEAF`` points, and along
-a valley of minima the rectangles it crosses.  The plain matrix is built
-only at the certifying degrees.
+they hold no earlier minimum, and scans the rest row by row: lowest bound
+first, stopping at the first row the bound rules out, each row by prefix
+sums (``univariate._values``, the table that also gives the certificate,
+run forwards where ``_differences`` runs it backwards) or, at degree <= 2
+in l, in closed form.  So the minimum coefficient and the refutation
+witness cost O(n1+n2) additions of integers of about (n1+n2) log q bits per
+point scanned: the whole grid at worst, but near an isolated minimum a few
+rows of a few rectangles of at most ``LEAF`` points, and along a valley of
+minima the rectangles it crosses.  No list is of length q.  The plain
+matrix is built only at the certifying degrees.
 """
 
 from __future__ import annotations
@@ -148,6 +148,23 @@ def _shifted(coeffs: Sequence[int], x0: int) -> Sequence[int]:
     return [sum(map(mul, coeffs[m:], binomials)) for m in range(len(coeffs))]
 
 
+def _row_min(coeffs: Sequence[int], span: int) -> tuple[int, int]:
+    """The first minimum (g(v), v) over v = 0..span of g(v) = sum_i coeffs[i]
+    C(v, i).  Past degree 2 by the scan of ``_values``; else in closed form,
+    as g(v+1) - g(v) = c1 + c2 v: the first v where that is >= 0 if c2 > 0,
+    clamped to the row, otherwise an end, 0 on a tie."""
+    if len(coeffs) > 3:
+        row = _values(coeffs, span)
+        m = min(row)
+        return m, row.index(m)
+    c0, c1, c2 = (*coeffs, 0, 0)[:3]
+    if c2 > 0:
+        v = min(max(-(c1 // c2), 0), span)
+    else:
+        v = span if c1 * span + c2 * (span * (span - 1) // 2) < 0 else 0
+    return c0 + c1 * v + c2 * (v * (v - 1) // 2), v
+
+
 def _grid_min(b: Sequence[Sequence[int]], q1: int, q2: int) -> tuple[int, int, int]:
     """First row-major minimum (f(k, l), k, l) over [0..q1] x [0..q2] of
 
@@ -161,23 +178,18 @@ def _grid_min(b: Sequence[Sequence[int]], q1: int, q2: int) -> tuple[int, int, i
     It is dropped when the bound shows it holds no point before the best one
     found in the order (f(k, l), k, l).
 
-    The columns' values along k (``univariate._values``, prefix sums) are
-    built once; each row k then gives the coefficients along l.  A rectangle
-    of at most ``LEAF`` points is scanned row by row, so a grid of at most
-    ``LEAF`` points is one scan: its rows' coefficients, shifted to its first
-    column, and their bounds come from prefix sums along k.  The rows are
-    visited in the order (bound, k) and scanned by prefix sums along l, and
-    the scan stops at the first row that is dropped: every later row is
-    dropped too, since its bound is no lower, a tied bound has a later k,
-    and the best only falls in the order (f(k, l), k, l).  A larger
-    rectangle is halved across the side that is longer as a share of its
-    axis, and the halves are visited lowest bound first.  The cost is
-    O(n1+n2) additions per point of the rows scanned, plus O(n1*n2*(n1+n2))
-    per rectangle: near an isolated minimum a few rows of a few rectangles,
-    along a valley of minima every rectangle it crosses.
+    A rectangle of at most ``LEAF`` points is scanned row by row, so a grid
+    of at most ``LEAF`` points is one scan: its rows' coefficients along l,
+    shifted to its corner, and their bounds come from prefix sums along k
+    (``univariate._values``).  The rows are visited in the order (bound, k)
+    and minimized by ``_row_min``, and the scan stops at the first row that
+    is dropped: every later row is dropped too, since its bound is no
+    lower, a tied bound has a later k, and the best only falls in the order
+    (f(k, l), k, l).  A larger rectangle is halved across the side that is
+    longer as a share of its axis, and the halves are visited lowest bound
+    first, so memory grows with the rectangles visited, not with q.
     """
     n1, n2 = len(b) - 1, len(b[0]) - 1
-    cols = [_values(col, q1) for col in zip(*b)]  # cols[j][k]: row k's coefficient of C(l, j)
     scale1, scale2 = math.factorial(n1) ** 2, math.factorial(n2) ** 2
     best = (b[0][0], 0, 0)  # f(0, 0)
 
@@ -204,17 +216,13 @@ def _grid_min(b: Sequence[Sequence[int]], q1: int, q2: int) -> tuple[int, int, i
         nonlocal best
         shifted, bounded = corner(k0, l0, l1)
         lows = map(min, zip(*(_values(col, k1 - k0) for col in zip(*bounded))))
-        if l0:
-            rows = zip(*(_values(col, k1 - k0) for col in zip(*shifted)))
-        else:  # no shift: the rows of the columns' values
-            rows = zip(*(col[k0 : k1 + 1] for col in cols))
+        rows = zip(*(_values(col, k1 - k0) for col in zip(*shifted)))
         for low, k, coeffs in sorted(zip(lows, range(k0, k1 + 1), rows)):  # k breaks ties
             if beaten(low, scale2, k, l0):
                 break  # so is every later row: best only falls, the bounds only rise
-            row = _values(coeffs, l1 - l0)
-            m = min(row)
+            m, v = _row_min(coeffs, l1 - l0)
             if m <= best[0]:
-                best = min(best, (m, k, l0 + row.index(m)))
+                best = min(best, (m, k, l0 + v))
 
     def bound(k0: int, k1: int, l0: int, l1: int) -> int:
         _, bounded = corner(k0, l0, l1)
@@ -345,9 +353,10 @@ def min_enclosure_to_width(
     width = rat(width)
     g1, g2 = gamma_bounds(p)
     for q1, q2 in _doubled_degrees(p, max_doublings):
-        if enclosure_bound(g1, g2, q1, q2) <= width:
+        bound = enclosure_bound(g1, g2, q1, q2)
+        if bound <= width:
             break
-    return min_enclosure(p, q1, q2)
+    return MinEnclosure(q1, q2, _c_min(p, q1, q2), bound)
 
 
 def delta(i: int, j: int, k: int, l: int, q1: int, q2: int) -> Fraction:
@@ -421,18 +430,18 @@ def _refute(p: BPoly, enc: MinEnclosure) -> None:
 
 def _raise(
     p: BPoly, accept: Callable[[MinEnclosure], bool], what: str, max_doublings: int
-) -> tuple[int, MinEnclosure]:
-    """The loop of both raising policies: (doublings, enclosure) at the first
-    doubled degrees whose enclosure ``accept`` takes, c_min coming from
-    ``_grid_min``.  Refutes p once hi <= 0; at the cap, raises
+) -> tuple[int, MinEnclosure, tuple[Fraction, Fraction]]:
+    """The loop of both raising policies: (doublings, enclosure, gammas) at
+    the first doubled degrees whose enclosure ``accept`` takes, c_min coming
+    from ``_grid_min``.  Refutes p once hi <= 0; at the cap, raises
     InconclusiveError("no <what> after ...") with the last enclosure."""
     _corner_check(p)
-    g1, g2 = gamma_bounds(p)
+    g1, g2 = gammas = gamma_bounds(p)
     enc = None
     for doublings, (q1, q2) in enumerate(_doubled_degrees(p, max_doublings)):
         enc = MinEnclosure(q1, q2, _c_min(p, q1, q2), enclosure_bound(g1, g2, q1, q2))
         if accept(enc):
-            return doublings, enc
+            return doublings, enc, gammas
         if enc.hi <= 0:
             _refute(p, enc)
     raise InconclusiveError(f"no {what} after {max_doublings} degree doublings", best=enc)
@@ -448,7 +457,7 @@ def minimum_lower_bound(
     true minimum).  Raises NotPositiveError when an enclosure proves the
     minimum nonpositive, and InconclusiveError at the doubling cap.
     """
-    _, enc = _raise(
+    _, enc, _ = _raise(
         p, lambda e: 0 < e.c_min and e.bound <= e.c_min, "positive lower bound", max_doublings
     )
     return enc.c_min, enc
@@ -459,9 +468,11 @@ def raise_rows(p: BPoly, max_doublings: int = DEFAULT_DOUBLING_CAP) -> Certifica
     doubling walk from the floors and the report made, and the rows of
     ``plain_rows`` at those degrees are left to be read.  Raises as
     ``certify_raise`` does."""
-    doublings, enc = _raise(p, lambda e: e.c_min > 0, "positive Bernstein form", max_doublings)
+    doublings, enc, gammas = _raise(
+        p, lambda e: e.c_min > 0, "positive Bernstein form", max_doublings
+    )
     rows, den = plain_rows(p, enc.q1, enc.q2)
-    report = RaiseReport(doublings, enc, *gamma_bounds(p))
+    report = RaiseReport(doublings, enc, *gammas)
     return CertificateRows(enc.q1, enc.q2, Method.RAISE, report, rows, den)
 
 

@@ -68,9 +68,29 @@ MUTANTS = [
     (
         "grid-min-last-tie",
         "raising.py",
-        "best = min(best, (m, k, l0 + row.index(m)))",
-        "best = (m, k, l0 + row.index(m))",
+        "best = min(best, (m, k, l0 + v))",
+        "best = (m, k, l0 + v)",
         [f"{RAISING}::TestRefutationWitness::test_tie_and_degree_zero_witnesses"],
+    ),
+    (
+        "row-min-vertex-floor",
+        "raising.py",
+        "v = min(max(-(c1 // c2), 0), span)",
+        "v = min(max(-c1 // c2, 0), span)",
+        [
+            f"{RAISING}::TestRowMin::test_matches_scan",
+            f"{RAISING}::TestGridMinSearch::test_isolated_minimum_at_10_15",
+        ],
+    ),
+    (
+        "row-min-later-end-on-tie",
+        "raising.py",
+        "(span * (span - 1) // 2) < 0 else 0",
+        "(span * (span - 1) // 2) <= 0 else 0",
+        [
+            f"{RAISING}::TestRowMin::test_matches_scan",
+            f"{RAISING}::TestGridMinSearch::test_search_matches_scan",
+        ],
     ),
     (
         "grid-min-prunes-ties",

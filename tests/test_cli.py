@@ -830,7 +830,9 @@ def test_help_lists_every_command(capsys):
 # q2 at n2 = 2, raise stops at the floors (2, 2), where C[1][1] = -3/2.
 TOO_LOW = {
     "nested": ("_q2_of_rows", lambda rows, den, n2, report, max_levels: (n2, report), 358),
-    "raise": ("_raise", lambda p, *_: (0, raising.min_enclosure(p, 2, 2)), 1),
+    "raise": (
+        "_raise", lambda p, *_: (0, raising.min_enclosure(p, 2, 2), raising.gamma_bounds(p)), 1
+    ),
 }
 
 
@@ -914,17 +916,36 @@ def test_width_walk_stops_at_first_pair_past_grid(poly_file, tmp_path):
     "argv", [["enclose-min", "{worked}", "--q1", "1000000000000000", "--q2", "2"]],
     ids=["enclose-min"],
 )
-def test_refused_allocation_is_out_of_memory(poly_file, tmp_path, argv):
-    # A 10**15-point grid row asks for 8 PB at once, which the allocator
-    # refuses before touching any memory.
+def test_refused_allocation_is_out_of_memory(poly_file, tmp_path, monkeypatch, argv):
+    # An allocation the machine refuses, here raised by the grid search.
+    def refused(b, q1, q2):
+        raise MemoryError
+
+    monkeypatch.setattr(raising, "_grid_min", refused)
     paths = {"worked": poly_file(WORKED, "worked.txt"), "out": tmp_path / "cert.txt"}
     code, out, err = _run([arg.format(**paths) for arg in argv])
     assert (code, out, err) == (1, "", "status=out-of-memory\n")
     assert not paths["out"].exists()
 
 
+def test_huge_grid_is_searched(poly_file):
+    # 10**15 + 1 rows of three points, once an 8 PB list of the columns'
+    # values along k: the search keeps only the rectangles it visits.
+    start = time.perf_counter()
+    code, out, err = _run(
+        ["enclose-min", poly_file(WORKED), "--q1", "1000000000000000", "--q2", "2"]
+    )
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (0, "")
+    assert out == (  # the swapped grid's enclosure, since WORKED is symmetric
+        "-1000000000000001/7999999999999992 "
+        "125000000000000624999999999998000000000000001/"
+        "999999999999999000000000000000000000000000000 1000000000000000 2\n"
+    )
+
+
 def test_swapped_huge_grid_is_searched(poly_file):
-    # The swapped case of the refused allocation: three rows of 10**15 + 1
+    # The swapped case of test_huge_grid_is_searched: three rows of 10**15 + 1
     # points.  The columns along k hold three entries, and the search halves
     # the long rows towards each row's minimum, so the run prints an enclosure.
     q2 = 10**15

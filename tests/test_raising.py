@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -172,6 +173,26 @@ class TestGamma:
             ("gamma1", Fraction(53, 42)),
             ("gamma2", Fraction(1, 4)),
         )
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: certify_raise(WORKED),
+            lambda: minimum_lower_bound(WORKED),
+            lambda: min_enclosure_to_width(WORKED, Fraction(1, 100)),
+        ],
+        ids=["certify_raise", "minimum_lower_bound", "min_enclosure_to_width"],
+    )
+    def test_computed_once_per_walk(self, run, monkeypatch):
+        calls, gammas = [], raising.gamma_bounds
+
+        def counting(p):
+            calls.append(p)
+            return gammas(p)
+
+        monkeypatch.setattr(raising, "gamma_bounds", counting)
+        run()
+        assert len(calls) == 1
 
 
 class TestMinEnclosure:
@@ -557,6 +578,12 @@ class TestGridMinSearch:
                         4, 2),
         200, 200,
     )  # the same above LEAF
+    # Rows of degree 2 in l, their closed form tied: g(20) = g(21) on every
+    # row, and rows k = 3 and 40 tie, in one leaf and above LEAF
+    @example(_binomial_basis(lambda k, l: ((k - 3) * (k - 40)) ** 2 + (l - 20) * (l - 21), 4, 2),
+             60, 60)
+    @example(_binomial_basis(lambda k, l: ((k - 3) * (k - 40)) ** 2 + (l - 90) * (l - 91), 4, 2),
+             200, 200)
     def test_search_matches_scan(self, b, q1, q2):
         assert raising._grid_min(b, q1, q2) == _scan_grid_min(b, q1, q2)
 
@@ -586,20 +613,57 @@ class TestGridMinSearch:
     def test_leaf_scan_prunes_rows(self, monkeypatch):
         # x1^2 - x1 + 1 + x2 has its minimum only at (1/2, 0), and its c_min
         # grid at 64^2 is one leaf.  Its rows taken lowest bound first stop
-        # after a few (13% of the full scan's prefix-sum additions); taken in
-        # k order, the bounds dropped few of them (59%).
-        added = []
+        # after one of the 65.
+        rows, row_min = [], raising._row_min
 
-        def counting(coeffs, q):
-            added.append((len(coeffs) - 1) * q)
-            return _values(coeffs, q)
+        def counting(coeffs, span):
+            rows.append(coeffs)
+            return row_min(coeffs, span)
 
-        monkeypatch.setattr(raising, "_values", counting)
+        monkeypatch.setattr(raising, "_row_min", counting)
         p, q = BPoly([[1, 1], [-1, 0], [1, 0]]), 64
         assert raising._c_min(p, q, q) == min_coeff(bern_coeffs(p, q, q))
-        # the full scan: the n2 + 1 columns along k, then q + 1 rows along l
-        full = (p.n2 + 1) * p.n1 * q + (q + 1) * p.n2 * q
-        assert sum(added) <= full // 4
+        assert len(rows) <= (q + 1) // 4
+
+    def test_isolated_minimum_at_10_15(self):
+        # (x1-1/3)^2 + (x2-1/5)^2 + 1/8 at q = 10**15: O(log q) rectangles.
+        # c[k][l] = g(k, 1/3) + g(l, 1/5) + 1/8 with g(k, a) = C(k,2)/C(q,2)
+        # - 2ak/q + a^2, least at an integer next to k = a(q-1) + 1/2.
+        q, a, c = 10**15, Fraction(1, 3), Fraction(1, 5)
+        p = BPoly([[a * a + c * c + Fraction(1, 8), -2 * c, 1], [-2 * a, 0, 0], [1, 0, 0]])
+        start = time.perf_counter()
+        enc = min_enclosure(p, q, q)
+        assert time.perf_counter() - start < 5
+
+        def g(s):
+            near = math.floor(s * (q - 1))
+            return min(
+                Fraction(math.comb(k, 2), math.comb(q, 2)) - 2 * s * Fraction(k, q) + s * s
+                for k in (near, near + 1)
+            )
+
+        assert enc.c_min == g(a) + g(c) + Fraction(1, 8)
+
+
+class TestRowMin:
+    """``_row_min`` is the first minimum of the ``_values`` scan, in closed
+    form at degree <= 2."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.integers(-60, 60), min_size=1, max_size=5), st.integers(0, 40))
+    @example([7], 5)  # degree 0: every point ties
+    @example([4, 0], 5)  # c2 = 0, constant: the ends tie
+    @example([4, -1], 5)  # c2 = 0, falling: the far end
+    @example([0, 5, -2], 6)  # c2 < 0: g(0) = g(6), the ends tie
+    @example([0, 3, -1], 6)  # c2 < 0: g(0) < g(6)
+    @example([0, -6, 2], 10)  # c2 > 0, -c1/c2 = 3: g(3) = g(4)
+    @example([0, -7, 2], 10)  # c2 > 0, -c1/c2 = 7/2: least at 4 only
+    @example([0, 5, 1], 10)  # c2 > 0, vertex before the row
+    @example([0, -50, 1], 10)  # c2 > 0, vertex past the row
+    @example([1, -3, 2], 0)  # one point
+    def test_matches_scan(self, coeffs, span):
+        row = _values(coeffs, span)
+        assert raising._row_min(coeffs, span) == (min(row), row.index(min(row)))
 
 
 def _last_grid(p):
