@@ -8,8 +8,8 @@ matrix C with
 For q1 >= n1 and q2 >= n2 the products above form a basis of the
 polynomials of bidegree at most (q1, q2), so that matrix is unique: it is
 ``plain_coeffs(p, q1, q2)``, integer numerators N over one denominator D,
-made one row at a time by the forward pass of ``univariate`` along x1
-(``_plain_pass``) and then along x2 (``_plain_rows``): ``plain_rows``.  A
+made one row at a time by the forward kernel ``univariate._plain``
+along x1 (``_plain_pass``), then x2 (``_plain_rows``): ``plain_rows``.  A
 certificate holds C as integer numerators over integer denominators: the
 certifiers store (N, D) as ``plain_rows`` gave them, a parsed document
 its tokens as written, and ``coefficients`` is the Fraction matrix they give.
@@ -164,7 +164,7 @@ def plain_rows(p: BPoly, q1: int, q2: int) -> tuple[Iterator[list[int]], int]:
             f"degrees ({q1}, {q2}) are below polynomial degrees ({n1}, {n2})"
         )
     x1_rows, den = _plain_pass(list(zip(*p.coeffs)), q1)
-    return _plain_rows(x1_rows, n2, q2), den
+    return _plain_rows(x1_rows, q2), den
 
 
 def plain_coeffs(p: BPoly, q1: int, q2: int) -> tuple[list[list[int]], int]:

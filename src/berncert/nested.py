@@ -199,7 +199,7 @@ def nested_rows(
     q1, report = nested_q1(p, max_doublings=max_doublings, max_levels=max_levels)
     rows, den = _coefficient_rows(p, q1)
     q2, report = _q2_of_rows(rows, den, p.n2, report, max_levels)
-    return CertificateRows(q1, q2, Method.NESTED, report, _plain_rows(rows, p.n2, q2), den)
+    return CertificateRows(q1, q2, Method.NESTED, report, _plain_rows(rows, q2), den)
 
 
 def certify_nested(

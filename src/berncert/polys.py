@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from decimal import Decimal  # already loaded by fractions, so free at startup
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -106,16 +106,16 @@ def rat_text(value) -> str:
         return num if den == "1" else f"{num}/{den}"
 
 
-def binomial_row(m: int) -> list[int]:
-    """[C(m, t) for t in 0..m], by C(m, t+1) = C(m, t) (m-t) / (t+1).
+def binomials(m: int) -> Iterator[int]:
+    """C(m, t) for t in 0..m, by C(m, t+1) = C(m, t) (m-t) / (t+1).
 
     One multiplication and one exact division per entry, where
     ``math.comb`` computes each coefficient on its own.
     """
-    row = [1]
-    for t in range(m):
-        row.append(row[-1] * (m - t) // (t + 1))
-    return row
+    b = 1
+    for t in range(m + 1):
+        yield b
+        b = b * (m - t) // (t + 1)
 
 
 class UPoly(Record):

@@ -2,7 +2,7 @@
 
 Both certification methods end in the same matrix: the plain Bernstein
 coefficients of p at degrees (q1, q2), unique at fixed degrees and computed
-by ``certificates.plain_coeffs`` from the difference table of ``univariate``.
+by ``certificates.plain_coeffs`` with the one forward kernel of ``univariate``.
 The methods differ only in how they choose (q1, q2); this module holds the
 raising policy.  At degrees (q1, q2) the normalized coefficients
 
@@ -53,7 +53,7 @@ from .certificates import (
     plain_rows,
 )
 from .errors import DegreeError, InconclusiveError, NotPositiveError
-from .polys import BPoly, RationalLike, Record, binomial_row, rat, rat_text
+from .polys import BPoly, RationalLike, Record, binomials, rat, rat_text
 from .univariate import _cleared, _differences, _values, _weights
 
 DEFAULT_DOUBLING_CAP = 20  # degree doublings before a raising loop gives up
@@ -154,7 +154,7 @@ def _row_min(coeffs: Sequence[int], span: int) -> tuple[int, int]:
     as g(v+1) - g(v) = c1 + c2 v: the first v where that is >= 0 if c2 > 0,
     clamped to the row, otherwise an end, 0 on a tie."""
     if len(coeffs) > 3:
-        row = _values(coeffs, span)
+        row = list(_values(coeffs, span))
         m = min(row)
         return m, row.index(m)
     c0, c1, c2 = (*coeffs, 0, 0)[:3]
@@ -273,10 +273,10 @@ def bern_coeffs(p: BPoly, q1: int, q2: int) -> BernsteinForm2D:
     q2 >= n2.
     """
     nums, den = plain_coeffs(p, q1, q2)
-    b2 = binomial_row(q2)
+    b2 = list(binomials(q2))
     rows = tuple(
         tuple(Fraction(v, b1 * den * bl) for v, bl in zip(row, b2))
-        for row, b1 in zip(nums, binomial_row(q1))
+        for row, b1 in zip(nums, binomials(q1))
     )
     return BernsteinForm2D(q1, q2, rows)
 

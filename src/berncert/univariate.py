@@ -8,9 +8,10 @@ representation, certified range enclosure by de Casteljau bisection (on
 integer control points, stopped by rules on integers: only an enclosure a
 caller keeps becomes Fractions), and a positivity certifier that combines
 all of the above.  The forward map to plain Bernstein form is a difference
-table (``_values`` over ``_weights``): ``_plain_pass`` on integers, once
-for ``to_bernstein_plain`` and along x1 and x2 in the bivariate modules;
-the range enclosure reads its control points off the table.  The inverse
+table (``_values`` over ``_weights``), one lazy kernel ``_plain`` on
+integers: once for ``to_bernstein_plain``, and along x1 (``_plain_pass``)
+and x2 (``_plain_rows``) in the bivariate modules; the range enclosure
+reads its control points off the table.  The inverse
 map is the same table run backwards (``_differences``, the forward
 differences at 0): ``_plain_kernel``, for ``from_bernstein``, the Goursat
 transform (``_goursat``) and ``certificates.expand_plain_2d``.
@@ -20,12 +21,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, islice, repeat, tee
+from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import CertificationError, DegreeError, InconclusiveError, NotPositiveError
-from .polys import RationalLike, Record, UPoly, binomial_row, rat
+from .polys import RationalLike, Record, UPoly, binomials, rat
 
 Vector = Sequence[Union[Fraction, int]]
 
@@ -69,15 +70,15 @@ def _cleared(vectors: Sequence[Vector]) -> tuple[list[list[int]], int]:
     return [[c.numerator * (den // c.denominator) for c in v] for v in vectors], den
 
 
-def _values(coeffs: Sequence[int], q: int) -> list[int]:
-    """[f(0), ..., f(q)] for f(k) = sum_i coeffs[i] C(k, i), by prefix sums:
-    f_t(k) = sum_{i >= t} coeffs[i] C(k, i-t) is coeffs[t] plus the sum of
-    f_{t+1}(m) over m < k, starting from the constant coeffs[n]."""
-    vals = [coeffs[-1]] * (q + 1)
+def _values(coeffs: Sequence[int], q: int) -> Iterator[int]:
+    """f(0), ..., f(q) for f(k) = sum_i coeffs[i] C(k, i), each made when it
+    is asked for, by prefix sums: f_t(k) = sum_{i >= t} coeffs[i] C(k, i-t)
+    is coeffs[t] plus the sum of f_{t+1}(m) over m < k, starting from the
+    constant coeffs[n]."""
+    vals = repeat(coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        vals.pop()
-        vals = list(accumulate(vals, initial=c))
-    return vals
+        vals = accumulate(vals, initial=c)
+    return islice(vals, q + 1)
 
 
 def _differences(values: Sequence[int]) -> list[int]:
@@ -102,7 +103,7 @@ def _plain_kernel(vectors: Sequence[Vector], q: int) -> tuple[list[list[int]], i
     """The inverse map at degree q, plain Bernstein to monomial, on integers:
     the forward map at n = q read backwards.  With w = ``_weights(q, q)``,
     w[i] = i! (q-i)!, the forward map sends monomial coefficients a to plain
-    ones b with b[k] w[k] = ``_values``([a[i] w[i]], q)[k] (``_plain_pass``'s
+    ones b with b[k] w[k] = ``_values``([a[i] w[i]], q)[k] (``_plain``'s
     C(q, k) / q! is 1 / w[k]).  So, with D the common denominator, a vector
     b of length at most q + 1, zero-padded to q + 1 entries, maps to
     a[i] = ``_differences``([D b[k] w[k]])[i] / w[i], the division exact.
@@ -114,44 +115,38 @@ def _plain_kernel(vectors: Sequence[Vector], q: int) -> tuple[list[list[int]], i
     return [[d // u for d, u in zip(_differences(f), w)] for f in padded], den
 
 
+def _plain(a: Sequence[int], q: int, binoms: Iterable[int]) -> Iterator[int]:
+    """Monomial to plain Bernstein at degree q of an integer vector a of
+    length n + 1 <= q + 1: out[k] = sum over i <= min(n, k) of
+    C(q-i, k-i) a[i], which is C(q, k) * _values([a[i] w[i]], q)[k] / q^(n)
+    with w = ``_weights``, the division exact.  Yields out[k] for k = 0..q,
+    each made when it is asked for, with C(q, k) read from binoms."""
+    n = len(a) - 1
+    if n == 0:  # out = a[0] C(q, k): no table, and no division by q^(0) = 1
+        return map(mul, binoms, repeat(a[0]))
+    scale = math.perm(q, n)
+    vals = _values([c * u for c, u in zip(a, _weights(n, q))], q)
+    return (b * v // scale for b, v in zip(binoms, vals))
+
+
 def _plain_pass(vectors: Sequence[Vector], q: int) -> tuple[Iterator[tuple[int, ...]], int]:
-    """Monomial to plain Bernstein at degree q, on integers, for vectors of
-    one length n + 1 <= q + 1.  With D their common denominator, vector a
-    maps to out[k] = sum over i <= min(n, k) of C(q-i, k-i) D a[i], which is
-    C(q, k) * _values([D a[i] w[i]], q)[k] / q^(n) with w = ``_weights``,
-    the division exact.  Returns (outputs, D); outputs yields the tuple of
+    """``_plain`` at degree q of vectors of one length, cleared to their
+    common denominator D.  Returns (outputs, D); outputs yields the tuple of
     every vector's out[k] for k = 0..q in turn, each made when it is asked
-    for, so a reader that stops early never pays for the rest.
-    """
+    for, so a reader that stops early never pays for the rest.  The vectors
+    share one C(q, .) stream, teed: they read it in step, so the tee holds
+    a few entries, never the row."""
     vectors, den = _cleared(vectors)
-    return _plain_outputs(vectors, q), den
+    streams = tee(binomials(q), len(vectors))
+    return zip(*map(_plain, vectors, repeat(q), streams)), den
 
 
-def _plain_outputs(vectors: list[list[int]], q: int) -> Iterator[tuple[int, ...]]:
-    """The outputs of ``_plain_pass`` by forward differences: diffs[t] holds
-    f_t(k) = sum_{i >= t} D a[i] w[i] C(k, i-t) of every vector, f_0 the
-    values of ``_values``, and f_t(k+1) = f_t(k) + f_{t+1}(k)."""
-    n = len(vectors[0]) - 1
-    w, scale = _weights(n, q), math.perm(q, n)
-    diffs = [[a * u for a in column] for column, u in zip(zip(*vectors), w)]
-    b = 1  # C(q, k)
-    for k in range(q + 1):
-        yield tuple([b * v // scale for v in diffs[0]])
-        b = b * (q - k) // (k + 1)
-        for t in range(n):
-            diffs[t] = list(map(add, diffs[t], diffs[t + 1]))
-
-
-def _plain_rows(rows: Iterable[Sequence[int]], n: int, q: int) -> Iterator[list[int]]:
-    """``_plain_pass`` of each integer vector of length n + 1, one vector at
-    a time: the x2 pass over many rows, with C(q, .) built once for all."""
-    w, binoms, scale = _weights(n, q), binomial_row(q), math.perm(q, n)
+def _plain_rows(rows: Iterable[Sequence[int]], q: int) -> Iterator[list[int]]:
+    """``_plain`` of each integer vector at degree q, one vector at a time:
+    the x2 pass over many rows, with C(q, .) listed once for all."""
+    binoms = list(binomials(q))
     for row in rows:
-        if n == 0:  # out = a[0] C(q, k): no table, and no division by q^(0) = 1
-            yield [b * row[0] for b in binoms]
-        else:
-            vals = _values([a * u for a, u in zip(row, w)], q)
-            yield [b * v // scale for b, v in zip(binoms, vals)]
+        yield list(_plain(row, q, binoms))
 
 
 def to_bernstein_plain(p: UPoly, m: int) -> BernsteinForm1D:
@@ -308,7 +303,7 @@ def _range_enclosure(
     m = len(coeffs) - 1
     while m > 0 and coeffs[m] == 0:
         m -= 1
-    first = _values([a * w for a, w in zip(coeffs, _weights(m, m))], m)
+    first = list(_values([a * w for a, w in zip(coeffs, _weights(m, m))], m))
     scale = math.factorial(m) * den
     # The first attained minimum and maximum among the endpoints x = 0, 1.
     min_value, min_point = (first[0], 0) if first[0] <= first[-1] else (first[-1], 1)

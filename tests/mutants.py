@@ -123,8 +123,22 @@ MUTANTS = [
     (
         "binomial-row-off-by-one",
         "polys.py",
-        "row.append(row[-1] * (m - t) // (t + 1))",
-        "row.append(row[-1] * (m - t + 1) // (t + 1))",
+        "b = b * (m - t) // (t + 1)",
+        "b = b * (m - t + 1) // (t + 1)",
+        [f"{UNIVARIATE}::test_forward_pass_matches_kernel_loop"],
+    ),
+    (
+        "x1-binomials-unshared",
+        "univariate.py",
+        "streams = tee(binomials(q), len(vectors))",
+        "streams = [binomials(q)] * len(vectors)",
+        [f"{UNIVARIATE}::test_forward_pass_matches_kernel_loop"],
+    ),
+    (
+        "plain-degree0-shortcut-widened",
+        "univariate.py",
+        "if n == 0:",
+        "if n <= 1:",
         [f"{UNIVARIATE}::test_forward_pass_matches_kernel_loop"],
     ),
     (

@@ -497,7 +497,7 @@ def _scan_grid_min(b, q1, q2):
     by the same prefix sums, keeping the first row-major minimum."""
     best = None
     for k, coeffs in enumerate(zip(*(_values(col, q1) for col in zip(*b)))):
-        row = _values(coeffs, q2)
+        row = list(_values(coeffs, q2))
         m = min(row)
         if best is None or m < best[0]:
             best = (m, k, row.index(m))
@@ -662,7 +662,7 @@ class TestRowMin:
     @example([0, -50, 1], 10)  # c2 > 0, vertex past the row
     @example([1, -3, 2], 0)  # one point
     def test_matches_scan(self, coeffs, span):
-        row = _values(coeffs, span)
+        row = list(_values(coeffs, span))
         assert raising._row_min(coeffs, span) == (min(row), row.index(min(row)))
 
 

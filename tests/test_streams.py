@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from berncert import BPoly, CertificationError, Method, certify_nested, certify_raise, verify
-from berncert.certificates import CertificateRows
+from berncert.certificates import CertificateRows, plain_rows
 from berncert.cli import _check_utf8, main
 from berncert.documents import (
     CertificateDocument,
@@ -71,6 +71,21 @@ def test_verify_memory_is_bounded_by_a_row(near_zero, capsys):
     poly, cert = near_zero
     assert _peak(["verify", str(poly), str(cert)]) < 1 << 20
     assert capsys.readouterr().out == "ok\n"
+
+
+
+def test_tall_matrix_is_made_one_row_at_a_time():
+    # The x1 pass reads p's three columns in step and lists nothing of
+    # length q1: at (4096, 2) such a list would hold megabytes of integers.
+    tracemalloc.start()
+    try:
+        rows, _ = plain_rows(WORKED, 4096, 2)
+        count = sum(1 for _ in rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 4097
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(

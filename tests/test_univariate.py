@@ -382,7 +382,7 @@ def _passive_range_enclosure(coeffs, den, predicate, max_levels):
     while m > 0 and coeffs[m] == 0:
         m -= 1
     (ints,), kden = _cleared([coeffs[: m + 1]])
-    first = _values([a * w for a, w in zip(ints, _weights(m, m))], m)
+    first = list(_values([a * w for a, w in zip(ints, _weights(m, m))], m))
     scale = kden * math.factorial(m) * den
     min_value, min_point = (first[0], 0) if first[0] <= first[-1] else (first[-1], 1)
     max_value, max_point = (first[0], 0) if first[0] >= first[-1] else (first[-1], 1)
@@ -613,7 +613,7 @@ def test_differences_invert_values(c, extra):
     # n the binomial-basis coefficients of a degree-n table are zeros.
     n = len(c) - 1
     assert _differences(_values(c, n)) == c
-    assert _values(_differences(c), n) == c
+    assert list(_values(_differences(c), n)) == c
     assert _differences(_values(c, n + extra)) == c + [0] * extra
 
 
