@@ -65,6 +65,7 @@ from typing import Iterable, Iterator, Sequence
 from . import __version__
 from .certificates import CertificateRows, Matrix, Method, PositivityCertificate
 from .polys import BPoly, Record, UPoly
+from .univariate import MAX_GRID_DEGREE
 
 # ASCII digits only: \d and int() also take other Unicode digits, int() also
 # underscores and a sign.
@@ -298,7 +299,8 @@ class CertificateReader:
     report.  A fault is raised only after the last line is read (an error
     raised by the lines themselves, such as a decoding error, comes first),
     the first in this order: header lines, no ``C:``, missing headers,
-    ``q1``/``q2`` (from the constructor), the report, a bad row, no rows,
+    ``q1``/``q2`` not integers or past ``MAX_GRID_DEGREE`` (from the
+    constructor), the report, a bad row, no rows,
     ragged rows, method, convention, shape.
     Rows are yielded only while no fault is known and they fit q1 x q2.
     """
@@ -326,6 +328,8 @@ class CertificateReader:
                     raise ParseError(f"missing header {required!r}")
             self.q1 = _parse_count(headers["q1"], "q1 and q2 must be integers")
             self.q2 = _parse_count(headers["q2"], "q1 and q2 must be integers")
+            if max(self.q1, self.q2) > MAX_GRID_DEGREE:
+                raise ParseError(f"q1 and q2 must be at most {MAX_GRID_DEGREE}")
         except ParseError:
             self._drain()
             raise

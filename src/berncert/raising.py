@@ -31,14 +31,14 @@ in l, in closed form.  So the minimum coefficient and the refutation
 witness cost O(n1+n2) additions of integers of about (n1+n2) log q bits per
 point scanned: the whole grid at worst, but near an isolated minimum a few
 rows of a few rectangles of at most ``LEAF`` points, and along a valley of
-minima the rectangles it crosses.  No list is of length q.  The plain
-matrix is built only at the certifying degrees.
+minima the rectangles it crosses.  Its memory is its stack's O(log q)
+rectangles, each with its corner's tables.  The plain matrix is built only
+at the certifying degrees.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -54,10 +54,9 @@ from .certificates import (
 )
 from .errors import DegreeError, InconclusiveError, NotPositiveError
 from .polys import BPoly, RationalLike, Record, binomials, rat, rat_text
-from .univariate import _cleared, _differences, _values, _weights
+from .univariate import MAX_GRID_DEGREE, _cleared, _differences, _values, _weights
 
 DEFAULT_DOUBLING_CAP = 20  # degree doublings before a raising loop gives up
-MAX_GRID_DEGREE = sys.maxsize - 1  # the largest q whose q + 1 grid points a list holds
 LEAF = 65 * 65  # grid points of a rectangle that _grid_min scans rather than halves
 
 
@@ -187,7 +186,10 @@ def _grid_min(b: Sequence[Sequence[int]], q1: int, q2: int) -> tuple[int, int, i
     lower, a tied bound has a later k, and the best only falls in the order
     (f(k, l), k, l).  A larger rectangle is halved across the side that is
     longer as a share of its axis, and the halves are visited lowest bound
-    first, so memory grows with the rectangles visited, not with q.
+    first.  Each rectangle on the stack carries its corner's tables, which
+    bounded it and which its scan, or its first half along k, reads again,
+    so memory grows with the stack's depth, O(log q); time still grows with
+    the rectangles a valley crosses.
     """
     n1, n2 = len(b) - 1, len(b[0]) - 1
     scale1, scale2 = math.factorial(n1) ** 2, math.factorial(n2) ** 2
@@ -199,51 +201,46 @@ def _grid_min(b: Sequence[Sequence[int]], q1: int, q2: int) -> tuple[int, int, i
         value, k, l = best
         return low > value * scale or low == value * scale and (k0, l0) > (k, l)
 
-    corners: dict = {}  # a leaf's parent has made its corner to bound it
-
     def corner(k0: int, l0: int, l1: int) -> tuple[list[Sequence[int]], list[list[int]]]:
         """f(k0 + u, l0 + v) in the binomial basis, and the coefficients in
         C(u, i) of its rows' Bernstein coefficients on [l0, l1], times
         scale2."""
-        if (k0, l0, l1) not in corners:
-            shifted = [_shifted(row, l0) for row in zip(*(_shifted(col, k0) for col in zip(*b)))]
-            weights = _bernstein_weights(l1 - l0, n2)
-            bounded = [[sum(map(mul, row, w)) for w in weights] for row in shifted]
-            corners[k0, l0, l1] = shifted, bounded
-        return corners[k0, l0, l1]
+        shifted = [_shifted(row, l0) for row in zip(*(_shifted(col, k0) for col in zip(*b)))]
+        weights = _bernstein_weights(l1 - l0, n2)
+        return shifted, [[sum(map(mul, row, w)) for w in weights] for row in shifted]
 
-    def scan(k0: int, k1: int, l0: int, l1: int) -> None:
-        nonlocal best
-        shifted, bounded = corner(k0, l0, l1)
-        lows = map(min, zip(*(_values(col, k1 - k0) for col in zip(*bounded))))
-        rows = zip(*(_values(col, k1 - k0) for col in zip(*shifted)))
-        for low, k, coeffs in sorted(zip(lows, range(k0, k1 + 1), rows)):  # k breaks ties
-            if beaten(low, scale2, k, l0):
-                break  # so is every later row: best only falls, the bounds only rise
-            m, v = _row_min(coeffs, l1 - l0)
-            if m <= best[0]:
-                best = min(best, (m, k, l0 + v))
-
-    def bound(k0: int, k1: int, l0: int, l1: int) -> int:
-        _, bounded = corner(k0, l0, l1)
+    def bound(bounded: list[list[int]], k0: int, k1: int) -> int:
         weights = _bernstein_weights(k1 - k0, n1)
         return min(sum(map(mul, u, v)) for v in zip(*bounded) for u in weights)
 
-    todo = [(None, 0, q1, 0, q2)]  # (bound, rectangle), the next last; the grid has no bound
+    # (bound, rectangle, its corner), the next last; the grid has no bound
+    todo = [(None, (0, q1, 0, q2), corner(0, 0, q2))]
     while todo:
-        low, k0, k1, l0, l1 = todo.pop()
+        low, (k0, k1, l0, l1), (shifted, bounded) = todo.pop()
         if low is not None and beaten(low, scale1 * scale2, k0, l0):
             continue
         if (k1 - k0 + 1) * (l1 - l0 + 1) <= LEAF:
-            scan(k0, k1, l0, l1)
+            lows = map(min, zip(*(_values(col, k1 - k0) for col in zip(*bounded))))
+            rows = zip(*(_values(col, k1 - k0) for col in zip(*shifted)))
+            for low, k, coeffs in sorted(zip(lows, range(k0, k1 + 1), rows)):  # k breaks ties
+                if beaten(low, scale2, k, l0):
+                    break  # so is every later row: best only falls, the bounds only rise
+                m, v = _row_min(coeffs, l1 - l0)
+                if m <= best[0]:
+                    best = min(best, (m, k, l0 + v))
             continue
-        if k1 > k0 and (k1 - k0) * q2 >= (l1 - l0) * q1:
+        if k1 > k0 and (k1 - k0) * q2 >= (l1 - l0) * q1:  # the first half keeps the corner
             mid = (k0 + k1) // 2
-            halves = [(k0, mid, l0, l1), (mid + 1, k1, l0, l1)]
+            halves = [((k0, mid, l0, l1), (shifted, bounded)),
+                      ((mid + 1, k1, l0, l1), corner(mid + 1, l0, l1))]
         else:
             mid = (l0 + l1) // 2
-            halves = [(k0, k1, l0, mid), (k0, k1, mid + 1, l1)]
-        todo += sorted(((bound(*half), *half) for half in halves), reverse=True)  # lowest last
+            halves = [((k0, k1, l0, mid), corner(k0, l0, mid)),
+                      ((k0, k1, mid + 1, l1), corner(k0, mid + 1, l1))]
+        todo += sorted(  # lowest last, by (bound, rectangle): the tables are never compared
+            ((bound(tables[1], *rect[:2]), rect, tables) for rect, tables in halves),
+            key=lambda entry: entry[:2], reverse=True,
+        )
     return best
 
 

@@ -20,6 +20,7 @@ transform (``_goursat``) and ``certificates.expand_plain_2d``.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import accumulate, islice, repeat, tee
 from operator import mul
@@ -68,6 +69,9 @@ def _cleared(vectors: Sequence[Vector]) -> tuple[list[list[int]], int]:
     """([D * a for each vector a], D), D the lcm of all the denominators."""
     den = math.lcm(*(c.denominator for v in vectors for c in v))
     return [[c.numerator * (den // c.denominator) for c in v] for v in vectors], den
+
+
+MAX_GRID_DEGREE = sys.maxsize - 1  # the largest q whose q + 1 values islice can cut
 
 
 def _values(coeffs: Sequence[int], q: int) -> Iterator[int]:

@@ -13,8 +13,9 @@ mutant's old text, which must occur exactly once in its file, with the new
 text and runs that mutant's killer tests: the mutant is killed when they
 fail.  The file is restored before the next mutant.  The script exits 1 when
 a mutant survives, when an old text is not found once, or when the killer
-tests do not run cleanly.  pytest does not collect this file, whose name
-does not start with ``test_``.
+tests do not run cleanly or do not finish within ``TIMEOUT`` seconds (a
+mutant that makes a search crawl is a failure, never a kill).  pytest does
+not collect this file, whose name does not start with ``test_``.
 
 A change to a mutated line updates its entry here; a new kernel or search
 adds its mutants, each with the tests that kill it.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -34,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 UNIVARIATE = "tests/test_univariate.py"
 RAISING = "tests/test_raising.py"
 POLYS = "tests/test_polys.py"
+TIMEOUT = 600  # seconds one pytest run may take before the gate counts it as a failure
 
 # (name, file under src/berncert, old text, new text, killer tests)
 MUTANTS = [
@@ -111,6 +114,13 @@ MUTANTS = [
         "raising.py",
         "sorted(zip(lows, range(k0, k1 + 1), rows))",
         "sorted(zip(lows, range(k0, k1 + 1), rows), reverse=True)",
+        [f"{RAISING}::TestGridMinSearch::test_search_matches_scan"],
+    ),
+    (
+        "grid-min-split-reuses-parent-corner",
+        "raising.py",
+        "corner(mid + 1, l0, l1)",
+        "(shifted, bounded)",
         [f"{RAISING}::TestGridMinSearch::test_search_matches_scan"],
     ),
     (
@@ -245,15 +255,25 @@ MUTANTS = [
 ]
 
 
-def _pytest(copy: Path, tests: list[str]) -> subprocess.CompletedProcess:
+def _pytest(copy: Path, tests: list[str]) -> subprocess.CompletedProcess | None:
     """pytest on the given tests of the copy, with the copy's ``src`` first
     on the path of pytest and of any child it starts, and no bytecode
-    written, so a mutated file is never read from a stale cache."""
+    written, so a mutated file is never read from a stale cache.  None when
+    the run takes more than ``TIMEOUT`` seconds: it runs in its own session,
+    so it is killed with every child it started."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    return subprocess.run(
+    with subprocess.Popen(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-        cwd=copy, env=env, capture_output=True, text=True,
-    )
+        cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    ) as proc:
+        try:
+            out, err = proc.communicate(timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return None
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
 
 
 def _tail(result: subprocess.CompletedProcess) -> str:
@@ -273,6 +293,9 @@ def main(names: list[str]) -> int:
         shutil.copy2(ROOT / "pyproject.toml", copy)
         killers = sorted({test for m in chosen for test in m[4]})
         baseline = _pytest(copy, killers)
+        if baseline is None:
+            print(f"the killer tests did not finish in {TIMEOUT} s on the unchanged source")
+            return 1
         if baseline.returncode != 0:
             print(f"the killer tests fail on the unchanged source:\n{_tail(baseline)}")
             return 1
@@ -290,7 +313,10 @@ def main(names: list[str]) -> int:
                 result = _pytest(copy, tests)
             finally:
                 path.write_text(original)
-            if result.returncode == 1:
+            if result is None:
+                print(f"{name}: killer tests did not finish in {TIMEOUT} s")
+                bad += 1
+            elif result.returncode == 1:
                 print(f"{name}: killed")
             elif result.returncode == 0:
                 print(f"{name}: SURVIVED {' '.join(tests)}")

@@ -318,6 +318,10 @@ class TestVerifyCommand:
         "header-before-C": ("method raise\n", "expected_'key:_value'_line,_got_'method_raise'"),
         "q2-before-report": (HEAD.replace("q2: 1", "q2: -1") + "C:\n1 1\nreport:\nc_min 1\n",
                              "q1_and_q2_must_be_integers"),
+        "q1-past-grid-before-report": (
+            HEAD.replace("q1: 0", "q1: 100000000000000000000") + "C:\n1 1\nreport:\nc_min 1\n",
+            f"q1_and_q2_must_be_at_most_{sys.maxsize - 1}",
+        ),
         "report-before-token": (HEAD + "C:\n1 x\nreport:\nc_min 1\n",
                                 "expected_'key:_value'_report_line,_got_'c_min_1'"),
         "token-before-method": (HEAD.replace("raise", "magic") + "C:\n1 1/0\n",
@@ -347,6 +351,16 @@ class TestVerifyCommand:
                                 "empty_coefficient_block"),
         "too-many-rows": (HEAD + "C:\n1 1\n1 1\n", "coefficient_matrix_must_be_1_x_2"),
         "C-line-in-block": (HEAD + "C:\n1 1\nC:\n", "malformed_rational_'C:'"),
+        # A degree past the largest grid, whose q + 1 values no pass can cut,
+        # is a header fault; the largest grid itself is read as usual.
+        "q1-past-grid": (HEAD.replace("q1: 0", f"q1: {sys.maxsize}") + "C:\n1 1\n",
+                         f"q1_and_q2_must_be_at_most_{sys.maxsize - 1}"),
+        "q1-past-grid-1e20": (HEAD.replace("q1: 0", "q1: 100000000000000000000") + "C:\n1 1\n",
+                              f"q1_and_q2_must_be_at_most_{sys.maxsize - 1}"),
+        "q2-past-grid": (HEAD.replace("q2: 1", f"q2: {sys.maxsize}") + "C:\n1 1\n",
+                         f"q1_and_q2_must_be_at_most_{sys.maxsize - 1}"),
+        "q1-largest-grid": (HEAD.replace("q1: 0", f"q1: {sys.maxsize - 1}") + "C:\n1 1\n",
+                            f"coefficient_matrix_must_be_{sys.maxsize}_x_2"),
     }
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))

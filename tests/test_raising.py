@@ -644,6 +644,22 @@ class TestGridMinSearch:
 
         assert enc.c_min == g(a) + g(c) + Fraction(1, 8)
 
+    def test_valley_memory_is_the_stack(self):
+        # The worked example is least along the whole diagonal, so its search
+        # at 16385^2 crosses thousands of rectangles; only the corners of the
+        # stack's O(log q) rectangles are alive at once (1.6 MB when every
+        # corner made was kept).
+        q = 16385
+        raising._c_min(WORKED, q, q)  # fills the _bernstein_weights cache
+        tracemalloc.start()
+        try:
+            c_min = raising._c_min(WORKED, q, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c_min == Fraction(268402681, 2147745800)
+        assert peak < 1 << 19
+
 
 class TestRowMin:
     """``_row_min`` is the first minimum of the ``_values`` scan, in closed
