@@ -16,6 +16,12 @@ of a ``CertificateRows`` or of a document) and read by one row reader
 row is formatted by one ``join`` and parsed by ``split`` and ``int``
 whenever that gives what the grammar gives, else by the grammar itself.
 
+Either document is read from its lines (``read_polynomial_document``,
+``CertificateReader``): the str-in functions give them ``str.splitlines``
+of the text, the command line the lines of a file decoded as they are
+read.  An error raised by the lines themselves, such as a byte that is not
+UTF-8, comes before any fault of the document.
+
 A ``CertificateDocument`` holds the ``PositivityCertificate`` itself, built
 from the ``C:`` tokens as written (integer numerators and denominators;
 unreduced tokens are accepted), plus the two things only the file has: the
@@ -202,8 +208,10 @@ class PolynomialDocument(Record):
         return BPoly(self.coeffs)
 
 
-def parse_polynomial_document(text: str) -> PolynomialDocument:
-    lines = list(_content_lines(text.splitlines()))
+def read_polynomial_document(lines: Iterable[str]) -> PolynomialDocument:
+    """The polynomial document of the given lines, every line read before
+    any is parsed, so an error raised by the lines themselves comes first."""
+    lines = list(_content_lines(lines))
     if not lines or not lines[0].startswith("variables:"):
         raise ParseError("expected a 'variables:' header line")
     variables = _parse_count(
@@ -215,6 +223,10 @@ def parse_polynomial_document(text: str) -> PolynomialDocument:
     return PolynomialDocument(
         variables, tuple(tuple(map(Fraction, n, d)) for n, d in zip(nums, dens))
     )
+
+
+def parse_polynomial_document(text: str) -> PolynomialDocument:
+    return read_polynomial_document(text.splitlines())
 
 
 def serialize_polynomial_document(doc: PolynomialDocument) -> str:
@@ -343,7 +355,8 @@ class CertificateReader:
             self._late = ParseError(f"unknown convention {headers['convention']!r}")
 
     def _drain(self) -> None:
-        """Read the remaining lines, for the decoding faults they may hold."""
+        """Read the remaining lines: an error they raise themselves, such as
+        a byte that is not UTF-8, comes before any fault of the document."""
         for _ in self._lines:
             pass
 

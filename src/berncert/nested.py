@@ -40,6 +40,7 @@ from .polys import BPoly, RationalLike, Record, UPoly, rat, rat_text
 from .raising import DEFAULT_DOUBLING_CAP, minimum_lower_bound
 from .univariate import (
     DEFAULT_REFINEMENT_CAP,
+    MAX_GRID_DEGREE,
     _enclosure,
     _goursat,
     _plain_pass,
@@ -87,6 +88,10 @@ def _coefficient_rows(p: BPoly, q1: int) -> tuple[list[tuple[int, ...]], int]:
     sum_j rows[i][j] x2**j / D."""
     if q1 < p.n1:
         raise DegreeError(f"degree {q1} is below the x1 degree {p.n1}")
+    if q1 > MAX_GRID_DEGREE:
+        raise DegreeError(
+            f"degree {rat_text(q1)} is past the largest grid degree {MAX_GRID_DEGREE}"
+        )
     rows, den = _plain_pass(list(zip(*p.coeffs)), q1)
     return list(rows), den
 

@@ -54,7 +54,7 @@ from .certificates import (
 )
 from .errors import DegreeError, InconclusiveError, NotPositiveError
 from .polys import BPoly, RationalLike, Record, binomials, rat, rat_text
-from .univariate import MAX_GRID_DEGREE, _cleared, _differences, _values, _weights
+from .univariate import MAX_GRID_DEGREE, _cleared, _differences, _plain, _values, _weights
 
 DEFAULT_DOUBLING_CAP = 20  # degree doublings before a raising loop gives up
 LEAF = 65 * 65  # grid points of a rectangle that _grid_min scans rather than halves
@@ -122,18 +122,16 @@ def _bernstein_weights(d: int, n: int) -> tuple[tuple[int, ...], ...]:
     C(d*s, i).  These are integers, and for g(u) = sum_i c[i] C(u, i) the
     smallest over k of sum_i c[i] times the k-th tuple's i-th entry is
     (n!)**2 times a lower bound of g on [0, d].  i! C(d*s, i) is
-    prod_{r<i} (d*s - r), made in the plain basis s**k (1-s)**(i-k) one
-    linear factor at a time and raised to degree n by factors (1-s) + s;
-    its Bernstein coefficients are the plain ones over C(n, k)."""
+    prod_{r<i} (d*s - r), whose integer monomial coefficients take one
+    multiply per factor; ``_plain`` gives its plain coefficients at degree
+    n, and its Bernstein coefficients are those over C(n, k)."""
     fact = math.factorial
-    rows, plain = [], [1]
+    binoms, falling, rows = list(binomials(n)), [1], []
     for i in range(n + 1):
-        raised = plain
-        for _ in range(n - i):
-            raised = [a + c for a, c in zip(raised + [0], [0] + raised)]
         scale = fact(n) // fact(i)
-        rows.append([v * scale * fact(k) * fact(n - k) for k, v in enumerate(raised)])
-        plain = [(d - i) * c - i * a for a, c in zip(plain + [0], [0] + plain)]
+        plain = _plain(falling, n, binoms)
+        rows.append([v * scale * fact(k) * fact(n - k) for k, v in enumerate(plain)])
+        falling = [d * a - i * c for a, c in zip([0] + falling, falling + [0])]
     return tuple(zip(*rows))
 
 

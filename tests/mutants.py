@@ -246,11 +246,25 @@ MUTANTS = [
         [f"{RAISING}::TestBoxSymmetries::test_swap_transposes"],
     ),
     (
-        "decode-offset-without-pending",
+        "decode-line-offset-not-advanced",
         "cli.py",
-        "offset = read - len(decoder.getstate()[0])",
-        "offset = read",
+        "start += len(line)",
+        "start += 0",
+        ["tests/test_streams.py::test_bad_bytes_give_the_whole_file_record[block-start]"],
+    ),
+    (
+        "decode-error-end-not-last",
+        "cli.py",
+        "start + exc.end - 1",
+        "start + exc.end",
         ["tests/test_streams.py::test_bad_bytes_give_the_whole_file_record[across-8k]"],
+    ),
+    (
+        "bernstein-weights-falling-sign",
+        "raising.py",
+        "d * a - i * c",
+        "d * a + i * c",
+        [f"{RAISING}::test_bernstein_weights_match_the_raising_loop"],
     ),
 ]
 

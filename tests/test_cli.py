@@ -926,6 +926,22 @@ def test_width_walk_stops_at_first_pair_past_grid(poly_file, tmp_path):
     assert err == f"status=usage-error detail=degrees_({q},_{q}){PAST_GRID}\n"
 
 
+def test_nested_degree_past_grid_is_usage_error(poly_file, tmp_path, monkeypatch):
+    # (x1 - 1/2)^30 + 50 gets q1 = 9882279206000499916984 from nested_q1,
+    # after 39 s: stubbed here, the command ends in one record, as raise's
+    # walk does past the grid.
+    q1 = 9882279206000499916984
+    report = nested.NestedDegreeReport(q1, 1, 1, None, None, None)
+    monkeypatch.setattr(nested, "nested_q1", lambda p, **caps: (q1, report))
+    out = tmp_path / "cert.txt"
+    code, stdout, err = _run(["certify", poly_file(WORKED), str(out), "--method", "nested"])
+    assert (code, stdout) == (1, "")
+    assert err == (
+        f"status=usage-error detail=degree_{q1}_is_past_the_largest_grid_degree_{sys.maxsize - 1}\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv", [["enclose-min", "{worked}", "--q1", "1000000000000000", "--q2", "2"]],
     ids=["enclose-min"],

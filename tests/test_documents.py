@@ -2,7 +2,7 @@
 
 import ast
 import functools
-import io
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +19,7 @@ from berncert import (
     verify,
 )
 from berncert import documents as docs
+from berncert.cli import _document_lines
 from berncert.documents import (
     CertificateDocument,
     ParseError,
@@ -123,6 +124,16 @@ class TestPolynomialDocument:
         doc = parse_polynomial_document(WORKED_TEXT)
         with pytest.raises(ParseError):
             doc.to_upoly()
+
+    def test_univariate_document_is_not_bivariate(self):
+        doc = parse_polynomial_document("variables: 1\ncoeffs:\n1 2\n")
+        with pytest.raises(ParseError, match="^document is not bivariate$"):
+            doc.to_bpoly()
+
+    @pytest.mark.parametrize("text", ["variables: 2\n1 2\n", "variables: 2\n"], ids=["row", "end"])
+    def test_missing_coeffs_line_rejected(self, text):
+        with pytest.raises(ParseError, match="^expected a 'coeffs:' line$"):
+            parse_polynomial_document(text)
 
 
 class TestCertificateDocument:
@@ -356,30 +367,31 @@ def test_row_parser_falls_back_with_the_grammars_error(line):
     assert str(fast.value) == str(oracle.value)
 
 
-# verify reads a certificate as the lines of a text-mode file, each split
-# again by str.splitlines: that splits where str.splitlines splits the whole
-# text, wherever the file's chunks are cut (a CR LF across a cut included).
+# verify reads a certificate as the lines of a file, each b"\n"-terminated
+# line decoded and split again by str.splitlines: that splits where
+# str.splitlines splits the whole text (a CR LF is never cut, as LF ends it).
 LINE_PIECES = [
     "a", "1 2", " ", "#", "\r", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
     "\x85", "\u2028", "\u2029", "\xe9", "\U0001d7d9",
 ]
 
 
-def _file_lines(data: bytes, chunk: int):
-    handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-    handle._CHUNK_SIZE = chunk  # bytes per read, so that cuts fall everywhere
-    return (piece for line in handle for piece in line.splitlines())
+def _file_lines(data: bytes) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "doc.txt")
+        path.write_bytes(data)
+        return list(_document_lines(str(path)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from(LINE_PIECES), max_size=30).map("".join), st.integers(1, 9))
-def test_file_lines_split_as_splitlines(text, chunk):
-    assert list(_file_lines(text.encode("utf-8"), chunk)) == text.splitlines()
+@given(st.lists(st.sampled_from(LINE_PIECES), max_size=30).map("".join))
+def test_file_lines_split_as_splitlines(text):
+    assert _file_lines(text.encode("utf-8")) == text.splitlines()
 
 
-def _document_outcome(text, chunk):
+def _document_outcome(text):
     """What parse_certificate_document gives for text, and what the streaming
-    reader gives for it read from a file in chunks of the given size."""
+    reader gives for it read from a file."""
     def parsed():
         try:
             doc = parse_certificate_document(text)
@@ -390,7 +402,7 @@ def _document_outcome(text, chunk):
 
     def streamed():
         try:
-            reader = docs.CertificateReader(_file_lines(text.encode(), chunk))
+            reader = docs.CertificateReader(_file_lines(text.encode()))
             rows = list(reader.rows())
         except ParseError as exc:
             return str(exc)
@@ -401,9 +413,9 @@ def _document_outcome(text, chunk):
 
 
 @settings(max_examples=300, deadline=None)
-@given(documents, st.integers(1, 9))
-def test_streamed_document_matches_text(text, chunk):
-    parsed, streamed = _document_outcome(text, chunk)
+@given(documents)
+def test_streamed_document_matches_text(text):
+    parsed, streamed = _document_outcome(text)
     assert parsed == streamed
 
 

@@ -27,7 +27,9 @@ from berncert import (
     range_enclosure_1d,
     verify,
 )
+from berncert import nested
 from berncert.certificates import plain_coeffs
+from berncert.univariate import MAX_GRID_DEGREE
 
 from corpus import BIVARIATE_CORPUS, random_unit_fraction
 
@@ -58,6 +60,14 @@ class TestCoefficientBernsteinPolys:
     def test_degree_error(self):
         with pytest.raises(DegreeError):
             coefficient_bernstein_polys(SPHERE, 1)
+
+    def test_degree_past_the_grid(self):
+        # The x1 pass lists rows up to q1: past MAX_GRID_DEGREE it is
+        # refused, not left to fail inside the kernel.
+        q1 = MAX_GRID_DEGREE + 1
+        with pytest.raises(DegreeError) as exc:
+            nested._coefficient_rows(BPoly([[1], [1]]), q1)
+        assert str(exc.value) == f"degree {q1} is past the largest grid degree {q1 - 1}"
 
     def test_expansion_identity_at_random_points(self):
         rng = random.Random(41)
@@ -346,6 +356,10 @@ class TestNegativeCaps:
         # Not a cap of 0: the first range enclosure refuses it.
         with pytest.raises(ValueError, match="^max_levels must be nonnegative$"):
             certify_nested(SPHERE, max_levels=-1)
+
+    def test_nonpositive_lambda_lower_rejected(self):
+        with pytest.raises(ValueError, match="^lambda_lower must be positive$"):
+            nested_q1(SPHERE, lambda_lower=0)
 
 
 class TestQ2Inconclusive:

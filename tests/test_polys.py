@@ -92,6 +92,10 @@ class TestUPoly:
     def test_trailing_zero_trim(self):
         assert UPoly([1, 2, 0, 0]).coeffs == (1, 2)
 
+    def test_no_coefficients_is_zero(self):
+        assert UPoly([]).coeffs == (Fraction(0),)
+        assert UPoly([]) == UPoly([0])
+
 
 class TestBPoly:
     def test_eval_examples(self):

@@ -225,6 +225,10 @@ class TestDelta:
     def test_zero_exponents(self):
         assert delta(0, 0, 1, 1, 2, 2) == 0
 
+    def test_degree_zero_rejected(self):
+        with pytest.raises(ValueError, match="^degrees must be at least 1$"):
+            delta(0, 0, 0, 0, 0, 2)
+
     def test_tight_case(self):
         assert delta(2, 0, 1, 0, 2, 2) == Fraction(1, 4)
         bound = Fraction(2 - 1, 4) * Fraction(2 * 1, 2)
@@ -257,6 +261,10 @@ class TestDelta:
 class TestBernsteinApproximation:
     def test_reproduces_constants(self):
         assert bernstein_approximation(BPoly([[1]]), 3, 2) == BPoly([[1]])
+
+    def test_degree_zero_rejected(self):
+        with pytest.raises(ValueError, match="^degrees must be at least 1$"):
+            bernstein_approximation(BPoly([[1]]), 3, 0)
 
     def test_reproduces_linear(self):
         x1 = BPoly([[0], [1]])
@@ -756,6 +764,11 @@ class TestRefutationWitness:
         assert info.value.witness == (Fraction(1, 2), 0)
         assert info.value.value == Fraction(-1, 8)
 
+    def test_refutation_without_a_bound_names_its_point(self):
+        refuted = NotPositiveError((Fraction(1, 2), 0), Fraction(-1, 8))
+        assert str(refuted) == "p(1/2, 0) = -1/8 is not strictly positive"
+        assert str(NotPositiveError(Fraction(1, 3), 0)) == "p(1/3) = 0 is not strictly positive"
+
     def test_refutation_holds_only_its_data(self):
         with pytest.raises(NotPositiveError) as info:
             certify_raise(REFUTED["tie"])
@@ -771,6 +784,29 @@ class TestRefutationWitness:
     )
     def test_grid_searches_at_fixed_degrees(self, p, q):
         _assert_grid_searches_exact(p, q, q)
+
+
+def _bernstein_weights_by_raising(d, n):
+    """``raising._bernstein_weights`` made in the plain basis s**k (1-s)**(i-k)
+    one linear factor at a time, each row raised to degree n by n - i
+    multiplications by (1-s) + s."""
+    fact = math.factorial
+    rows, plain = [], [1]
+    for i in range(n + 1):
+        raised = plain
+        for _ in range(n - i):
+            raised = [a + c for a, c in zip(raised + [0], [0] + raised)]
+        scale = fact(n) // fact(i)
+        rows.append([v * scale * fact(k) * fact(n - k) for k, v in enumerate(raised)])
+        plain = [(d - i) * c - i * a for a, c in zip(plain + [0], [0] + plain)]
+    return tuple(zip(*rows))
+
+
+def test_bernstein_weights_match_the_raising_loop():
+    for n in range(11):
+        for d in [*range(200), 4224, 65536, 10**15]:
+            made = raising._bernstein_weights.__wrapped__(d, n)  # not through the cache
+            assert made == _bernstein_weights_by_raising(d, n), (d, n)
 
 
 class TestKernelCalls:

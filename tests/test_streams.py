@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from berncert import BPoly, CertificationError, Method, certify_nested, certify_raise, verify
 from berncert.certificates import CertificateRows, plain_rows
-from berncert.cli import _check_utf8, main
+from berncert.cli import _document_lines, main
 from berncert.documents import (
     CertificateDocument,
     ParseError,
@@ -220,7 +220,7 @@ def test_bad_bytes_win_over_an_earlier_header_fault(tmp_path, capsys):
 def test_bad_last_byte_is_found_in_chunks(tmp_path, capsys):
     # A header fault, 20 MB of long rows, then a byte that is not UTF-8:
     # the record's position counts from the file's start, and the file is
-    # decoded again in chunks, not read whole.
+    # decoded one line at a time, not read whole.
     poly, bad = tmp_path / "poly.txt", tmp_path / "bad.txt"
     poly.write_text(SPHERE)
     with open(bad, "wb") as handle:
@@ -244,20 +244,52 @@ def test_bad_last_byte_is_found_in_chunks(tmp_path, capsys):
     assert peak < 1 << 20
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(8180, 8200), st.binary(max_size=6), st.binary(max_size=6))
-def test_chunked_decode_gives_the_whole_file_text(length, bad, tail):
-    # Around the first chunk's end: a UTF-8 prefix with a 4-byte character
-    # that may be cut, any bytes, then ASCII or more bytes.
-    data = ("a" * (length - 4) + "\U0001f600").encode("utf-8")[:length] + bad + b"1 1\n" + tail
+# Pieces of a file around line ends: ASCII, every line end the reader must
+# keep apart (LF only ends a read line), whole and cut multibyte characters.
+DECODE_PIECES = [
+    b"a", b"1 2", b"\n", b"\r\n", b"\r", "\u2028".encode(), "\xe9".encode(),
+    "\U0001f600".encode(), b"\xf0\x9f\x98", b"\xe2\x80", b"\xc3", b"\x80", b"\xff",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([0, (1 << 16) - 2, 1 << 16]),
+    st.lists(st.one_of(st.sampled_from(DECODE_PIECES), st.binary(max_size=3)), max_size=30),
+)
+def test_chunked_decode_gives_the_whole_file_text(length, pieces):
+    # Decoded line by line, a file gives the pieces str.splitlines gives for
+    # its whole text, or the error text of decoding it whole; a long first
+    # line puts the rest across the reader's 64 KB buffer.
+    data = b"a" * length + b"".join(pieces)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "c.txt")
         path.write_bytes(data)
         try:
-            data.decode("utf-8")
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             with pytest.raises(ParseError) as info:
-                _check_utf8(str(path))
+                list(_document_lines(str(path)))
             assert str(info.value) == str(exc)
         else:
-            assert _check_utf8(str(path)) is None
+            assert list(_document_lines(str(path))) == text.splitlines()
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        b"1 1\nreport:\nc_min: 1\xff\nbound: 0\n",
+        b"1 1\nreport:\nno pair\nbound: \xff0\n",
+        b"1 x\n1 1\nreport:\nbound: \xff0\n",
+    ],
+    ids=["in-report", "after-report-fault", "after-bad-row"],
+)
+def test_bad_bytes_in_the_report_give_the_whole_file_record(tmp_path, capsys, tail):
+    # The report is read after the rows: a byte that is not UTF-8 there is
+    # still the fault reported, before a bad report line or a bad row.
+    data = HEAD + b"1 1\n" + tail
+    poly, path = tmp_path / "poly.txt", tmp_path / "bad.txt"
+    poly.write_text(SPHERE)
+    path.write_bytes(data)
+    code, out, err = _run(capsys, ["verify", str(poly), str(path)])
+    assert (code, out, err) == (1, "", _decode_error(data))

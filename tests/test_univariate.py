@@ -12,6 +12,7 @@ from berncert import (
     BPoly,
     BernsteinForm1D,
     CertificationError,
+    DegreeError,
     InconclusiveError,
     NotPositiveError,
     RangeEnclosure1D,
@@ -73,8 +74,6 @@ class TestToBernstein:
         assert to_bernstein_plain(UPoly([1, -1]), 1).coeffs == (1, 0)
 
     def test_degree_error(self):
-        from berncert import DegreeError
-
         with pytest.raises(DegreeError):
             to_bernstein_plain(UPoly([0, 0, 1]), 1)
 
@@ -109,6 +108,10 @@ class TestGoursat:
     def test_one_plus_x_full_vector(self):
         assert goursat_coefficients(UPoly([1, 1])) == (2, 0)
         assert goursat(UPoly([1, 1])) == UPoly([2])
+
+    def test_declared_degree_below_polynomial_degree(self):
+        with pytest.raises(DegreeError, match="^declared degree 1 is below polynomial degree 2$"):
+            goursat_coefficients(UPoly([1, 2, 3]), 1)
 
     def test_declared_degree_padding(self):
         # Padding to degree n scales the transform by (2x)**(n - deg).
@@ -161,6 +164,12 @@ class TestPowersReznickDegree:
             powers_reznick_degree(2, 1, 0)
         with pytest.raises(ValueError):
             powers_reznick_degree(2, 1, -1)
+
+    def test_negative_degree_or_magnitude_rejected(self):
+        with pytest.raises(ValueError, match="^degree must be nonnegative, got -1$"):
+            powers_reznick_degree(-1, 1, 1)
+        with pytest.raises(ValueError, match="^max_abs_e must be nonnegative$"):
+            powers_reznick_degree(2, -1, 1)
 
 
 class TestElevate:
@@ -222,6 +231,16 @@ class TestRangeEnclosure:
         assert enc.lo == 0 and enc.hi == 1
         assert enc.subdivisions == 0
         assert enc.min_value == 0 and enc.max_value == 1
+
+    def test_exact_level_zero_ends_a_predicate_that_never_holds(self):
+        # 1 + x has control points 1, 2, both attained: no segment is left
+        # to bisect, so level 0 is returned though the predicate is false.
+        enc = range_enclosure_1d(UPoly([1, 1]), predicate=lambda e: False)
+        assert enc == RangeEnclosure1D(1, 2, 0, 1, 0, 2, 1)
+
+    def test_nonpositive_width_rejected(self):
+        with pytest.raises(ValueError, match="^max_width must be positive$"):
+            range_enclosure_1d(UPoly([1, 1]), max_width=0)
 
     def test_one_plus_x_squared(self):
         enc = range_enclosure_1d(UPoly([1, 0, 1]), max_width=Fraction(1, 4))

@@ -360,6 +360,20 @@ MALFORMED = {
 }
 
 
+def test_certificate_equality_and_hash():
+    # Equal values hash equal; a certificate is never equal to anything else.
+    made = certify_raise(PLANE)
+    cert = _from_integers(made.q1, made.q2, made.numerators, made.denominators)
+    doubled = _from_integers(
+        cert.q1, cert.q2, [[2 * n for n in row] for row in cert.numerators],
+        [[2 * d for d in row] for row in cert.denominators],
+    )
+    assert doubled == cert and hash(doubled) == hash(cert)
+    assert hash(cert) == hash((cert.q1, cert.q2, Method.RAISE))
+    assert cert.__eq__(cert.coefficients) is NotImplemented
+    assert cert != cert.coefficients
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_certificate_message(name):
     build, message = MALFORMED[name]
