@@ -13,8 +13,9 @@ number over that limit is not written: ``TooLargeError``.
 A certificate is a stream of rows, written by one line writer (``_lines``,
 of a ``CertificateRows`` or of a document) and read by one row reader
 (``CertificateReader``); the str-in and str-out functions collect them.  A
-row is formatted by one ``join`` and parsed by ``split`` and ``int``
-whenever that gives what the grammar gives, else by the grammar itself.
+row is formatted by one ``join`` (of ``str`` alone for a row whose
+denominators are all 1) and parsed by ``split`` and ``int`` whenever that
+gives what the grammar gives, else by the grammar itself.
 
 Either document is read from its lines (``read_polynomial_document``,
 ``CertificateReader``): the str-in functions give them ``str.splitlines``
@@ -168,7 +169,11 @@ def _parse_row(line: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _format_row(nums: Sequence[int], dens: Sequence[int]) -> str:
     """The line of a matrix row: entry n/d as ``n//g/d//g`` with
     g = gcd(n, d), or ``n//g`` when g = d, the token str(Fraction(n, d))
-    would give, without building the Fraction."""
+    would give, without building the Fraction.  A row whose denominators
+    are all 1 is its numerators written by ``str`` alone, the twin of
+    ``_parse_row``'s path for a line with no ``/``."""
+    if max(dens, default=1) == 1:
+        return " ".join(map(str, nums))
     return " ".join([
         str(n // g) if g == d else f"{n // g}/{d // g}"
         for n, d, g in zip(nums, dens, map(math.gcd, nums, dens))

@@ -20,7 +20,8 @@ and values.
 Both stages run on integers over one denominator, the first on p's columns,
 the second on that map's x1 pass (the rows A_i(x2)), which ``certify_nested``
 also hands to the x2 pass: each takes its Goursat coefficients from one
-``univariate._goursat`` call and bisects integer control points
+``univariate._goursat`` call over p (in stage 2 carried to every row by the
+x1 pass, which the transform commutes with) and bisects integer control points
 (``univariate._range_enclosure``) until a stop rule on the level's integers
 holds: gaps of at most lambda cross-multiplied (``univariate._within``) in
 stage 1, a lower bound within a factor two of an attained value
@@ -149,17 +150,22 @@ def nested_q2(
     bound is within a factor two of an attained value).  The degree is the
     largest 2 * powers_reznick_degree(n2, maxB_i, inf_i), the one of the
     row with the largest maxB_i / inf_i.  All of it runs on the x1 pass's
-    integer rows over their one denominator: the Goursat vectors in one
-    ``_goursat`` call, the enclosures by integer de Casteljau with an
-    integer stop rule, the largest ratio by cross-multiplying; only the
-    per-row bounds become Fractions.
+    integer rows over their one denominator: the Goursat vectors by the x1
+    pass over one ``_goursat`` call on p's rows, the enclosures by integer
+    de Casteljau with an integer stop rule, the largest ratio by
+    cross-multiplying; only the per-row bounds become Fractions.
     """
-    return _q2_of_rows(*_coefficient_rows(p, q1), p.n2, report, max_levels)
+    return _q2_of_rows(p, q1, *_coefficient_rows(p, q1), report, max_levels)
 
 
-def _q2_of_rows(rows, den, n2, report, max_levels) -> tuple[int, NestedDegreeReport]:
-    """``nested_q2`` on the x1 rows (rows, D) it computes."""
-    goursat_rows, _ = _goursat(rows, n2)  # integer rows: their D is 1
+def _q2_of_rows(p, q1, rows, den, report, max_levels) -> tuple[int, NestedDegreeReport]:
+    """``nested_q2`` on the x1 rows (rows, D) it computes.  The Goursat map
+    acts on each row's x2 coefficients and is linear, so it commutes with
+    the x1 pass: the rows' Goursat vectors are the x1 pass at q1 of p's own
+    (``_goursat`` over p's n1 + 1 rows, cleared to the same D), integers."""
+    n2 = p.n2
+    goursat_p, _ = _goursat(p.coeffs, n2)
+    goursat_rows, _ = _plain_pass(list(zip(*goursat_p)), q1)
     infs, maxbs = [], []
     for i, (row, e) in enumerate(zip(rows, goursat_rows)):
         try:
@@ -203,7 +209,7 @@ def nested_rows(
     does, the CertificationError when the bad row is read."""
     q1, report = nested_q1(p, max_doublings=max_doublings, max_levels=max_levels)
     rows, den = _coefficient_rows(p, q1)
-    q2, report = _q2_of_rows(rows, den, p.n2, report, max_levels)
+    q2, report = _q2_of_rows(p, q1, rows, den, report, max_levels)
     return CertificateRows(q1, q2, Method.NESTED, report, _plain_rows(rows, q2), den)
 
 

@@ -8,7 +8,8 @@ representation, certified range enclosure by de Casteljau bisection (on
 integer control points, stopped by rules on integers: only an enclosure a
 caller keeps becomes Fractions), and a positivity certifier that combines
 all of the above.  The forward map to plain Bernstein form is a difference
-table (``_values`` over ``_weights``), one lazy kernel ``_plain`` on
+table (``_values`` over ``_weights``, a cached tuple per (n, q), so a pass
+computes it once, not once per row), one lazy kernel ``_plain`` on
 integers: once for ``to_bernstein_plain``, and along x1 (``_plain_pass``)
 and x2 (``_plain_rows``) in the bivariate modules; the range enclosure
 reads its control points off the table.  The inverse
@@ -22,8 +23,9 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, islice, repeat, tee
-from operator import mul
+from operator import floordiv, mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import CertificationError, DegreeError, InconclusiveError, NotPositiveError
@@ -97,10 +99,13 @@ def _differences(values: Sequence[int]) -> list[int]:
     return out
 
 
-def _weights(n: int, q: int) -> list[int]:
-    """[i! (q-i)^(n-i) for i <= n], falling factorials, for q >= n: the
-    normalized coefficient C(k, i) / C(q, i) of x**i is C(k, i) w[i] / q^(n)."""
-    return [math.factorial(i) * math.perm(q - i, n - i) for i in range(n + 1)]
+@lru_cache(maxsize=256)
+def _weights(n: int, q: int) -> tuple[int, ...]:
+    """(i! (q-i)^(n-i) for i <= n), falling factorials, for q >= n: the
+    normalized coefficient C(k, i) / C(q, i) of x**i is C(k, i) w[i] / q^(n).
+    Cached, 256 tuples of n + 1 entries, as the passes ask for one (n, q)
+    per row or column."""
+    return tuple([math.factorial(i) * math.perm(q - i, n - i) for i in range(n + 1)])
 
 
 def _plain_kernel(vectors: Sequence[Vector], q: int) -> tuple[list[list[int]], int]:
@@ -114,7 +119,7 @@ def _plain_kernel(vectors: Sequence[Vector], q: int) -> tuple[list[list[int]], i
     Returns (outputs, D).
     """
     vectors, den = _cleared(vectors)
-    w = _weights(q, q)
+    w = _weights.__wrapped__(q, q)  # uncached: q + 1 entries of up to log2(q!) bits
     padded = ([b * u for b, u in zip(v, w)] + [0] * (q + 1 - len(v)) for v in vectors)
     return [[d // u for d, u in zip(_differences(f), w)] for f in padded], den
 
@@ -130,7 +135,7 @@ def _plain(a: Sequence[int], q: int, binoms: Iterable[int]) -> Iterator[int]:
         return map(mul, binoms, repeat(a[0]))
     scale = math.perm(q, n)
     vals = _values([c * u for c, u in zip(a, _weights(n, q))], q)
-    return (b * v // scale for b, v in zip(binoms, vals))
+    return map(floordiv, map(mul, binoms, vals), repeat(scale))
 
 
 def _plain_pass(vectors: Sequence[Vector], q: int) -> tuple[Iterator[tuple[int, ...]], int]:
@@ -295,8 +300,11 @@ def _range_enclosure(
     attained value is an end control point of some segment, and a dropped
     one's points lie between them.  Each level is the tuple (lo, hi,
     levels, min_value, min_point, max_value, max_point, scale) of integers
-    that ``_enclosure`` reads.  ``stop`` is called with it unpacked, and the
-    level it accepts, or the last one, is returned as it is: the only
+    that ``_enclosure`` reads.  ``stop`` is called with it unpacked, once
+    per level, and the level it accepts, or an exact one (no segment live:
+    lo = min_value and hi = max_value), is returned as it is, before any
+    segment is split; each segment carries its least and greatest control
+    points, so level 0, one segment, builds no other list.  The only
     Fractions made here are those of the RangeEnclosure1D that the
     InconclusiveError at the cap carries.  Every enclosure of the package
     runs here, so this is where a negative max_levels is refused, with
@@ -312,40 +320,35 @@ def _range_enclosure(
     # The first attained minimum and maximum among the endpoints x = 0, 1.
     min_value, min_point = (first[0], 0) if first[0] <= first[-1] else (first[-1], 1)
     max_value, max_point = (first[0], 0) if first[0] >= first[-1] else (first[-1], 1)
-    segments = [(0, first)]  # (j, control points) on [j, j+1] / 2**levels
+    lo, hi = min(first), max(first)
+    segments = [(lo, hi, 0, first)]  # (low, high, j, control points) on [j, j+1] / 2**levels
     levels = 0
     while True:
-        lows = [min(cps) for _, cps in segments]
-        highs = [max(cps) for _, cps in segments]
-        lo, hi = min(min_value, *lows), max(max_value, *highs)
         level = (lo, hi, levels, min_value, min_point, max_value, max_point, scale << m * levels)
-        if stop(*level):
-            return level
-        active = [
-            seg
-            for seg, low, high in zip(segments, lows, highs)
-            if low < min_value or high > max_value
-        ]
-        if not active:
+        # lo >= min_value and hi <= max_value: no segment is live, lo and hi are attained.
+        if stop(*level) or (lo >= min_value and hi <= max_value):
             return level
         if levels >= max_levels:
             raise InconclusiveError(
                 f"range enclosure not tight enough after {max_levels} bisection levels",
                 best=_enclosure(*level),
             )
+        live = [(j, cps) for low, high, j, cps in segments if low < min_value or high > max_value]
         # One level down: every kept integer moves to the new scale.
         min_value, max_value = min_value << m, max_value << m
         min_point, max_point = min_point << 1, max_point << 1
         segments = []
-        for j, cps in active:
+        for j, cps in live:
             left, right = _decasteljau_halves(cps, m)
-            segments.append((2 * j, left))
-            segments.append((2 * j + 1, right))
+            segments.append((min(left), max(left), 2 * j, left))
+            segments.append((min(right), max(right), 2 * j + 1, right))
             mid_value = left[-1]
             if mid_value < min_value:
                 min_value, min_point = mid_value, 2 * j + 1
             if mid_value > max_value:
                 max_value, max_point = mid_value, 2 * j + 1
+        lo = min(min_value, *(s[0] for s in segments))
+        hi = max(max_value, *(s[1] for s in segments))
         levels += 1
 
 

@@ -175,9 +175,30 @@ MUTANTS = [
     (
         "enclosure-lo-of-live-segments",
         "univariate.py",
-        "lo, hi = min(min_value, *lows),",
-        "lo, hi = min(lows),",
+        "lo = min(min_value, *(s[0] for s in segments))",
+        "lo = min(s[0] for s in segments)",
         [f"{UNIVARIATE}::TestRangeEnclosure::test_soundness_on_random_polynomials"],
+    ),
+    (
+        "enclosure-exact-on-either-side",
+        "univariate.py",
+        "(lo >= min_value and hi <= max_value)",
+        "(lo >= min_value or hi <= max_value)",
+        ["tests/test_nested.py::TestNestedQ2PerRowOracle::test_random"],
+    ),
+    (
+        "q2-goursat-degree-raised",
+        "nested.py",
+        "_goursat(p.coeffs, n2)",
+        "_goursat(p.coeffs, n2 + 1)",
+        ["tests/test_nested.py::TestNestedQ2PerRowOracle::test_random"],
+    ),
+    (
+        "format-row-any-denominator-one",
+        "documents.py",
+        "max(dens, default=1) == 1",
+        "min(dens, default=1) == 1",
+        ["tests/test_documents.py::test_row_is_written_as_str_of_its_fractions"],
     ),
     (
         "reader-skips-last-row",

@@ -843,7 +843,9 @@ def test_help_lists_every_command(capsys):
 # Degrees forced below what the method's bounds give, on WORKED: nested keeps
 # q2 at n2 = 2, raise stops at the floors (2, 2), where C[1][1] = -3/2.
 TOO_LOW = {
-    "nested": ("_q2_of_rows", lambda rows, den, n2, report, max_levels: (n2, report), 358),
+    "nested": (
+        "_q2_of_rows", lambda p, q1, rows, den, report, max_levels: (p.n2, report), 358
+    ),
     "raise": (
         "_raise", lambda p, *_: (0, raising.min_enclosure(p, 2, 2), raising.gamma_bounds(p)), 1
     ),

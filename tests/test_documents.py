@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from berncert import (
     BPoly,
@@ -454,3 +454,23 @@ def test_polynomial_number_past_digit_limit_is_too_large():
     with pytest.raises(TooLargeError) as info:
         serialize_polynomial_document(doc)
     assert str(info.value) == "a polynomial coefficient has over 4300 digits"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=8),
+    st.one_of(st.just(None), st.lists(st.integers(1, 12), min_size=8, max_size=8)),
+)
+@example([0, -3, 5], None)  # denominators all 1
+@example([1, 3], [1, 2])  # a 1 beside another denominator
+def test_row_is_written_as_str_of_its_fractions(nums, dens):
+    dens = [1] * len(nums) if dens is None else dens[: len(nums)]
+    line = docs._format_row(nums, dens)
+    assert line == " ".join(str(Fraction(n, d)) for n, d in zip(nums, dens))
+
+
+def test_integer_row_past_digit_limit_is_too_large():
+    # A row over 1 is written by str() alone, which refuses the same numbers.
+    with pytest.raises(TooLargeError) as info:
+        docs._written("a certificate number", docs._format_row, [1, 10**4400], [1, 1])
+    assert str(info.value) == "a certificate number has over 4300 digits"

@@ -27,9 +27,17 @@ from berncert import (
     range_enclosure_1d,
     verify,
 )
-from berncert import nested
+from berncert import nested, univariate
 from berncert.certificates import plain_coeffs
-from berncert.univariate import MAX_GRID_DEGREE
+from berncert.nested import NestedDegreeReport, _coefficient_rows, _q2_stop
+from berncert.univariate import (
+    MAX_GRID_DEGREE,
+    _decasteljau_halves,
+    _enclosure,
+    _goursat,
+    _values,
+    _weights,
+)
 
 from corpus import BIVARIATE_CORPUS, random_unit_fraction
 
@@ -258,6 +266,138 @@ class TestNestedQ2Oracle:
         _, report = nested_q1(p, lambda_lower=1)
         q1 = p.n1 + extra
         assert _q2_outcome(p, q1, report, max_levels) == _fraction_q2(p, q1, report, max_levels)
+
+
+def _per_row_range_enclosure(coeffs, den, stop, max_levels):
+    """The integer enclosure loop as it was when every level, level 0 too,
+    built its segments' bounds and its live segments before it returned:
+    the oracle for ``univariate._range_enclosure``."""
+    if max_levels < 0:
+        raise ValueError("max_levels must be nonnegative")
+    m = len(coeffs) - 1
+    while m > 0 and coeffs[m] == 0:
+        m -= 1
+    first = list(_values([a * w for a, w in zip(coeffs, _weights(m, m))], m))
+    scale = math.factorial(m) * den
+    min_value, min_point = (first[0], 0) if first[0] <= first[-1] else (first[-1], 1)
+    max_value, max_point = (first[0], 0) if first[0] >= first[-1] else (first[-1], 1)
+    segments = [(0, first)]
+    levels = 0
+    while True:
+        lows = [min(cps) for _, cps in segments]
+        highs = [max(cps) for _, cps in segments]
+        lo, hi = min(min_value, *lows), max(max_value, *highs)
+        level = (lo, hi, levels, min_value, min_point, max_value, max_point, scale << m * levels)
+        if stop(*level):
+            return level
+        active = [
+            seg
+            for seg, low, high in zip(segments, lows, highs)
+            if low < min_value or high > max_value
+        ]
+        if not active:
+            return level
+        if levels >= max_levels:
+            raise InconclusiveError(
+                f"range enclosure not tight enough after {max_levels} bisection levels",
+                best=_enclosure(*level),
+            )
+        min_value, max_value = min_value << m, max_value << m
+        min_point, max_point = min_point << 1, max_point << 1
+        segments = []
+        for j, cps in active:
+            left, right = _decasteljau_halves(cps, m)
+            segments.append((2 * j, left))
+            segments.append((2 * j + 1, right))
+            mid_value = left[-1]
+            if mid_value < min_value:
+                min_value, min_point = mid_value, 2 * j + 1
+            if mid_value > max_value:
+                max_value, max_point = mid_value, 2 * j + 1
+        levels += 1
+
+
+def _per_row_q2(p, q1, report, max_levels):
+    """Stage 2 as it was, one ``_goursat`` table per x1 row and the enclosure
+    loop above: the oracle for ``nested_q2``, which takes the rows' Goursat
+    vectors from the x1 pass."""
+    rows, den = _coefficient_rows(p, q1)
+    goursat_rows, _ = _goursat(rows, p.n2)
+    infs, maxbs = [], []
+    for i, (row, e) in enumerate(zip(rows, goursat_rows)):
+        try:
+            level = _per_row_range_enclosure(row, den, _q2_stop, max_levels)
+        except InconclusiveError as exc:
+            raise InconclusiveError(
+                f"coefficient polynomial {i} could not be certified positive "
+                f"within {max_levels} bisection levels",
+                best=exc.best,
+            ) from exc
+        lo, _, _, min_value, _, _, _, scale = level
+        if min_value <= 0 or lo <= 0:
+            enc = _enclosure(*level)
+            raise InconclusiveError(
+                f"coefficient polynomial {i} is not certifiably positive "
+                f"(value {enc.min_value} at {enc.min_point})",
+                best=enc,
+            )
+        maxb = max(map(abs, e))
+        infs.append(Fraction(lo, scale))
+        maxbs.append(Fraction(maxb, den))
+        if i == 0 or maxb * scale * worst_lo > worst_num * lo:
+            worst, worst_num, worst_lo = i, maxb * scale, lo
+    q2 = 2 * powers_reznick_degree(p.n2, maxbs[worst], infs[worst])
+    return q2, NestedDegreeReport(
+        report.q1, report.lambda_lower, report.l_upper, q2, tuple(infs), tuple(maxbs)
+    )
+
+
+def _q2_or_error(run):
+    try:
+        q2, full = run()
+    except InconclusiveError as exc:
+        return type(exc), str(exc), exc.best
+    return q2, full._values()
+
+
+ONE_PLUS_X1_X2_SQUARED = BPoly([[1, 0, 0], [0, 0, 1]])  # row 0 is 1: top coefficients 0
+DIP = BPoly([[Fraction(3, 8), -1, 1]])  # (x2 - 1/2)**2 + 1/8: level 0 straddles 0
+
+
+class TestNestedQ2PerRowOracle:
+    """nested_q2 equals stage 2 as it was, row by row: the same q2 and
+    report, or the same InconclusiveError text and enclosure."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(sparse_polys(), st.booleans(), st.integers(0, 40), st.integers(0, 4))
+    @example(ONE_PLUS_X1_X2_SQUARED, False, 0, 4)
+    @example(ONE_PLUS_X1_X2_SQUARED, False, 9, 0)
+    @example(DIP, False, 3, 4)  # every row bisects once
+    @example(DIP, False, 3, 0)  # and gives up at a cap of 0
+    @example(WORKED, False, 0, 4)  # row 1 is not positive
+    @example(WORKED, False, 2438, 0)  # row 158 at the level cap
+    def test_random(self, p, lifted, extra, max_levels):
+        if lifted:
+            lift = sum(abs(a) for row in p.coeffs for a in row) + 1
+            p = BPoly([[p.coeffs[0][0] + lift, *p.coeffs[0][1:]], *p.coeffs[1:]])
+        _, report = nested_q1(p, lambda_lower=1)
+        q1 = p.n1 + extra
+        got = _q2_or_error(lambda: nested_q2(p, q1, report, max_levels))
+        assert got == _q2_or_error(lambda: _per_row_q2(p, q1, report, max_levels))
+
+
+def test_stage2_transforms_p_not_its_rows(monkeypatch):
+    # x1**2 - x1 + 1 + x2 at q1 = 526: one difference table per row of p
+    # (n1 + 1 = 3), not one per x1 row (527).
+    p = BPoly([[1, 1], [-1, 0], [1, 0]])
+    _, report = nested_q1(p)
+    calls = []
+    differences = univariate._differences
+    monkeypatch.setattr(
+        univariate, "_differences", lambda values: calls.append(1) or differences(values)
+    )
+    nested_q2(p, 526, report)
+    assert len(calls) == p.n1 + 1 == 3
 
 
 class TestNestedQ2:

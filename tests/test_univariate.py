@@ -27,7 +27,7 @@ from berncert import (
     to_bernstein_plain,
 )
 from berncert import univariate
-from berncert.certificates import plain_coeffs
+from berncert.certificates import plain_coeffs, plain_rows
 from berncert.nested import _coefficient_rows, _q2_stop, coefficient_bernstein_polys
 from berncert.univariate import (
     _cleared,
@@ -237,6 +237,25 @@ class TestRangeEnclosure:
         # to bisect, so level 0 is returned though the predicate is false.
         enc = range_enclosure_1d(UPoly([1, 1]), predicate=lambda e: False)
         assert enc == RangeEnclosure1D(1, 2, 0, 1, 0, 2, 1)
+
+    def test_predicate_judges_each_level_once(self):
+        # Level 0 is judged once, as every later level is.  (x - 1/3)**2 is
+        # never exact (its zero is not dyadic), so every level up to the cap
+        # is judged; x**2 - x + 1/2 is exact at level 1, 1 + x at level 0.
+        cases = [
+            (UPoly([Fraction(1, 9), Fraction(-2, 3), 1]), [0, 1, 2, 3, 4, 5]),
+            (UPoly([Fraction(1, 2), -1, 1]), [0, 1]),
+            (UPoly([1, 1]), [0]),
+        ]
+        for p, judged in cases:
+            seen = []
+            try:
+                range_enclosure_1d(
+                    p, predicate=lambda e: seen.append(e.subdivisions), max_levels=5
+                )
+            except InconclusiveError:
+                pass
+            assert seen == judged
 
     def test_nonpositive_width_rejected(self):
         with pytest.raises(ValueError, match="^max_width must be positive$"):
@@ -670,3 +689,13 @@ def test_inverse_kernel_matches_signed_binomial_loop(case):
     # The same integers (N, D), not only the same values.
     vectors, q = case
     assert _plain_kernel(vectors, q) == _signed_kernel(vectors, q)
+
+
+def test_passes_compute_each_weight_row_once():
+    # x1**2 - x1 + 1 + x2 at (526, 20): the x1 pass asks for _weights(2, 526)
+    # once per column and the x2 pass for _weights(1, 20) once per row; each
+    # is computed once.
+    _weights.cache_clear()
+    rows, _ = plain_rows(BPoly([[1, 1], [-1, 0], [1, 0]]), 526, 20)
+    assert sum(1 for _ in rows) == 527
+    assert _weights.cache_info().misses == 2
