@@ -23,10 +23,12 @@ Verification is a pure function of the certificate and the polynomial that
 does not trust the producer, and it reads the certificate as a stream of
 rows (``verify_rows``), each once, from a certificate or straight from a
 file: one ``min`` per row for the sign of its numerators (denominators are
-positive), and one cross-multiplied comparison with the next row of p's
-plain matrix cut to degrees (q1, q2), made up to the first mismatch, which
-also names the first monomial where C's expansion differs from p.  C is
-never expanded; ``expand_plain_2d`` is the inverse map.
+positive), and one comparison with the next row of p's plain matrix cut to
+degrees (q1, q2), made up to the first mismatch, which also names the first
+monomial where C's expansion differs from p.  A file's reader compares each
+line with the writer's text of that row and parses only a line that differs,
+which alone gets the cross-multiplied comparison.  C is never expanded;
+``expand_plain_2d`` is the inverse map.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import CertificationError, DegreeError
 from .polys import BPoly, Record, rat, rat_text
@@ -224,36 +226,44 @@ def _extra_term(p: BPoly, i: int, start: int) -> Optional[str]:
 
 
 def verify_rows(
-    p: BPoly, q1: int, q2: int, rows: Iterable[tuple[Sequence[int], Sequence[int]]]
+    p: BPoly, q1: int, q2: int, read: Callable[[Iterator[list[int]], int], Iterable[tuple]]
 ) -> VerificationResult:
-    """``verify`` of the certificate at (q1, q2) whose (numerators,
-    denominators) rows, q1 + 1 of q2 + 1 entries with positive
-    denominators, are read one at a time and not kept.
+    """``verify`` of the certificate at (q1, q2) whose rows, q1 + 1 of
+    q2 + 1 entries with positive denominators, are read one at a time and
+    not kept.
 
-    Each row gets one ``min`` for its sign and one cross-multiplied
-    comparison with the next row of p's plain matrix cut to (q1, q2); a
-    loop runs only to locate a difference.  Along each axis the plain map
-    and its inverse are unit lower triangular, so the first row-major
-    nonzero entry of C - plain_coeffs(cut p) is the difference at the first
-    monomial where C's expansion differs from the cut p.  A nonzero
-    coefficient of p past (q1, q2) is a mismatch too, after the entries
-    j <= q2 of its row.  p's rows are made only up to the first mismatch.
+    ``read(expected, den)`` gives them as (numerators, denominators, p's
+    row): ``expected`` yields p's plain rows cut to (q1, q2), numerators
+    over ``den``, and ``read`` takes the next one for each row it gives
+    while they last.  It gives None for p's row when it has found the row
+    equal to it already (a file's reader, by its text) or when ``expected``
+    is spent: it is closed at the first mismatch, so p's rows are made only
+    up to there.
+
+    Each row gets one ``min`` for its sign and, while there is no mismatch,
+    one cross-multiplied comparison with its row of p; a loop runs only to
+    locate a difference.  Along each axis the plain map and its inverse are
+    unit lower triangular, so the first row-major nonzero entry of
+    C - plain_coeffs(cut p) is the difference at the first monomial where
+    C's expansion differs from the cut p.  A nonzero coefficient of p past
+    (q1, q2) is a mismatch too, after the entries j <= q2 of its row.
     """
     cut = BPoly([row[: q2 + 1] for row in p.coeffs[: q1 + 1]])
     expected, den = plain_rows(cut, q1, q2)
     sign = mismatch = None
-    for i, (nums, dens) in enumerate(rows):
+    for i, (nums, dens, prow) in enumerate(read(expected, den)):
         if sign is None and min(nums) <= 0:  # denominators are positive
             j = next(j for j, n in enumerate(nums) if n <= 0)
             sign = f"nonpositive entry C[{i}][{j}] = {rat_text(Fraction(nums[j], dens[j]))}"
         if mismatch is None:
-            prow = next(expected)
-            if list(map(mul, nums, repeat(den))) != list(map(mul, prow, dens)):
+            if prow is not None and list(map(mul, nums, repeat(den))) != list(map(mul, prow, dens)):
                 j = next(j for j in range(q2 + 1) if nums[j] * den != prow[j] * dens[j])
                 diff = Fraction(nums[j] * den - prow[j] * dens[j], dens[j] * den)
                 mismatch = _mismatch(p, i, j, diff)
             else:
                 mismatch = _extra_term(p, i, q2 + 1)
+            if mismatch is not None:
+                expected.close()
     if mismatch is None:  # rows of p past q1
         extra = (_extra_term(p, i, 0) for i in range(q1 + 1, p.n1 + 1))
         mismatch = next(filter(None, extra), None)
@@ -269,4 +279,8 @@ def verify(p: BPoly, cert: PositivityCertificate) -> VerificationResult:
     of the expansion of C against p), both read off without expanding C, by
     ``verify_rows`` over the certificate's rows.
     """
-    return verify_rows(p, cert.q1, cert.q2, zip(cert.numerators, cert.denominators))
+    rows = zip(cert.numerators, cert.denominators)
+    return verify_rows(
+        p, cert.q1, cert.q2,
+        lambda expected, _: ((nums, dens, next(expected, None)) for nums, dens in rows),
+    )

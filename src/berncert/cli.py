@@ -151,7 +151,7 @@ def cmd_certify(args) -> int:
 def cmd_verify(args) -> int:
     p = _read_bivariate(args.poly, "verify")
     reader = CertificateReader(_document_lines(args.certificate))
-    result = verify_rows(p, reader.q1, reader.q2, reader.rows())
+    result = verify_rows(p, reader.q1, reader.q2, reader.checked_rows)
     if result:
         print("ok")
         return 0

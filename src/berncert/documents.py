@@ -15,7 +15,10 @@ of a ``CertificateRows`` or of a document) and read by one row reader
 (``CertificateReader``); the str-in and str-out functions collect them.  A
 row is formatted by one ``join`` (of ``str`` alone for a row whose
 denominators are all 1) and parsed by ``split`` and ``int`` whenever that
-gives what the grammar gives, else by the grammar itself.
+gives what the grammar gives, else by the grammar itself.  Verify compares
+each line with the writer's text of p's row (``checked_rows``) and parses
+only a line that differs: parsing a formatted row gives it back, so a line
+equal to that text is p's row.
 
 Either document is read from its lines (``read_polynomial_document``,
 ``CertificateReader``): the str-in functions give them ``str.splitlines``
@@ -178,6 +181,15 @@ def _format_row(nums: Sequence[int], dens: Sequence[int]) -> str:
         str(n // g) if g == d else f"{n // g}/{d // g}"
         for n, d, g in zip(nums, dens, map(math.gcd, nums, dens))
     ])
+
+
+def _is_text_of(line: str, nums: Sequence[int], dens: Sequence[int]) -> bool:
+    """Whether line is ``_format_row``'s text of the row; not when that text
+    would be past the digit limit, which no line can parse to."""
+    try:
+        return line == _format_row(nums, dens)
+    except ValueError:
+        return False
 
 
 def _parse_matrix_rows(lines: list[str]) -> tuple[Matrix, Matrix]:
@@ -366,12 +378,35 @@ class CertificateReader:
             pass
 
     def rows(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        fault, count, width, ragged = None, 0, None, False
+        """Each (numerators, denominators) row as it is parsed."""
+        return ((nums, dens) for nums, dens, _ in self.checked_rows(iter(()), 1))
+
+    def checked_rows(self, expected: Iterator[list[int]], den: int) -> Iterator[tuple]:
+        """Each row as (numerators, denominators, p's row), the form
+        ``certificates.verify_rows`` reads: for each line that may be
+        yielded, the next of p's rows ``expected`` over ``den`` is taken,
+        while they last.  A line that is ``_format_row``'s text of it, the
+        text ``certify`` writes, is that row and is not parsed: it is
+        yielded as (p's row, dens, None).  A line that differs, or whose
+        text would be past the digit limit, is parsed and yielded with the
+        row it must still equal, and so is every line after it: a document
+        not in certify's form costs one row's text more than its parse."""
+        fault, count, width, ragged, canonical = None, 0, None, False, True
+        dens_of_p = [den] * (self.q2 + 1)
         for line in self._lines:
             if line == "report:":
                 break
             if fault:
                 continue
+            prow = None
+            if not (self._late or ragged) and width in (None, self.q2 + 1) and count <= self.q1:
+                prow = next(expected, None)
+            if canonical and prow is not None:
+                if _is_text_of(line, prow, dens_of_p):
+                    count, width = count + 1, self.q2 + 1
+                    yield prow, dens_of_p, None
+                    continue
+                canonical = False
             try:
                 nums, dens = _parse_row(line)
             except ParseError as exc:
@@ -381,7 +416,7 @@ class CertificateReader:
             width = len(nums) if width is None else width
             ragged = ragged or len(nums) != width
             if not (self._late or ragged) and width == self.q2 + 1 and count <= self.q1 + 1:
-                yield nums, dens
+                yield nums, dens, prow
         try:
             for line in self._lines:
                 self.report.append(_key_value(line, "report "))

@@ -391,10 +391,15 @@ def bernstein_approximation(p: BPoly, q1: int, q2: int) -> BPoly:
 
 
 def _corner_check(p: BPoly) -> None:
-    for x1, x2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        value = p.eval(x1, x2)
+    """Refute p at the first of the corners (0, 0), (0, 1), (1, 0), (1, 1)
+    where it is not positive.  On p's cleared integers a over D, D p there
+    is a[0][0], the sum of row 0, of column 0, of all of a; only a refuting
+    value becomes a Fraction."""
+    a, den = _cleared(p.coeffs)
+    values = (a[0][0], sum(a[0]), sum(row[0] for row in a), sum(map(sum, a)))
+    for (x1, x2), value in zip(((0, 0), (0, 1), (1, 0), (1, 1)), values):
         if value <= 0:
-            raise NotPositiveError((Fraction(x1), Fraction(x2)), value)
+            raise NotPositiveError((Fraction(x1), Fraction(x2)), Fraction(value, den))
 
 
 def _scaled_values(coeffs: Sequence[int], q: int) -> list[int]:

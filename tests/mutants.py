@@ -281,6 +281,23 @@ MUTANTS = [
         ["tests/test_streams.py::test_bad_bytes_give_the_whole_file_record[across-8k]"],
     ),
     (
+        "text-path-accepts-without-comparing",
+        "documents.py",
+        "return line == _format_row(nums, dens)",
+        "return _format_row(nums, dens) is not None",
+        [
+            "tests/test_verify.py::test_perturbed_certificates_give_one_reason_on_both_paths",
+            "tests/test_cli.py::TestVerifyCommand::test_tampered_certificate",
+        ],
+    ),
+    (
+        "corner-check-edge-sums-swapped",
+        "raising.py",
+        "sum(a[0]), sum(row[0] for row in a)",
+        "sum(row[0] for row in a), sum(a[0])",
+        ["tests/test_cli.py::TestDigitLimit::test_corner_refutation_record"],
+    ),
+    (
         "bernstein-weights-falling-sign",
         "raising.py",
         "d * a - i * c",

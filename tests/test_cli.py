@@ -28,6 +28,7 @@ from berncert.documents import (
     serialize_certificate_document,
     serialize_polynomial_document,
 )
+from berncert.polys import rat_text
 
 WORKED = """\
 variables: 2
@@ -598,6 +599,28 @@ class TestDigitLimit:
         assert point == "witness=" + ",".join(map(str, witness))
         assert value.startswith("value=") and len(value) > len("value=") + 4300
         assert _exact(value[len("value="):]) == p.eval(*witness) < 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["raise", "nested"])
+    @pytest.mark.parametrize("corner", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_corner_refutation_record(self, poly_file, tmp_path, corner, method):
+        # p is -1 at one corner of the box and 1 at the others, plus 1/2^7300
+        # and -x1^i x2^j/3^4700, x1^i x2^j the corner's own monomial ((1, 1)
+        # at (0, 0)): p's common denominator is past the limit, and so is the
+        # refuted value's everywhere but at (0, 0).
+        x1, x2 = corner
+        values = [[1, 1], [1, 1]]
+        values[x1][x2] = -1
+        (v00, v01), (v10, v11) = values
+        coeffs = [[v00 + Fraction(1, TWO), v01 - v00], [v10 - v00, v11 - v10 - v01 + v00]]
+        i, j = corner if corner != (0, 0) else (1, 1)
+        coeffs[i][j] -= Fraction(1, THREE)
+        p = BPoly(coeffs)
+        out = tmp_path / "cert.txt"
+        code, stdout, err = _run(["certify", poly_file(_document(p)), str(out), "--method", method])
+        assert (code, stdout) == (2, "")
+        assert err == f"status=not-positive witness={x1},{x2} value={rat_text(p.eval(x1, x2))}\n"
+        assert [p.eval(a, b) < 0 for a in (0, 1) for b in (0, 1)].count(True) == 1
         assert not out.exists()
 
     def test_verify_prints_mismatch_past_limit(self, poly_file, tmp_path):

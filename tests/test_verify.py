@@ -19,18 +19,22 @@ from berncert import (
     PositivityCertificate,
     certify_nested,
     certify_raise,
+    documents,
     expand_plain_2d,
     verify,
 )
+from berncert.certificates import verify_rows
 from berncert.cli import main
 from berncert.documents import (
     CertificateDocument,
+    CertificateReader,
     PolynomialDocument,
     parse_certificate_document,
     serialize_certificate_document,
     serialize_polynomial_document,
 )
 from berncert.raising import plain_coeffs
+from corpus import BIVARIATE_CORPUS
 
 SPHERE = BPoly([[1, 0, 1], [0, 0, 0], [1, 0, 0]])  # x1^2 + x2^2 + 1
 WORKED = BPoly([[Fraction(1, 8), 0, 1], [0, -2, 0], [1, 0, 0]])  # (x1-x2)^2 + 1/8
@@ -380,3 +384,75 @@ def test_malformed_certificate_message(name):
     with pytest.raises(ValueError) as excinfo:
         build()
     assert str(excinfo.value) == message
+
+
+# The text path: verify compares each C: line with the writer's text of p's
+# row and parses only a line that differs.
+
+def _document_text(cert) -> str:
+    return serialize_certificate_document(CertificateDocument.from_certificate(cert))
+
+
+def _verify_text(p, text):
+    """What ``berncert verify`` concludes for a certificate document's text."""
+    reader = CertificateReader(text.splitlines())
+    return verify_rows(p, reader.q1, reader.q2, reader.checked_rows)
+
+
+def _non_canonical(text: str) -> str:
+    """text with each C: token in another form of its value, n/d as 2n/2d
+    and an integer n as n/1, the tokens of a line split by a tab or a run
+    of blanks."""
+    head, _, rest = text.partition("C:\n")
+    block, marker, report = rest.partition("report:\n")
+    lines = []
+    for k, line in enumerate(block.splitlines()):
+        tokens = [
+            f"{2 * int(num)}/{2 * int(den)}" if den else f"{num}/1"
+            for num, _, den in (token.partition("/") for token in line.split())
+        ]
+        lines.append(("\t", "   ", " \t ")[k % 3].join(tokens) + "\n")
+    return head + "C:\n" + "".join(lines) + marker + report
+
+
+@pytest.fixture(scope="module")
+def corpus_certificates():
+    """(p, certificate) for every corpus polynomial and both methods."""
+    return [
+        (p, certify(p)) for _, p in BIVARIATE_CORPUS for certify in (certify_nested, certify_raise)
+    ]
+
+
+@pytest.mark.parametrize("method, p", [
+    ("raise", WORKED),
+    ("nested", dict(BIVARIATE_CORPUS)["1+x1/2-x2/3"]),  # rows over D = 6
+    ("nested", dict(BIVARIATE_CORPUS)["1+x1^2+x2"]),  # rows over D = 1
+])
+def test_canonical_certificate_rows_are_not_parsed(tmp_path, monkeypatch, method, p):
+    poly, cert = tmp_path / "poly.txt", tmp_path / "cert.txt"
+    poly.write_text(serialize_polynomial_document(PolynomialDocument(2, p.coeffs)))
+    assert main(["certify", str(poly), str(cert), "--method", method]) == 0
+    parsed, parse = [], documents._parse_row
+    monkeypatch.setattr(documents, "_parse_row", lambda line: parsed.append(line) or parse(line))
+    assert main(["verify", str(poly), str(cert)]) == 0
+    assert parsed == poly.read_text().splitlines()[2:]  # p's rows alone
+
+
+def test_non_canonical_certificates_verify_alike(corpus_certificates):
+    # Plus p's own plain matrix at degrees too low: its entry (1, 1) is -3/2.
+    low = _from_integers(2, 2, *plain_coeffs(WORKED, 2, 2))
+    for p, cert in corpus_certificates + [(WORKED, low)]:
+        text = _document_text(cert)
+        assert _verify_text(p, _non_canonical(text)) == _verify_text(p, text) == verify(p, cert)
+
+
+def test_perturbed_certificates_give_one_reason_on_both_paths(corpus_certificates):
+    # Entry (q1 // 2, q2 // 2) made 0 (a sign and a value fault) or raised by 1/3.
+    for k, (p, cert) in enumerate(corpus_certificates):
+        i, j = cert.q1 // 2, cert.q2 // 2
+        value = 0 if k % 2 else cert.coefficients[i][j] + Fraction(1, 3)
+        bad = _with_entry(cert, i, j, value)
+        text = _document_text(bad)
+        result = verify(p, bad)
+        assert not result
+        assert _verify_text(p, text) == _verify_text(p, _non_canonical(text)) == result
